@@ -35,23 +35,20 @@ line at <5%).
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from operator import attrgetter
+from typing import Sequence
 
+from repro.faults import FaultPlanBase, FaultReportBase, Region, check_event, sample
 from repro.mpi.errors import InjectedCrash
-from repro.rng.lcg import KNUTH_LCG, LcgParams, LinearCongruential
-from repro.util.validation import require_nonnegative_int, require_positive_int
+from repro.rng.lcg import KNUTH_LCG, LcgParams
 
 __all__ = ["FaultEvent", "FaultPlan", "FaultReport", "InjectionRecord", "FAULT_KINDS"]
 
 #: The recognized fault kinds, in the order the sampler's probability
 #: intervals are laid out.
 FAULT_KINDS = ("crash", "drop", "duplicate", "delay", "straggle")
-
-#: Kinds that act on a posted message (ignored on receive operations).
-_MESSAGE_KINDS = frozenset({"drop", "duplicate", "delay"})
 
 
 @dataclass(frozen=True)
@@ -67,12 +64,7 @@ class FaultEvent:
     seconds: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.kind not in FAULT_KINDS:
-            raise ValueError(f"unknown fault kind {self.kind!r}; expected one of {FAULT_KINDS}")
-        require_nonnegative_int("rank", self.rank)
-        require_nonnegative_int("op_index", self.op_index)
-        if self.seconds < 0:
-            raise ValueError(f"seconds must be >= 0, got {self.seconds}")
+        check_event(self, FAULT_KINDS, ("rank", "op_index"))
 
 
 @dataclass(frozen=True)
@@ -86,7 +78,7 @@ class InjectionRecord:
     seconds: float = 0.0
 
 
-class FaultPlan:
+class FaultPlan(FaultPlanBase):
     """An immutable schedule of faults for one SPMD world.
 
     Build one explicitly from :class:`FaultEvent` instances, or sample
@@ -94,14 +86,8 @@ class FaultPlan:
     given ``(rank, op_index)`` slot.
     """
 
-    def __init__(self, events: Iterable[FaultEvent] = (), *, seed: int | None = None) -> None:
-        self.events: tuple[FaultEvent, ...] = tuple(
-            sorted(events, key=lambda e: (e.rank, e.op_index))
-        )
-        self.seed = seed
-        slots = [(e.rank, e.op_index) for e in self.events]
-        if len(slots) != len(set(slots)):
-            raise ValueError("at most one fault event per (rank, op_index) slot")
+    _order = attrgetter("rank", "op_index")
+    _row = attrgetter("kind", "rank", "op_index")
 
     @classmethod
     def crash(cls, rank: int, op_index: int) -> "FaultPlan":
@@ -125,90 +111,60 @@ class FaultPlan:
         protected_ranks: Sequence[int] = (0,),
         params: LcgParams = KNUTH_LCG,
     ) -> "FaultPlan":
-        """Draw a reproducible plan: one LCG decision per (rank, op) slot.
-
-        Exactly the §5 traffic idiom: every rank owns a contiguous block
-        of ``horizon`` draws from one shared LCG sequence, reached by
-        O(log n) fast-forward (``jumped``), so the plan is bit-identical
-        for a given ``seed`` regardless of evaluation order. Probabilities
-        partition [0, 1): a draw falling in a kind's interval schedules
-        that kind at that slot.
+        """Draw a reproducible plan with :func:`repro.faults.sample`:
+        rank ``r`` owns the ``horizon`` draws from ``r * horizon`` on, one
+        per operation, split between :data:`FAULT_KINDS` in order.
 
         ``max_crashes`` caps total crashes (survivors must outnumber the
         dead for recovery to mean anything) and ``protected_ranks``
         shields ranks whose death the workloads treat as unrecoverable —
         by default rank 0, the root every gather converges on.
         """
-        require_positive_int("size", size)
-        require_positive_int("horizon", horizon)
         probs = (crash_prob, drop_prob, duplicate_prob, delay_prob, straggle_prob)
-        if any(p < 0 for p in probs) or sum(probs) > 1.0:
-            raise ValueError(f"fault probabilities must be >= 0 and sum to <= 1, got {probs}")
-        base = LinearCongruential(params, seed)
+        hits = sample(
+            seed, params, [Region("fault", dict(zip(FAULT_KINDS, probs)), size, horizon)],
+            positive={"size": size, "horizon": horizon},
+            nonnegative={"max_crashes": max_crashes},
+            seconds={"seconds": seconds},
+        )
         events: list[FaultEvent] = []
-        crashes = 0
+        crashed: set[int] = set()
         protected = frozenset(protected_ranks)
-        for rank in range(size):
-            stream = base.jumped(rank * horizon)
-            for op_index in range(horizon):
-                u = stream.next_uniform()
-                kind = None
-                lo = 0.0
-                for name, p in zip(FAULT_KINDS, probs):
-                    if lo <= u < lo + p:
-                        kind = name
-                        break
-                    lo += p
-                if kind is None:
+        for kind, rank, op_index in hits:
+            if rank in crashed:
+                continue  # ops after a crash are unreachable
+            if kind == "crash":
+                if rank in protected or len(crashed) >= max_crashes:
                     continue
-                if kind == "crash":
-                    if rank in protected or crashes >= max_crashes:
-                        continue
-                    crashes += 1
-                    events.append(FaultEvent("crash", rank, op_index))
-                    break  # ops after a crash are unreachable
-                events.append(
-                    FaultEvent(kind, rank, op_index, seconds if kind in ("delay", "straggle") else 0.0)
-                )
+                crashed.add(rank)
+            timed = kind in ("delay", "straggle")
+            events.append(FaultEvent(kind, rank, op_index, seconds if timed else 0.0))
         return cls(events, seed=seed)
 
     def for_rank(self, rank: int) -> dict[int, FaultEvent]:
         """This rank's events, keyed by operation index."""
         return {e.op_index: e for e in self.events if e.rank == rank}
 
-    def trace(self) -> tuple[tuple[str, int, int], ...]:
-        """Normalized (kind, rank, op_index) tuples — the reproducibility witness."""
-        return tuple((e.kind, e.rank, e.op_index) for e in self.events)
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __repr__(self) -> str:
-        seed = f", seed={self.seed}" if self.seed is not None else ""
-        return f"FaultPlan({len(self.events)} events{seed})"
-
 
 @dataclass
-class FaultReport:
+class FaultReport(FaultReportBase):
     """What the fault layer observed during one SPMD run.
 
     Returned by ``run_spmd(..., return_report=True)``: which faults
     fired (:attr:`injected`), which ranks ended the run dead
     (:attr:`failures`), and how many times each rank was respawned.
-    All mutators are thread-safe; readers should run after the world
-    has been joined.
+    All mutators and readers are thread-safe; readers should run after
+    the world has been joined.
     """
 
     size: int
     injected: list[InjectionRecord] = field(default_factory=list)
     failures: dict[int, BaseException] = field(default_factory=dict)
     respawns: dict[int, int] = field(default_factory=dict)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
 
-    def record_injection(self, record: InjectionRecord) -> None:
-        """Log one fired fault (called by the injector)."""
-        with self._lock:
-            self.injected.append(record)
+    _order = attrgetter("rank", "op_index")
+    _row = attrgetter("kind", "rank", "op_index", "op")
+    category = "runtime.fault"
 
     def record_death(self, rank: int, exc: BaseException) -> None:
         """Log a rank's final, unrecovered failure."""
@@ -223,35 +179,30 @@ class FaultReport:
     @property
     def dead_ranks(self) -> list[int]:
         """World ranks that never recovered, sorted."""
-        return sorted(self.failures)
+        with self._lock:
+            return sorted(self.failures)
 
     @property
     def survivors(self) -> list[int]:
         """World ranks alive at the end of the run, sorted."""
-        return [r for r in range(self.size) if r not in self.failures]
-
-    def trace(self) -> tuple[tuple[str, int, int, str], ...]:
-        """Normalized fired-fault tuples — equal across runs of one seed."""
         with self._lock:
-            return tuple(
-                (rec.kind, rec.rank, rec.op_index, rec.op)
-                for rec in sorted(self.injected, key=lambda r: (r.rank, r.op_index))
-            )
+            return [r for r in range(self.size) if r not in self.failures]
 
-    def summary(self) -> str:
-        """One human-readable paragraph (for logs and teaching output)."""
-        lines = [f"FaultReport: {len(self.injected)} fault(s) fired on a {self.size}-rank world"]
-        for rec in sorted(self.injected, key=lambda r: (r.rank, r.op_index)):
-            extra = f" ({rec.seconds:.3f}s)" if rec.seconds else ""
-            lines.append(f"  - rank {rec.rank} op {rec.op_index} [{rec.op}]: {rec.kind}{extra}")
-        for rank in self.dead_ranks:
-            exc = self.failures[rank]
+    def _header(self) -> str:
+        return f"{super()._header()} on a {self.size}-rank world"
+
+    def _describe(self, rec: InjectionRecord) -> str:
+        return f"rank {rec.rank} op {rec.op_index} [{rec.op}]: {rec.kind}"
+
+    def _details(self) -> list[str]:
+        lines = []
+        for rank, exc in sorted(self.failures.items()):
             n = self.respawns.get(rank, 0)
             retried = f" after {n} respawn(s)" if n else ""
             lines.append(f"  rank {rank} died{retried}: {type(exc).__name__}: {exc}")
         if not self.failures:
             lines.append("  all ranks survived")
-        return "\n".join(lines)
+        return lines
 
 
 class _FaultInjector:
@@ -264,23 +215,10 @@ class _FaultInjector:
     """
 
     def __init__(self, plan: FaultPlan, size: int, report: FaultReport, tracer=None) -> None:
-        self.plan = plan
         self.report = report
         self._tracer = tracer
         self._by_rank = [plan.for_rank(r) for r in range(size)]
         self._op_counts = [0] * size
-
-    def _trace(self, rank: int, op_index: int, kind: str, op: str) -> None:
-        # Fault firings become trace instants on the victim's lane, so a
-        # timeline shows exactly where the injected failure bit.
-        if self._tracer is not None and self._tracer.enabled:
-            self._tracer.instant(
-                f"fault.{kind}",
-                category="runtime.fault",
-                rank=rank,
-                op=op,
-                op_index=op_index,
-            )
 
     def on_op(self, rank: int, op: str, *, send: bool) -> FaultEvent | None:
         """Advance ``rank``'s op counter; fire any event scheduled there.
@@ -294,25 +232,19 @@ class _FaultInjector:
         event = self._by_rank[rank].get(op_index)
         if event is None:
             return None
-        if event.kind == "crash":
-            self.report.record_injection(InjectionRecord(rank, op_index, "crash", op))
-            self._trace(rank, op_index, "crash", op)
+        kind = event.kind
+        if not send and kind not in ("crash", "straggle"):
+            return None  # message fault scheduled on a receive: nothing to disturb
+        seconds = 0.0 if kind == "crash" else event.seconds
+        # Fault firings become trace instants on the victim's lane, so a
+        # timeline shows exactly where the injected failure bit.
+        self.report.fire(
+            InjectionRecord(rank, op_index, kind, op, seconds),
+            tracer=self._tracer, rank=rank, op=op, op_index=op_index,
+        )
+        if kind == "crash":
             raise InjectedCrash(rank, op_index)
-        if event.kind == "straggle":
-            self.report.record_injection(
-                InjectionRecord(rank, op_index, "straggle", op, event.seconds)
-            )
-            self._trace(rank, op_index, "straggle", op)
+        if kind == "straggle":
             time.sleep(event.seconds)
             return None
-        if not send:
-            return None  # message fault scheduled on a receive: nothing to disturb
-        self.report.record_injection(
-            InjectionRecord(rank, op_index, event.kind, op, event.seconds)
-        )
-        self._trace(rank, op_index, event.kind, op)
         return event
-
-    def ops_performed(self, rank: int) -> int:
-        """How many operations ``rank`` has executed (diagnostic)."""
-        return self._op_counts[rank]

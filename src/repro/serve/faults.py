@@ -28,12 +28,12 @@ service's plan tears at the scheduler above it.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable
 
-from repro.rng.lcg import KNUTH_LCG, LcgParams, LinearCongruential
-from repro.util.validation import require_nonnegative_int, require_positive_int
+from repro.faults import FaultPlanBase, FaultReportBase, Region, check_event, sample
+from repro.rng.lcg import KNUTH_LCG, LcgParams
 
 __all__ = [
     "SERVE_FAULT_KINDS",
@@ -48,7 +48,8 @@ __all__ = [
 SERVE_FAULT_KINDS = ("poison", "worker_loss", "queue_stall")
 
 #: Draw-stream spacing: each coordinate family owns a disjoint block of
-#: the shared LCG sequence (submissions / worker slots / dequeues).
+#: the shared LCG sequence (submissions / worker slots / dequeues), so
+#: ``submissions`` and ``jobs_per_worker`` may not exceed it.
 _STREAM_SPACING = 1 << 20
 
 
@@ -76,14 +77,7 @@ class ServeFaultEvent:
     seconds: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.kind not in SERVE_FAULT_KINDS:
-            raise ValueError(
-                f"unknown serve fault kind {self.kind!r}; expected one of {SERVE_FAULT_KINDS}"
-            )
-        require_nonnegative_int("unit", self.unit)
-        require_nonnegative_int("worker", self.worker)
-        if self.seconds < 0:
-            raise ValueError(f"seconds must be >= 0, got {self.seconds}")
+        check_event(self, SERVE_FAULT_KINDS, ("unit", "worker"))
 
 
 @dataclass(frozen=True)
@@ -96,7 +90,7 @@ class ServeInjectionRecord:
     seconds: float = 0.0
 
 
-class ServeFaultPlan:
+class ServeFaultPlan(FaultPlanBase):
     """An immutable schedule of scheduler-level faults for one service.
 
     Build explicitly from :class:`ServeFaultEvent` instances or sample
@@ -104,14 +98,10 @@ class ServeFaultPlan:
     ``(kind, worker, unit)`` slot.
     """
 
+    _order = _row = attrgetter("kind", "worker", "unit")
+
     def __init__(self, events: Iterable[ServeFaultEvent] = (), *, seed: int | None = None) -> None:
-        self.events: tuple[ServeFaultEvent, ...] = tuple(
-            sorted(events, key=lambda e: (e.kind, e.worker, e.unit))
-        )
-        self.seed = seed
-        slots = [(e.kind, e.worker, e.unit) for e in self.events]
-        if len(slots) != len(set(slots)):
-            raise ValueError("at most one serve fault event per (kind, worker, unit) slot")
+        super().__init__(events, seed=seed)
         self._poison = {e.unit for e in self.events if e.kind == "poison"}
         self._worker_loss = {
             (e.worker, e.unit) for e in self.events if e.kind == "worker_loss"
@@ -159,44 +149,39 @@ class ServeFaultPlan:
         starve the pool, so losses are capped at ``max_worker_losses``,
         default ``workers - 1``, keeping at least one worker undisturbed);
         dequeue slots draw ``queue_stall`` with ``stall_prob``. Each
-        family owns a disjoint fast-forwarded block of one LCG sequence,
-        so the plan is bit-identical per seed regardless of evaluation
-        order.
+        family draws from its own ``_STREAM_SPACING`` block of the
+        stream (see :func:`repro.faults.sample`).
         """
-        require_positive_int("submissions", submissions)
-        require_positive_int("workers", workers)
         horizon = submissions if jobs_per_worker is None else jobs_per_worker
-        require_positive_int("per-worker horizon", horizon)
-        for name, p in (
-            ("poison_prob", poison_prob),
-            ("worker_loss_prob", worker_loss_prob),
-            ("stall_prob", stall_prob),
-        ):
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {p}")
         loss_budget = workers - 1 if max_worker_losses is None else max_worker_losses
-        require_nonnegative_int("max_worker_losses", loss_budget)
-        base = LinearCongruential(params, seed)
+        hits = sample(
+            seed,
+            params,
+            [
+                Region("poison_prob", {"poison": poison_prob}, 1, submissions, 0, _STREAM_SPACING),
+                Region("worker_loss_prob", {"worker_loss": worker_loss_prob},
+                       workers, horizon, _STREAM_SPACING, _STREAM_SPACING),
+                Region("stall_prob", {"queue_stall": stall_prob},
+                       1, submissions, _STREAM_SPACING * (1 + workers), _STREAM_SPACING),
+            ],
+            positive={"submissions": submissions, "workers": workers,
+                      "per-worker horizon": horizon},
+            nonnegative={"max_worker_losses": loss_budget},
+            seconds={"stall_seconds": stall_seconds},
+        )
         events: list[ServeFaultEvent] = []
-        stream = base.jumped(0)
-        for unit in range(submissions):
-            if stream.next_uniform() < poison_prob:
-                events.append(ServeFaultEvent("poison", unit))
-        losses = 0
-        for worker in range(workers):
-            stream = base.jumped(_STREAM_SPACING * (1 + worker))
-            for unit in range(horizon):
-                u = stream.next_uniform()
-                if losses < loss_budget and u < worker_loss_prob:
-                    events.append(ServeFaultEvent("worker_loss", unit, worker=worker))
-                    losses += 1
-                    break  # a worker dies at most once; it respawns fresh
-        stream = base.jumped(_STREAM_SPACING * (1 + workers))
-        for unit in range(submissions):
-            if stream.next_uniform() < stall_prob:
-                events.append(
-                    ServeFaultEvent("queue_stall", unit, seconds=stall_seconds)
-                )
+        lost: set[int] = set()
+        for kind, row, unit in hits:
+            if kind == "worker_loss":
+                # A worker dies at most once (it respawns fresh), and at
+                # most ``loss_budget`` workers die.
+                if row in lost or len(lost) >= loss_budget:
+                    continue
+                lost.add(row)
+            events.append(ServeFaultEvent(
+                kind, unit, worker=row if kind == "worker_loss" else 0,
+                seconds=stall_seconds if kind == "queue_stall" else 0.0,
+            ))
         return cls(events, seed=seed)
 
     # -- runtime lookups ----------------------------------------------
@@ -212,20 +197,9 @@ class ServeFaultPlan:
         """The stall scheduled at the ``dequeue``-th pop, if any."""
         return self._stalls.get(dequeue)
 
-    def trace(self) -> tuple[tuple[str, int, int], ...]:
-        """Normalized (kind, worker, unit) tuples — the reproducibility witness."""
-        return tuple((e.kind, e.worker, e.unit) for e in self.events)
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __repr__(self) -> str:
-        seed = f", seed={self.seed}" if self.seed is not None else ""
-        return f"ServeFaultPlan({len(self.events)} events{seed})"
-
 
 @dataclass
-class ServeFaultReport:
+class ServeFaultReport(FaultReportBase):
     """What the serve fault layer observed during one service lifetime.
 
     Mutators are thread-safe (scheduler workers fire faults
@@ -236,12 +210,10 @@ class ServeFaultReport:
     injected: list[ServeInjectionRecord] = field(default_factory=list)
     worker_respawns: dict[int, int] = field(default_factory=dict)
     requeued_jobs: int = 0
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
 
-    def record_injection(self, record: ServeInjectionRecord) -> None:
-        """Log one fired serve fault."""
-        with self._lock:
-            self.injected.append(record)
+    _order = _row = attrgetter("kind", "worker", "unit")
+    counter = "serve.injected_faults"
+    category = "serve.fault"
 
     def record_worker_respawn(self, worker: int) -> None:
         """Log the pool bringing a lost worker back."""
@@ -253,24 +225,15 @@ class ServeFaultReport:
         with self._lock:
             self.requeued_jobs += 1
 
-    def trace(self) -> tuple[tuple[str, int, int], ...]:
-        """Normalized fired-fault tuples — equal across runs of one seed."""
-        with self._lock:
-            return tuple(
-                (rec.kind, rec.worker, rec.unit)
-                for rec in sorted(self.injected, key=lambda r: (r.kind, r.worker, r.unit))
-            )
+    def _describe(self, rec: ServeInjectionRecord) -> str:
+        where = f" worker {rec.worker}" if rec.kind == "worker_loss" else ""
+        return f"{rec.kind}{where} @ {rec.unit}"
 
-    def summary(self) -> str:
-        """One human-readable paragraph."""
-        with self._lock:
-            lines = [f"ServeFaultReport: {len(self.injected)} fault(s) fired"]
-            for rec in sorted(self.injected, key=lambda r: (r.kind, r.worker, r.unit)):
-                extra = f" ({rec.seconds:.3f}s)" if rec.seconds else ""
-                where = f" worker {rec.worker}" if rec.kind == "worker_loss" else ""
-                lines.append(f"  - {rec.kind}{where} @ {rec.unit}{extra}")
-            for worker, n in sorted(self.worker_respawns.items()):
-                lines.append(f"  worker {worker} respawned {n} time(s)")
-            if self.requeued_jobs:
-                lines.append(f"  {self.requeued_jobs} job(s) requeued after worker loss")
-        return "\n".join(lines)
+    def _details(self) -> list[str]:
+        lines = [
+            f"  worker {worker} respawned {n} time(s)"
+            for worker, n in sorted(self.worker_respawns.items())
+        ]
+        if self.requeued_jobs:
+            lines.append(f"  {self.requeued_jobs} job(s) requeued after worker loss")
+        return lines

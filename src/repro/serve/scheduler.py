@@ -745,14 +745,10 @@ class JobService:
 
     def _record_injection(self, record: ServeInjectionRecord) -> None:
         assert self.fault_report is not None
-        self.fault_report.record_injection(record)
-        self.metrics.bump("serve.injected_faults")
-        tracer = get_tracer()
-        if tracer.enabled:
-            tracer.instant(
-                f"fault.{record.kind}", category="serve.fault", scope="serve.scheduler",
-                unit=record.unit, worker=record.worker,
-            )
+        self.fault_report.fire(
+            record, self.metrics, get_tracer(), scope="serve.scheduler",
+            unit=record.unit, worker=record.worker,
+        )
 
     # ------------------------------------------------------------------
     # deadlines / cancellation

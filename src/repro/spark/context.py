@@ -278,11 +278,10 @@ class SparkContext:
         event = self._fault_plan.broadcast_event(index)
         if event is not None:
             bc._corrupt()
-            self.metrics.bump("spark.injected_faults")
             assert self.fault_report is not None
-            self.fault_report.record_injection(SparkInjectionRecord("broadcast", index, 0))
-            get_tracer().instant(
-                "fault.broadcast", category="spark.fault", scope="spark.driver", index=index
+            self.fault_report.fire(
+                SparkInjectionRecord("broadcast", index, 0), self.metrics, get_tracer(),
+                scope="spark.driver", index=index,
             )
         return bc
 
@@ -401,17 +400,15 @@ class SparkContext:
                     # background thread and launch a speculative copy, which
                     # runs the real body immediately on the next worker — so
                     # the copy always wins, deterministically.
-                    self.metrics.bump("spark.injected_faults")
-                    self.metrics.bump("spark.speculative_tasks")
-                    report.record_injection(SparkInjectionRecord(
-                        "straggle", job_id, partition, attempt, worker, seconds=event.seconds
-                    ))
-                    report.record_speculative(job_id, partition)
-                    tracer.instant(
-                        "fault.straggle", category="spark.fault", scope=lane,
-                        job=job_id, partition=partition, worker=worker,
-                        seconds=event.seconds,
+                    report.fire(
+                        SparkInjectionRecord(
+                            "straggle", job_id, partition, attempt, worker, seconds=event.seconds
+                        ),
+                        self.metrics, tracer, scope=lane,
+                        job=job_id, partition=partition, worker=worker, seconds=event.seconds,
                     )
+                    self.metrics.bump("spark.speculative_tasks")
+                    report.record_speculative(job_id, partition)
                     tracer.instant(
                         "speculative_launch", category="spark.fault", scope=lane,
                         job=job_id, partition=partition,
@@ -426,24 +423,18 @@ class SparkContext:
                     injected: Exception | None = None
                     if event.kind == "task":
                         injected = TaskFailure(job_id, partition, attempt, worker)
+                        detail = {"attempt": attempt}
                     elif self._blacklist(worker):
                         injected = BlacklistedWorker(worker, job_id, partition, attempt)
-                        tracer.instant(
-                            "fault.worker", category="spark.fault", scope=lane,
-                            job=job_id, partition=partition, worker=worker,
-                        )
+                        detail = {"worker": worker}
                     # (an injected blacklist against the last live worker is
                     # suppressed: the scheduler never kills its whole cluster)
                     if injected is not None:
-                        self.metrics.bump("spark.injected_faults")
-                        report.record_injection(SparkInjectionRecord(
-                            event.kind, job_id, partition, attempt, worker
-                        ))
-                        if event.kind == "task":
-                            tracer.instant(
-                                "fault.task", category="spark.fault", scope=lane,
-                                job=job_id, partition=partition, attempt=attempt,
-                            )
+                        report.fire(
+                            SparkInjectionRecord(event.kind, job_id, partition, attempt, worker),
+                            self.metrics, tracer, scope=lane,
+                            job=job_id, partition=partition, **detail,
+                        )
                         failures += 1
                         if failures > self.max_task_retries:
                             raise SparkJobFailedError(
@@ -685,13 +676,10 @@ class SparkContext:
             map_task = event.unit % store.num_maps
             reduce_part = (event.unit // store.num_maps) % store.num_parts
             if store.corrupt(map_task, reduce_part):
-                self.metrics.bump("spark.injected_faults")
                 assert self.fault_report is not None
-                self.fault_report.record_injection(
-                    SparkInjectionRecord("shuffle", index, event.unit)
-                )
-                get_tracer().instant(
-                    "fault.shuffle", category="spark.fault", scope="spark.driver",
+                self.fault_report.fire(
+                    SparkInjectionRecord("shuffle", index, event.unit),
+                    self.metrics, get_tracer(), scope="spark.driver",
                     shuffle=index, map_task=map_task, reduce_part=reduce_part,
                 )
 
@@ -735,13 +723,10 @@ class SparkContext:
         with self._spill_lock:
             self._spill_fired[(shuffle, info.slot)] = 1
         if damage_spill_file(info.path, event.kind):
-            self.metrics.bump("spark.injected_faults")
             assert self.fault_report is not None
-            self.fault_report.record_injection(
-                SparkInjectionRecord(event.kind, shuffle, info.slot)
-            )
-            get_tracer().instant(
-                f"fault.{event.kind}", category="spark.fault", scope="spark.driver",
+            self.fault_report.fire(
+                SparkInjectionRecord(event.kind, shuffle, info.slot),
+                self.metrics, get_tracer(), scope="spark.driver",
                 shuffle=shuffle, file=info.slot,
             )
 
@@ -760,11 +745,10 @@ class SparkContext:
             if fired >= event.attempts:
                 return False
             self._spill_fired[(shuffle, slot)] = fired + 1
-        self.metrics.bump("spark.injected_faults")
-        if self.fault_report is not None:
-            self.fault_report.record_injection(
-                SparkInjectionRecord(event.kind, shuffle, slot, attempt=fired)
-            )
+        assert self.fault_report is not None
+        self.fault_report.fire(
+            SparkInjectionRecord(event.kind, shuffle, slot, attempt=fired), self.metrics
+        )
         return True
 
     def _on_merge_pass(self, runs: int) -> None:

@@ -63,12 +63,11 @@ fault-free hot path (one ``is None`` test per job;
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
-from typing import Iterable
+from operator import attrgetter
 
-from repro.rng.lcg import KNUTH_LCG, LcgParams, LinearCongruential
-from repro.util.validation import require_nonnegative_int, require_positive_int
+from repro.faults import FaultPlanBase, FaultReportBase, Region, check_event, sample
+from repro.rng.lcg import KNUTH_LCG, LcgParams
 
 __all__ = [
     "SparkFaultEvent",
@@ -177,15 +176,7 @@ class SparkFaultEvent:
     seconds: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.kind not in SPARK_FAULT_KINDS:
-            raise ValueError(
-                f"unknown fault kind {self.kind!r}; expected one of {SPARK_FAULT_KINDS}"
-            )
-        require_nonnegative_int("slot", self.slot)
-        require_nonnegative_int("unit", self.unit)
-        require_positive_int("attempts", self.attempts)
-        if self.seconds < 0:
-            raise ValueError(f"seconds must be >= 0, got {self.seconds}")
+        check_event(self, SPARK_FAULT_KINDS, ("slot", "unit"))
 
 
 @dataclass(frozen=True)
@@ -200,7 +191,7 @@ class SparkInjectionRecord:
     seconds: float = 0.0
 
 
-class SparkFaultPlan:
+class SparkFaultPlan(FaultPlanBase):
     """An immutable, seeded schedule of engine faults for one context.
 
     Build one explicitly from :class:`SparkFaultEvent` instances (or the
@@ -208,39 +199,17 @@ class SparkFaultPlan:
     :meth:`sample`. At most one event may target a given coordinate.
     """
 
-    def __init__(self, events: Iterable[SparkFaultEvent] = (), *, seed: int | None = None) -> None:
-        self.events: tuple[SparkFaultEvent, ...] = tuple(
-            sorted(events, key=lambda e: (e.kind, e.slot, e.unit))
-        )
-        self.seed = seed
-        self._tasks: dict[tuple[int, int], SparkFaultEvent] = {}
-        self._shuffles: dict[int, list[SparkFaultEvent]] = {}
-        self._broadcasts: dict[int, SparkFaultEvent] = {}
-        self._spills: dict[tuple[int, int], SparkFaultEvent] = {}
-        for event in self.events:
-            if event.kind in _TASK_KINDS:
-                key = (event.slot, event.unit)
-                if key in self._tasks:
-                    raise ValueError(f"multiple task-level events at (job, partition)={key}")
-                self._tasks[key] = event
-            elif event.kind == "shuffle":
-                blocks = self._shuffles.setdefault(event.slot, [])
-                if any(e.unit == event.unit for e in blocks):
-                    raise ValueError(
-                        f"multiple shuffle events at (shuffle, block)={(event.slot, event.unit)}"
-                    )
-                blocks.append(event)
-            elif event.kind in _SPILL_KINDS:
-                key = (event.slot, event.unit)
-                if key in self._spills:
-                    raise ValueError(
-                        f"multiple spill-file events at (shuffle, file)={key}"
-                    )
-                self._spills[key] = event
-            else:  # broadcast
-                if event.slot in self._broadcasts:
-                    raise ValueError(f"multiple broadcast events at index {event.slot}")
-                self._broadcasts[event.slot] = event
+    _order = _row = attrgetter("kind", "slot", "unit")
+
+    @staticmethod
+    def _slot(event: SparkFaultEvent) -> tuple[str, str, object]:
+        if event.kind in _TASK_KINDS:
+            return "task-level", "(job, partition)", (event.slot, event.unit)
+        if event.kind in _SPILL_KINDS:
+            return "spill-file", "(shuffle, file)", (event.slot, event.unit)
+        if event.kind == "shuffle":
+            return "shuffle", "(shuffle, block)", (event.slot, event.unit)
+        return "broadcast", "index", event.slot
 
     # ------------------------------------------------------------------
     # single-event constructors (the classroom building blocks)
@@ -313,18 +282,14 @@ class SparkFaultPlan:
         max_blacklists: int = 1,
         params: LcgParams = KNUTH_LCG,
     ) -> "SparkFaultPlan":
-        """Draw a reproducible plan: one LCG decision per coordinate.
+        """Draw a reproducible plan with :func:`repro.faults.sample`.
 
-        Exactly the §5 traffic idiom reused by ``FaultPlan.sample``:
-        every job owns a contiguous block of ``partitions`` draws from
-        one shared LCG sequence, reached by O(log n) fast-forward
-        (``jumped``), so the plan is bit-identical for a given ``seed``
-        regardless of evaluation order. The task-level probabilities
-        partition [0, 1); shuffle and broadcast corruption draw from
-        their own fast-forwarded regions with independent probabilities,
-        and the three spill-file probabilities partition one draw per
-        ``(shuffle, spill_file_slot)`` — slots a run never writes are
-        harmless no-ops, so plans compose with any memory budget.
+        The stream holds, in order: one draw per (job, partition), split
+        between the task-level kinds; one per (shuffle, block) and one
+        per broadcast, each with its own probability; one per (shuffle,
+        spill_file_slot), split between the spill kinds — slots a run
+        never writes are harmless no-ops, so plans compose with any
+        memory budget.
 
         ``max_blacklists`` caps worker deaths (the scheduler additionally
         refuses to blacklist its last live worker), and ``attempts``
@@ -332,70 +297,45 @@ class SparkFaultPlan:
         file) should stay at or below the context's ``max_task_retries``
         for the plan to be recoverable.
         """
-        require_positive_int("jobs", jobs)
-        require_positive_int("partitions", partitions)
-        require_positive_int("shuffles", shuffles)
-        require_positive_int("shuffle_blocks", shuffle_blocks)
-        require_positive_int("broadcasts", broadcasts)
-        require_positive_int("spill_files", spill_files)
-        probs = (task_fail_prob, blacklist_prob, straggle_prob)
-        if any(p < 0 for p in probs) or sum(probs) > 1.0:
-            raise ValueError(f"task-level probabilities must be >= 0 and sum to <= 1, got {probs}")
-        for name, p in (("shuffle_corrupt_prob", shuffle_corrupt_prob),
-                        ("broadcast_corrupt_prob", broadcast_corrupt_prob)):
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {p}")
-        spill_probs = (spill_delete_prob, spill_truncate_prob, spill_corrupt_prob)
-        if any(p < 0 for p in spill_probs) or sum(spill_probs) > 1.0:
-            raise ValueError(
-                f"spill-file probabilities must be >= 0 and sum to <= 1, got {spill_probs}"
-            )
-
-        base = LinearCongruential(params, seed)
+        shuffle_at = jobs * partitions
+        broadcast_at = shuffle_at + shuffles * shuffle_blocks
+        # Spill draws come last so seeds from before spill faults keep their plans.
+        spill_at = broadcast_at + broadcasts
+        task_probs = {"task": task_fail_prob, "worker": blacklist_prob, "straggle": straggle_prob}
+        spill_probs = {"spill_delete": spill_delete_prob, "spill_truncate": spill_truncate_prob,
+                       "spill_corrupt": spill_corrupt_prob}
+        hits = sample(
+            seed,
+            params,
+            [
+                Region("task-level", task_probs, jobs, partitions),
+                Region("shuffle_corrupt_prob", {"shuffle": shuffle_corrupt_prob},
+                       shuffles, shuffle_blocks, shuffle_at),
+                # One draw per broadcast, addressed as (index, 0).
+                Region("broadcast_corrupt_prob", {"broadcast": broadcast_corrupt_prob},
+                       broadcasts, 1, broadcast_at),
+                Region("spill-file", spill_probs, shuffles, spill_files, spill_at),
+            ],
+            positive={"jobs": jobs, "partitions": partitions, "shuffles": shuffles,
+                      "shuffle_blocks": shuffle_blocks, "broadcasts": broadcasts,
+                      "spill_files": spill_files, "attempts": attempts,
+                      "spill_attempts": spill_attempts},
+            nonnegative={"max_blacklists": max_blacklists},
+            seconds={"seconds": seconds},
+        )
         events: list[SparkFaultEvent] = []
         blacklists = 0
-        for job in range(jobs):
-            stream = base.jumped(job * partitions)
-            for part in range(partitions):
-                u = stream.next_uniform()
-                if u < task_fail_prob:
-                    events.append(SparkFaultEvent("task", job, part, attempts=attempts))
-                elif u < task_fail_prob + blacklist_prob:
-                    if blacklists < max_blacklists:
-                        blacklists += 1
-                        events.append(SparkFaultEvent("worker", job, part))
-                elif u < task_fail_prob + blacklist_prob + straggle_prob:
-                    events.append(SparkFaultEvent("straggle", job, part, seconds=seconds))
-        offset = jobs * partitions
-        for shuffle in range(shuffles):
-            stream = base.jumped(offset + shuffle * shuffle_blocks)
-            for block in range(shuffle_blocks):
-                if stream.next_uniform() < shuffle_corrupt_prob:
-                    events.append(SparkFaultEvent("shuffle", shuffle, block))
-        stream = base.jumped(offset + shuffles * shuffle_blocks)
-        for index in range(broadcasts):
-            if stream.next_uniform() < broadcast_corrupt_prob:
-                events.append(SparkFaultEvent("broadcast", index))
-        # Spill-file region: one draw per (shuffle, spill slot), laid out
-        # after the broadcast region so pre-existing seeds keep drawing
-        # exactly the plans they always did.
-        spill_offset = offset + shuffles * shuffle_blocks + broadcasts
-        for shuffle in range(shuffles):
-            stream = base.jumped(spill_offset + shuffle * spill_files)
-            for slot in range(spill_files):
-                u = stream.next_uniform()
-                if u < spill_delete_prob:
-                    events.append(
-                        SparkFaultEvent("spill_delete", shuffle, slot, attempts=spill_attempts)
-                    )
-                elif u < spill_delete_prob + spill_truncate_prob:
-                    events.append(
-                        SparkFaultEvent("spill_truncate", shuffle, slot, attempts=spill_attempts)
-                    )
-                elif u < sum(spill_probs):
-                    events.append(
-                        SparkFaultEvent("spill_corrupt", shuffle, slot, attempts=spill_attempts)
-                    )
+        for kind, slot, unit in hits:
+            if kind == "worker":
+                if blacklists >= max_blacklists:
+                    continue
+                blacklists += 1
+            events.append(SparkFaultEvent(
+                kind, slot, unit,
+                attempts=(attempts if kind == "task"
+                          else spill_attempts if kind in _SPILL_KINDS else 1),
+                seconds=seconds if kind == "straggle" else 0.0,
+            ))
         return cls(events, seed=seed)
 
     # ------------------------------------------------------------------
@@ -403,11 +343,11 @@ class SparkFaultPlan:
     # ------------------------------------------------------------------
     def task_event(self, job: int, partition: int) -> SparkFaultEvent | None:
         """The task-level event scheduled at ``(job, partition)``, if any."""
-        return self._tasks.get((job, partition))
+        return self._slots.get(("task-level", (job, partition)))
 
     def shuffle_events(self, shuffle: int) -> list[SparkFaultEvent]:
         """Corruption events scheduled on the ``shuffle``-th shuffle."""
-        return list(self._shuffles.get(shuffle, ()))
+        return [e for e in self.events if e.kind == "shuffle" and e.slot == shuffle]
 
     @property
     def has_shuffle_events(self) -> bool:
@@ -417,35 +357,24 @@ class SparkFaultPlan:
         checksums: corruption only ever enters through the plan, so a
         plan that schedules none keeps the zero-overhead plain blocks.
         """
-        return bool(self._shuffles)
+        return any(e.kind == "shuffle" for e in self.events)
 
     def broadcast_event(self, index: int) -> SparkFaultEvent | None:
         """The corruption event scheduled on the ``index``-th broadcast."""
-        return self._broadcasts.get(index)
+        return self._slots.get(("broadcast", index))
 
     def spill_event(self, shuffle: int, slot: int) -> SparkFaultEvent | None:
         """The disk-fault event scheduled on one spill-file slot, if any."""
-        return self._spills.get((shuffle, slot))
+        return self._slots.get(("spill-file", (shuffle, slot)))
 
     @property
     def has_spill_events(self) -> bool:
         """Whether any spill-file destruction is scheduled at all."""
-        return bool(self._spills)
-
-    def trace(self) -> tuple[tuple[str, int, int], ...]:
-        """Normalized (kind, slot, unit) tuples — the reproducibility witness."""
-        return tuple((e.kind, e.slot, e.unit) for e in self.events)
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __repr__(self) -> str:
-        seed = f", seed={self.seed}" if self.seed is not None else ""
-        return f"SparkFaultPlan({len(self.events)} events{seed})"
+        return any(e.kind in _SPILL_KINDS for e in self.events)
 
 
 @dataclass
-class SparkFaultReport:
+class SparkFaultReport(FaultReportBase):
     """What the fault layer observed during one context's lifetime.
 
     Reached as ``ctx.fault_report`` (``None`` when no plan is installed)
@@ -466,12 +395,10 @@ class SparkFaultReport:
     spill_losses: list[tuple[int, int, str, str]] = field(default_factory=list)
     #: (shuffle, spill_slot) per spill file healed via lineage.
     spill_recoveries: list[tuple[int, int]] = field(default_factory=list)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
 
-    def record_injection(self, record: SparkInjectionRecord) -> None:
-        """Log one fired fault (called by the scheduler/stores)."""
-        with self._lock:
-            self.injected.append(record)
+    _order = _row = attrgetter("kind", "slot", "unit", "attempt")
+    counter = "spark.injected_faults"
+    category = "spark.fault"
 
     def record_retry(self, job: int, partition: int) -> None:
         """Log one failed attempt that will be retried (or escalate)."""
@@ -520,57 +447,41 @@ class SparkFaultReport:
         with self._lock:
             return sorted(self.spill_losses)
 
-    def trace(self) -> tuple[tuple[str, int, int, int], ...]:
-        """Normalized fired-fault tuples — equal across runs of one seed
-        (for pipelines whose job-submission order is deterministic)."""
-        with self._lock:
-            return tuple(
-                (rec.kind, rec.slot, rec.unit, rec.attempt)
-                for rec in sorted(self.injected, key=lambda r: (r.kind, r.slot, r.unit, r.attempt))
-            )
+    def _describe(self, rec: SparkInjectionRecord) -> str:
+        where = f"worker {rec.worker}" if rec.worker >= 0 else "engine"
+        return f"{rec.kind} at ({rec.slot}, {rec.unit}) attempt {rec.attempt} [{where}]"
 
-    def summary(self) -> str:
-        """One human-readable paragraph (for logs and teaching output)."""
-        with self._lock:
-            lines = [f"SparkFaultReport: {len(self.injected)} fault(s) fired"]
-            for rec in sorted(self.injected, key=lambda r: (r.kind, r.slot, r.unit, r.attempt)):
-                extra = f" ({rec.seconds:.3f}s)" if rec.seconds else ""
-                where = f"worker {rec.worker}" if rec.worker >= 0 else "engine"
-                lines.append(
-                    f"  - {rec.kind} at ({rec.slot}, {rec.unit}) "
-                    f"attempt {rec.attempt} [{where}]{extra}"
-                )
-            if self.retries:
-                total = sum(self.retries.values())
-                lines.append(f"  {total} retried attempt(s) over {len(self.retries)} task(s)")
-            if self.recomputed:
-                lines.append(
-                    f"  {len(self.recomputed)} map output(s) recomputed from lineage: "
-                    + ", ".join(f"shuffle {s} map {m}" for s, m in self.recomputed)
-                )
-            if self.blacklisted:
-                lines.append(f"  worker(s) blacklisted: {sorted(self.blacklisted)}")
-            if self.speculative:
-                lines.append(f"  {len(self.speculative)} speculative task(s) launched (all won)")
-            if self.broadcast_refetches:
-                lines.append(f"  {self.broadcast_refetches} broadcast payload(s) refetched")
-            if self.worker_crashes:
-                lost = sum(n for _w, n in self.worker_crashes)
-                lines.append(
-                    f"  {len(self.worker_crashes)} worker process crash(es), "
-                    f"{lost} lost task(s) re-executed on the driver"
-                )
-            if self.spill_losses:
-                lines.append(f"  {len(self.spill_losses)} spill file(s) lost:")
-                for shuffle, slot, reason, path in sorted(self.spill_losses):
-                    lines.append(
-                        f"    - shuffle {shuffle} spill file {slot} ({reason}): {path}"
-                    )
-            if self.spill_recoveries:
-                lines.append(
-                    f"  {len(self.spill_recoveries)} spill file(s) recovered from lineage: "
-                    + ", ".join(f"shuffle {s} file {f}" for s, f in sorted(self.spill_recoveries))
-                )
-            if len(lines) == 1:
-                lines.append("  nothing fired")
-        return "\n".join(lines)
+    def _details(self) -> list[str]:
+        lines = []
+        if self.retries:
+            total = sum(self.retries.values())
+            lines.append(f"  {total} retried attempt(s) over {len(self.retries)} task(s)")
+        if self.recomputed:
+            lines.append(
+                f"  {len(self.recomputed)} map output(s) recomputed from lineage: "
+                + ", ".join(f"shuffle {s} map {m}" for s, m in self.recomputed)
+            )
+        if self.blacklisted:
+            lines.append(f"  worker(s) blacklisted: {sorted(self.blacklisted)}")
+        if self.speculative:
+            lines.append(f"  {len(self.speculative)} speculative task(s) launched (all won)")
+        if self.broadcast_refetches:
+            lines.append(f"  {self.broadcast_refetches} broadcast payload(s) refetched")
+        if self.worker_crashes:
+            lost = sum(n for _w, n in self.worker_crashes)
+            lines.append(
+                f"  {len(self.worker_crashes)} worker process crash(es), "
+                f"{lost} lost task(s) re-executed on the driver"
+            )
+        if self.spill_losses:
+            lines.append(f"  {len(self.spill_losses)} spill file(s) lost:")
+            for shuffle, slot, reason, path in sorted(self.spill_losses):
+                lines.append(f"    - shuffle {shuffle} spill file {slot} ({reason}): {path}")
+        if self.spill_recoveries:
+            lines.append(
+                f"  {len(self.spill_recoveries)} spill file(s) recovered from lineage: "
+                + ", ".join(f"shuffle {s} file {f}" for s, f in sorted(self.spill_recoveries))
+            )
+        if not lines and not self.injected:
+            lines.append("  nothing fired")
+        return lines

@@ -60,6 +60,11 @@ class TestFaultPlan:
     def test_sample_rejects_bad_probabilities(self):
         with pytest.raises(ValueError, match="probabilities"):
             FaultPlan.sample(0, size=2, horizon=10, crash_prob=0.7, drop_prob=0.7)
+        # Rejected whatever the seed draws, even when nothing would fire.
+        with pytest.raises(ValueError, match="seconds"):
+            FaultPlan.sample(0, 4, 50, seconds=-1.0)
+        with pytest.raises(ValueError, match="max_crashes"):
+            FaultPlan.sample(0, 4, 50, max_crashes=-1)
 
     def test_for_rank_filters_and_keys_by_op(self):
         plan = FaultPlan([FaultEvent("drop", 0, 3), FaultEvent("crash", 1, 9)])

@@ -87,6 +87,17 @@ class TestSampling:
             ServeFaultPlan.sample(0, submissions=8, poison_prob=1.5)
         with pytest.raises(ValueError):
             ServeFaultPlan.sample(0, submissions=0)
+        # Rejected whatever the seed draws, even when nothing would fire.
+        with pytest.raises(ValueError, match="stall_seconds"):
+            ServeFaultPlan.sample(0, submissions=8, stall_seconds=-1)
+        with pytest.raises(ValueError, match="max_worker_losses"):
+            ServeFaultPlan.sample(0, submissions=8, max_worker_losses=-1)
+        # Each draw family owns a 2**20-draw block; a longer family would
+        # reuse the next family's draws.
+        with pytest.raises(ValueError, match="block"):
+            ServeFaultPlan.sample(0, submissions=2**20 + 1)
+        with pytest.raises(ValueError, match="block"):
+            ServeFaultPlan.sample(0, submissions=8, jobs_per_worker=2**20 + 1)
 
     def test_zero_probs_empty_plan(self):
         plan = ServeFaultPlan.sample(0, submissions=16)

@@ -101,6 +101,13 @@ class TestSparkFaultPlan:
             SparkFaultPlan.sample(0, jobs=1, partitions=1, task_fail_prob=0.7, blacklist_prob=0.5)
         with pytest.raises(ValueError, match="shuffle_corrupt_prob"):
             SparkFaultPlan.sample(0, jobs=1, partitions=1, shuffle_corrupt_prob=1.5)
+        # Rejected whatever the seed draws, even when nothing would fire.
+        with pytest.raises(ValueError, match="attempts"):
+            SparkFaultPlan.sample(0, 2, 4, attempts=0)
+        with pytest.raises(ValueError, match="spill_attempts"):
+            SparkFaultPlan.sample(0, 2, 4, spill_attempts=0)
+        with pytest.raises(ValueError, match="max_blacklists"):
+            SparkFaultPlan.sample(0, 2, 4, max_blacklists=-1)
 
     def test_sample_caps_blacklists(self):
         plan = SparkFaultPlan.sample(
