@@ -103,9 +103,9 @@ def sample(
     params: LcgParams,
     regions: Sequence[Region],
     *,
-    positive: Mapping[str, int] = {},
-    nonnegative: Mapping[str, int] = {},
-    seconds: Mapping[str, float] = {},
+    positive: Mapping[str, int],
+    nonnegative: Mapping[str, int],
+    seconds: Mapping[str, float],
 ) -> list[tuple[str, int, int]]:
     """Validate a sampler's arguments, then draw every region.
 

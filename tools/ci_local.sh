@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # One-command local equivalent of .github/workflows/ci.yml.
 #
-#   sh tools/ci_local.sh              # lint + tier-1 + api-index (the blocking jobs)
+#   sh tools/ci_local.sh              # lint + tier-1 + benchmark smoke + api-index
+#                                     # (the blocking jobs)
 #   sh tools/ci_local.sh --perf       # additionally run the non-blocking tripwires
 #   sh tools/ci_local.sh --sanitizer  # additionally run the CI sanitizer job
 #                                     # (slow DFS tests + the seed-matrix campaign)
@@ -40,6 +41,18 @@ fi
 
 echo "== tier-1 tests =="
 python -m pytest -x -q
+
+echo "== benchmark smoke run =="
+# run.py exits 0 even when an answer is wrong, so check the "correct"
+# flag of the JSON result on its last output line.
+for w in ladder dataflow serve-soak; do
+    for t in 0 1; do
+        python3 perfbench/run.py --workload "$w" --seed 1 --seconds 1 --trace "$t" \
+            | tail -n 1 \
+            | python3 -c 'import json, sys; sys.exit(json.load(sys.stdin).get("correct") is not True)' \
+            || { echo "benchmark smoke: $w --trace $t answered wrong"; exit 1; }
+    done
+done
 
 echo "== api index =="
 python tools/check_api_index.py --check
