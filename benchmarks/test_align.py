@@ -1,25 +1,18 @@
 """The align family head to head: every model, one integer answer.
 
-Two artifacts, same discipline as the other bench lanes:
+``BENCH_align.json`` is a schema-v1 model shoot-out over the wavefront
+(sequential numpy/python kernels, the OpenMP reduction rung, the MPI
+block-row sweep, and the tiled executor wavefront on all three
+backends), each run first checked **bit-identical** to the sequential
+oracle and the shared result fingerprinted with
+:func:`repro.trace.history.result_digest` — a fast wrong wavefront is
+worthless. The idle-instrumentation gate on the sequential kernel is
+``align_overhead`` in ``gates.py``.
 
-- ``BENCH_align.json`` — a schema-v1 model shoot-out over the wavefront
-  (sequential numpy/python kernels, the OpenMP reduction rung, the MPI
-  block-row sweep, and the tiled executor wavefront on all three
-  backends), each run first checked **bit-identical** to the sequential
-  oracle and the shared result fingerprinted with
-  :func:`repro.trace.history.result_digest` — a fast wrong wavefront is
-  worthless.
-- the idle-instrumentation gate: the sequential numpy kernel with the
-  default disabled tracer must stay within 5% of a fully *enabled*
-  tracer run. As with the trace/sanitizer gates, enabled bounds
-  disabled from above — every hook does strictly less work when the
-  tracer is off — so the hot path every non-observability run takes is
-  also under the budget.
-
-Timing uses interleaved min-of-repeats throughout: each round times all
-configurations back to back so transient machine noise lands on every
-cell alike, and the minimum is the least-noise estimator for a
-deterministic integer workload.
+Timing uses interleaved min-of-repeats: each round times all models back
+to back so transient machine noise lands on every cell alike, and the
+minimum is the least-noise estimator for a deterministic integer
+workload.
 """
 
 from __future__ import annotations
@@ -30,7 +23,6 @@ import pytest
 from repro.align import align_executor, align_openmp, align_sequential, generate_pair
 from repro.align.mpi_align import run_align_mpi
 from repro.core.executor import BACKENDS
-from repro.trace import NULL_TRACER, Tracer, use_tracer
 from repro.trace.history import result_digest
 from repro.util.timing import time_call
 
@@ -40,14 +32,6 @@ WORKERS = 4
 RANKS = 4
 TILE = 24
 REPEATS = 3
-
-# Overhead gate: long enough that the per-diagonal numpy work dominates
-# the strided instants; the hook volume is ~(n+m) enabled-tests plus
-# ~32 instants either way.
-GATE_LENGTH = 640
-GATE_REPEATS = 9
-GATE_INNER = 3  # time_call takes the min of this many back-to-back calls
-THRESHOLD = 1.05
 
 
 @pytest.fixture(scope="module")
@@ -80,65 +64,6 @@ def _model_runners(a, b):
             a, b, num_workers=WORKERS, backend=bk, tile=TILE
         )
     return runners
-
-
-def test_idle_instrumentation_overhead_under_five_percent(
-    report_writer, bench_json_writer
-):
-    a, b = generate_pair(SEED + 1, GATE_LENGTH)
-
-    def run_with(tracer):
-        def once():
-            with use_tracer(tracer):
-                return align_sequential(a, b)
-
-        return time_call(once, repeats=GATE_INNER)
-
-    enabled = Tracer()
-    disabled_sec = enabled_sec = float("inf")
-    base = traced = None
-    for _ in range(GATE_REPEATS):
-        sec, base = run_with(NULL_TRACER)
-        disabled_sec = min(disabled_sec, sec)
-        enabled.clear()
-        sec, traced = run_with(enabled)
-        enabled_sec = min(enabled_sec, sec)
-
-    # Identical numerics first — overhead is meaningless otherwise.
-    np.testing.assert_array_equal(base.matrix, traced.matrix)
-    assert base.path == traced.path
-    assert len(enabled) > 0  # the enabled run actually recorded events
-
-    ratio = enabled_sec / disabled_sec
-    lines = [
-        "Idle instrumentation overhead on the sequential align kernel",
-        f"n=m={GATE_LENGTH} kernel=numpy "
-        f"(min of {GATE_REPEATS}x{GATE_INNER} interleaved runs)",
-        f"disabled tracer (one enabled-test per diagonal): {disabled_sec:.4f}s",
-        f"enabled tracer ({len(enabled)} events):            {enabled_sec:.4f}s",
-        f"ratio: {ratio:.3f}x (budget: <{THRESHOLD:.2f}x)",
-        "",
-        "enabled bounds disabled from above: every hook does strictly",
-        "less work when the tracer is off, so the disabled default is",
-        "also under the 5% budget",
-    ]
-    report_writer("align_overhead", "\n".join(lines) + "\n")
-
-    bench_json_writer(
-        "align_overhead",
-        {"disabled": disabled_sec, "enabled": enabled_sec},
-        workload="align_overhead",
-        config={
-            "model": "sequential", "kernel": "numpy",
-            "length": GATE_LENGTH, "repeats": GATE_REPEATS,
-        },
-        bit_identical=True,  # traced run matched the untraced run bitwise
-        ratio=ratio,
-        threshold=THRESHOLD,
-        events=len(enabled),
-    )
-
-    assert ratio < THRESHOLD, f"idle align overhead {ratio:.3f}x exceeds {THRESHOLD}x"
 
 
 def test_model_shootout_bit_identical_and_recorded(

@@ -23,6 +23,7 @@ matrix shows *why* a datapoint is missing instead of a hole.
 from __future__ import annotations
 
 import os
+import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -33,6 +34,9 @@ from repro.core.executor import BACKENDS
 from repro.kmeans import TerminationCriteria, kmeans_parallel
 from repro.trace.history import append_history, make_record
 from repro.util.timing import time_call
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+from trials import default_git_sha  # noqa: E402
 
 WORKERS = 4
 REPEATS = 3
@@ -102,6 +106,7 @@ def _record_gate(gate: str, status: str, **detail: object) -> None:
             "workers": WORKERS,
         },
         timestamp=datetime.now(timezone.utc).isoformat(),
+        git_sha=default_git_sha(),
         source="benchmarks/test_executor_backends.py",
         extra={str(k): v for k, v in detail.items()},
     )

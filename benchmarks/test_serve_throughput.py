@@ -1,105 +1,20 @@
-"""Serve-tier throughput and the idle-machinery overhead gate.
+"""Serve-tier throughput and fairness under load, measured not assumed.
 
-Two claims the serving layer must keep paying for:
-
-1. **Idle machinery is (nearly) free.** Submitting a single job through
-   an otherwise idle :class:`~repro.serve.JobService` — queue, breaker,
-   watchdog, metrics, all armed but unused — may cost at most 5% over
-   running the same body directly. A serving layer that taxes the
-   single-tenant case gets bypassed, which is worse than not having it.
-2. **Throughput and fairness under load are measured, not assumed.**
-   A small multi-tenant soak (the same generator the acceptance soak
-   uses) records jobs/second and the max-min fairness share into
-   ``BENCH_serve.json`` so the trial harness can watch both trend lines.
-
-Timing uses interleaved min-of-repeats: each round times both
-configurations back to back, so a transient system slowdown lands on
-both alike, and the minimum across rounds is the least-noise estimator
-for a deterministic workload on a shared machine.
+A small multi-tenant soak (the same generator the acceptance soak uses)
+records jobs/second and the max-min fairness share into
+``BENCH_serve_soak.json`` so the trial harness can watch both trend
+lines. The idle-machinery gate (one job through an idle service vs a
+direct call) is ``serve`` in ``gates.py``.
 """
 
-import threading
-
 from repro.serve import JobService, generate_traffic, run_soak
-from repro.serve.scheduler import JobContext
-from repro.trace.history import result_digest
-from repro.util.timing import time_call
 
-REPEATS = 7
-THRESHOLD = 1.05
 SOAK_TENANTS = 3
 SOAK_JOBS_PER_TENANT = 6
 SOAK_WORKERS = 3
 
 
-def _single_job():
-    # A scaled-up cousin of the wordcount traffic body: big enough
-    # (~tens of ms) that the 5% budget is not lost in timer noise.
-    from operator import add
-
-    lines = [
-        f"line {i} the quick brown fox jumps over the lazy dog token{i % 13}"
-        for i in range(4_000)
-    ]
-
-    def body(ctx):
-        with ctx.spark_context(2) as sc:
-            counts = (
-                sc.parallelize(lines, 8)
-                .flat_map(str.split)
-                .map(lambda w: (w, 1))
-                .reduce_by_key(add)
-                .collect()
-            )
-        return dict(sorted(counts))
-
-    return body
-
-
-def _run_direct(body):
-    ctx = JobContext("solo", "direct", -1, threading.Event())
-    try:
-        return body(ctx)
-    finally:
-        ctx._cleanup()
-
-
-def _run_served(service, body):
-    # The service is long-lived (that is the point of a serving tier);
-    # the gate prices the per-job machinery, not pool construction.
-    return service.submit("t", body, name="single").result(60.0)
-
-
-def test_serve_idle_overhead_under_five_percent(benchmark, report_writer, bench_json_writer):
-    body = _single_job()
-    benchmark(lambda: _run_direct(body))
-
-    direct_sec = served_sec = float("inf")
-    direct = served = None
-    with JobService(1, capacity=4) as service:
-        for _ in range(REPEATS):
-            sec, direct = time_call(lambda: _run_direct(body), repeats=1)
-            direct_sec = min(direct_sec, sec)
-            sec, served = time_call(lambda: _run_served(service, body), repeats=1)
-            served_sec = min(served_sec, sec)
-
-    # Identical numerics first — overhead is meaningless otherwise.
-    assert result_digest(direct) == result_digest(served)
-
-    ratio = served_sec / direct_sec
-    lines = [
-        "Serve-tier idle-machinery overhead on a single wordcount job",
-        f"(min of {REPEATS} interleaved runs)",
-        f"direct call (no service):            {direct_sec:.4f}s",
-        f"via idle JobService (1 worker):      {served_sec:.4f}s",
-        f"ratio: {ratio:.3f}x (budget: <{THRESHOLD:.2f}x)",
-        "",
-        "the idle service bounds the machinery from above: admission,",
-        "fair-share queue, circuit breaker, watchdog, and metrics all",
-        "run, yet schedule exactly one job with no contention",
-    ]
-    report_writer("serve_idle_overhead", "\n".join(lines) + "\n")
-
+def test_serve_soak_throughput_recorded(bench_json_writer):
     jobs = generate_traffic(17, tenants=SOAK_TENANTS, jobs_per_tenant=SOAK_JOBS_PER_TENANT)
     service = JobService(SOAK_WORKERS, capacity=16, max_retries=1)
     try:
@@ -109,27 +24,14 @@ def test_serve_idle_overhead_under_five_percent(benchmark, report_writer, bench_
     assert sum(soak.states.values()) == len(jobs)
 
     bench_json_writer(
-        "serve",
-        {
-            "direct": direct_sec,
-            "served": served_sec,
-            "soak_total": soak.duration,
-        },
-        workload="serve",
+        "serve_soak",
+        {"soak_total": soak.duration},
         config={
-            "repeats": REPEATS,
             "soak_tenants": SOAK_TENANTS,
             "soak_jobs_per_tenant": SOAK_JOBS_PER_TENANT,
             "soak_workers": SOAK_WORKERS,
         },
-        bit_identical=result_digest(direct) == result_digest(served),
-        ratio=ratio,
-        threshold=THRESHOLD,
         throughput_jobs_per_sec=soak.throughput,
         fairness_max_min_share=soak.fairness,
         soak_states=dict(sorted(soak.states.items())),
-    )
-
-    assert ratio < THRESHOLD, (
-        f"idle serve machinery overhead {ratio:.3f}x exceeds {THRESHOLD}x"
     )

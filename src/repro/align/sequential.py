@@ -19,7 +19,8 @@ the cross-model conformance suite a pure ``assert_array_equal``.
 
 Tracing: one ``align.score`` span around the sweep and strided
 ``align.diagonal`` instants, all behind the off-by-default tracer gate
-— the idle overhead is bounded under 5% by ``benchmarks/test_align.py``.
+— the idle overhead is bounded under 5% by the ``align_overhead`` gate
+in ``benchmarks/gates.py``.
 """
 
 from __future__ import annotations

@@ -29,8 +29,8 @@ receive are no-ops (nothing was posted to disturb).
 
 The default is no injector at all: ``run_spmd(...)`` without a plan
 takes the exact fault-free hot path (one attribute load + ``None``
-check per operation; ``benchmarks/test_fault_overhead.py`` holds the
-line at <5%).
+check per operation; the ``fault_overhead`` gate in
+``benchmarks/gates.py`` holds the line at <5%).
 """
 
 from __future__ import annotations

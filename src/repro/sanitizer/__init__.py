@@ -19,8 +19,8 @@ halves, the same shape as TSan over a deterministic-replay harness:
   replays **bit-identically** from its ``(seed, schedule_id)``.
 
 Everything is off by default: :func:`get_sanitizer` returns ``None`` on
-the hot path (overhead gated <5% by
-``benchmarks/test_sanitizer_overhead.py``), and races surface through
+the hot path (overhead gated <5% by the ``sanitizer_overhead`` gate in
+``benchmarks/gates.py``), and races surface through
 :mod:`repro.trace` instants plus the plain-text reports in
 :mod:`repro.sanitizer.report`. See docs/sanitizer.md for the model, the
 replay workflow, and how to read a report.

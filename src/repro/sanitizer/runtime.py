@@ -7,8 +7,8 @@ path must stay free**. :func:`get_sanitizer` returns ``None`` unless a
 every instrumentation site in :mod:`repro.openmp`,
 :mod:`repro.core.executor`, and the workloads is one module-global read
 plus a ``None`` test — the same discipline as the disabled tracer and
-the no-op fault plans, gated under 5% by
-``benchmarks/test_sanitizer_overhead.py``.
+the no-op fault plans, gated under 5% by the ``sanitizer_overhead``
+gate in ``benchmarks/gates.py``.
 
 A :class:`Sanitizer` bundles the two halves of the tool:
 

@@ -57,8 +57,9 @@ active plan returns results **bit-identical** to the fault-free run —
 the invariant ``tests/spark/test_fault_recovery.py`` sweeps seeds over.
 
 The default is no plan at all: ``SparkContext()`` takes the exact
-fault-free hot path (one ``is None`` test per job;
-``benchmarks/test_spark_fault_overhead.py`` holds the line at <5%).
+fault-free hot path (one ``is None`` test per job; the
+``spark_fault_overhead`` gate in ``benchmarks/gates.py`` holds the line
+at <5%).
 """
 
 from __future__ import annotations

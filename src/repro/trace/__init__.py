@@ -25,7 +25,7 @@ package provides one process-wide answer:
   by the campaign runner in ``tools/trials/`` (docs/trials.md).
 
 The default tracer is disabled and free on the hot path (gated < 5% by
-``benchmarks/test_trace_overhead.py``). Enable per run::
+the ``trace_overhead`` gate in ``benchmarks/gates.py``). Enable per run::
 
     from repro.trace import Tracer, use_tracer, render_timeline
 
@@ -48,7 +48,6 @@ from repro.trace.history import (
     load_bench_file,
     load_history,
     make_record,
-    migrate_bench_payload,
     render_trends,
     result_digest,
     sparkline,
@@ -90,7 +89,6 @@ __all__ = [
     "Finding",
     "make_record",
     "validate_bench_payload",
-    "migrate_bench_payload",
     "load_bench_file",
     "load_bench_dir",
     "append_history",

@@ -9,14 +9,10 @@ half of the observability layer:
   payload normalizes into: a workload name, string config labels (the
   series identity), labeled timings in one declared unit, and optional
   bit-identity evidence (``digest`` / ``bit_identical``).
-- :func:`migrate_bench_payload` — the shim that upgrades the legacy
-  payload shapes already on disk (``ScalingStudy.to_json()`` rows,
-  the executor-backend ``kernels`` map, the ``*_sec``/``*_seconds``
-  overhead gates) into schema v1, so history never starts empty.
 - :func:`append_history` / :func:`load_history` — an append-only
   ``history.jsonl`` store (one record per line, timestamped and
-  git-SHA-stamped by the campaign runner) whose loader tolerates
-  malformed and legacy lines instead of crashing on them.
+  git-SHA-stamped by the campaign runner) whose loader skips
+  malformed and non-v1 lines instead of crashing on them.
 - :func:`analyze_trends` — compares the latest point of every
   ``(workload, config, timing label)`` series against a rolling
   baseline (median of the preceding window) and emits severity-ranked
@@ -48,7 +44,6 @@ __all__ = [
     "BenchRecord",
     "make_record",
     "validate_bench_payload",
-    "migrate_bench_payload",
     "load_bench_file",
     "load_bench_dir",
     "append_history",
@@ -246,105 +241,10 @@ def validate_bench_payload(payload: Any) -> list[str]:
     return problems
 
 
-# ----------------------------------------------------------------------
-# legacy migration
-# ----------------------------------------------------------------------
-
-#: Scalar payload keys that identify a series rather than measure it.
-_CONFIG_HINT_KEYS = {
-    "workers", "baseline_workers", "repeats", "threads", "seed", "lines",
-    "local_combine", "n", "d", "k", "steps", "alpha", "tasks", "top_m",
-    "cpu_count", "spill_budget_bytes",
-}
-
-
-def _legacy_timings(payload: Mapping[str, Any]) -> dict[str, float]:
-    """Pull labeled seconds out of the legacy payload shapes."""
-    timings: dict[str, float] = {}
-    rows = payload.get("rows")
-    if isinstance(rows, list):  # ScalingStudy.to_json() shape
-        for row in rows:
-            if isinstance(row, Mapping) and _is_finite_number(row.get("seconds")):
-                timings[f"workers={row.get('workers')}"] = float(row["seconds"])
-    kernels = payload.get("kernels")
-    if isinstance(kernels, Mapping):  # executor-backend shoot-out shape
-        for kernel, block in kernels.items():
-            secs = block.get("seconds") if isinstance(block, Mapping) else None
-            if isinstance(secs, Mapping):
-                for backend, sec in secs.items():
-                    if _is_finite_number(sec):
-                        timings[f"{kernel}/{backend}"] = float(sec)
-    for key, value in payload.items():  # overhead-gate shape
-        if (key.endswith("_sec") or key.endswith("_seconds")) and _is_finite_number(value):
-            label = key[: -len("_seconds")] if key.endswith("_seconds") else key[: -len("_sec")]
-            timings[label] = float(value)
-    return timings
-
-
-def migrate_bench_payload(payload: Mapping[str, Any], *, source: str = "") -> dict[str, Any]:
-    """Upgrade a legacy bench payload to a valid schema-v1 dict.
-
-    Already-v1 payloads pass through unchanged. Legacy payloads (what
-    ``benchmarks/out/`` held before the schema existed) get a workload
-    name from ``name``/``bench``, config labels from their scalar
-    identity keys, timings recovered from whichever legacy shape they
-    used, and the whole original payload preserved under
-    ``extra`` so no information is dropped. Raises ``ValueError`` when
-    no timings can be recovered at all.
-    """
-    if not isinstance(payload, Mapping):
-        raise ValueError(f"bench payload must be an object, got {type(payload).__name__}")
-    if payload.get("schema_version") == BENCH_SCHEMA_VERSION:
-        return dict(payload)
-
-    # Legacy files used "name"/"bench" for the identity; when present,
-    # a string "workload" was a free-text description, not a key.
-    workload = payload.get("name") or payload.get("bench")
-    if not isinstance(workload, str) or not workload:
-        workload = payload.get("workload")
-    if not isinstance(workload, str) or not workload:
-        raise ValueError(f"legacy bench payload has no name ({source or 'unnamed'})")
-
-    config: dict[str, str] = {}
-    for key in sorted(_CONFIG_HINT_KEYS & set(payload)):
-        value = payload[key]
-        if isinstance(value, (str, int, float, bool)):
-            config[key] = str(value)
-    # Some overhead benches nest their identity under a "workload" dict.
-    nested = payload.get("workload")
-    if isinstance(nested, Mapping):
-        for k, v in nested.items():
-            if isinstance(v, (str, int, float, bool)):
-                config[str(k)] = str(v)
-
-    timings = _legacy_timings(payload)
-    if not timings:
-        raise ValueError(
-            f"legacy bench payload {workload!r} has no recoverable timings "
-            f"({source or 'unnamed'})"
-        )
-
-    migrated: dict[str, Any] = {
-        "schema_version": BENCH_SCHEMA_VERSION,
-        "workload": workload,
-        "config": config,
-        "unit": "seconds",
-        "timings": timings,
-        "extra": {"migrated_from": "legacy", **{k: v for k, v in payload.items()}},
-    }
-    if isinstance(payload.get("bit_identical"), bool):
-        migrated["bit_identical"] = payload["bit_identical"]
-    if source:
-        migrated["source"] = source
-    return migrated
-
-
 def load_bench_file(path: str | Path) -> BenchRecord:
-    """Load one ``BENCH_*.json`` file, migrating legacy shapes on the fly."""
+    """Load one schema-v1 ``BENCH_*.json`` file; raises ``ValueError`` otherwise."""
     path = Path(path)
-    payload = json.loads(path.read_text())
-    migrated = migrate_bench_payload(payload, source=path.name)
-    return BenchRecord.from_json(migrated, source=path.name)
+    return BenchRecord.from_json(json.loads(path.read_text()), source=path.name)
 
 
 def load_bench_dir(out_dir: str | Path) -> list[BenchRecord]:
@@ -416,9 +316,9 @@ def load_history(path: str | Path) -> tuple[list[BenchRecord], int]:
 
     Spans every rotated segment (oldest first) before the live file, so
     rotation is invisible to readers. Lines that are not JSON, not
-    objects, or not salvageable even by the legacy migration shim are
-    counted and skipped, never fatal — a corrupt line must not take
-    down the whole trajectory.
+    objects, or not valid schema-v1 records are counted and skipped,
+    never fatal — a corrupt line must not take down the whole
+    trajectory.
     """
     path = Path(path)
     records: list[BenchRecord] = []
@@ -431,8 +331,7 @@ def load_history(path: str | Path) -> tuple[list[BenchRecord], int]:
                 continue
             try:
                 payload = json.loads(line)
-                migrated = migrate_bench_payload(payload, source=f"{part.name}:{lineno}")
-                records.append(BenchRecord.from_json(migrated, source=f"{part.name}:{lineno}"))
+                records.append(BenchRecord.from_json(payload, source=f"{part.name}:{lineno}"))
             except (ValueError, TypeError):
                 skipped += 1
     return records, skipped

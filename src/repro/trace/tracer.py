@@ -25,8 +25,8 @@ The default tracer is **disabled** (:data:`get_tracer` returns a
 module-level no-op). Instrumentation sites are gated on
 ``tracer.enabled`` or use :meth:`Tracer.span`, whose disabled path
 returns one shared no-op context manager — the overhead budget is held
-under 5% by ``benchmarks/test_trace_overhead.py``, exactly like the
-fault layer's hot-path gate.
+under 5% by the ``trace_overhead`` gate in ``benchmarks/gates.py``,
+exactly like the fault layer's hot-path gate.
 """
 
 from __future__ import annotations

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Mapping
 
-__all__ = ["Timer", "time_call", "ScalingStudy"]
+__all__ = ["Timer", "time_call", "interleaved_min", "ScalingStudy"]
 
 
 class Timer:
@@ -61,6 +61,28 @@ def time_call(fn: Callable[..., Any], *args: Any, repeats: int = 1, **kwargs: An
         result = fn(*args, **kwargs)
         best = min(best, time.perf_counter() - start)
     return best, result
+
+
+def interleaved_min(
+    runs: Mapping[str, Callable[[], Any]], *, repeats: int, inner: int = 1
+) -> tuple[dict[str, float], dict[str, Any]]:
+    """Time labelled runs round-robin; return (best seconds, last result) per label.
+
+    Each of the ``repeats`` rounds times every run once, in the
+    mapping's order, each timing being :func:`time_call` over ``inner``
+    back-to-back calls. A transient machine slowdown then lands on every
+    run alike, and the minimum across rounds is the least-noise estimator
+    for a deterministic workload on a shared machine.
+    """
+    if repeats < 1:
+        raise ValueError(f"repeats must be >= 1, got {repeats}")
+    best = dict.fromkeys(runs, float("inf"))
+    last: dict[str, Any] = {}
+    for _ in range(repeats):
+        for label, run in runs.items():
+            seconds, last[label] = time_call(run, repeats=inner)
+            best[label] = min(best[label], seconds)
+    return best, last
 
 
 @dataclass

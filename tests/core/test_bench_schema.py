@@ -35,12 +35,14 @@ class TestCheckBenchSchema:
         ok, report = check(tmp_path)
         assert ok, report
 
-    def test_legacy_file_passes_through_migration(self, tmp_path):
+    def test_legacy_file_is_rejected(self, tmp_path):
         (tmp_path / "BENCH_legacy.json").write_text(json.dumps({
             "name": "legacy", "baseline_sec": 0.5,
         }))
         ok, report = check(tmp_path)
-        assert ok, report
+        assert not ok
+        assert "BENCH_legacy.json" in report and "schema_version must be 1" in report
+        assert check_main([str(tmp_path), "--check"]) == 1
 
     def test_unparseable_json_is_flagged(self, tmp_path):
         (tmp_path / "BENCH_broken.json").write_text("{oops")
@@ -52,11 +54,12 @@ class TestCheckBenchSchema:
         (tmp_path / "BENCH_empty.json").write_text(json.dumps({"name": "empty"}))
         ok, report = check(tmp_path)
         assert not ok
-        assert "no recoverable timings" in report
+        assert "timings must be an object" in report
 
     def test_one_bad_file_does_not_hide_the_good_one(self, tmp_path):
         (tmp_path / "BENCH_good.json").write_text(json.dumps({
-            "name": "good", "run_sec": 1.0,
+            "schema_version": 1, "workload": "good", "config": {},
+            "unit": "seconds", "timings": {"run": 1.0},
         }))
         (tmp_path / "BENCH_bad.json").write_text("[]")
         ok, report = check(tmp_path)

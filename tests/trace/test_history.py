@@ -1,4 +1,4 @@
-"""Canonical bench schema, legacy migration, history store, trend analysis."""
+"""Canonical bench schema, history store, trend analysis."""
 
 import json
 from pathlib import Path
@@ -17,7 +17,6 @@ from repro.trace.history import (
     load_bench_file,
     load_history,
     make_record,
-    migrate_bench_payload,
     render_trends,
     result_digest,
     sparkline,
@@ -109,71 +108,6 @@ class TestValidate:
             make_record("w", timings={"t": float("inf")})
 
 
-class TestMigration:
-    def test_v1_payload_passes_through(self):
-        payload = _rec().to_json()
-        assert migrate_bench_payload(payload) == payload
-
-    def test_scaling_study_rows_become_worker_labels(self):
-        legacy = {
-            "name": "wordcount",
-            "workers": 4,
-            "lines": 2000,
-            "rows": [
-                {"workers": 1, "seconds": 2.0, "speedup": 1.0},
-                {"workers": 4, "seconds": 0.6, "speedup": 3.3},
-            ],
-        }
-        migrated = migrate_bench_payload(legacy, source="BENCH_wordcount.json")
-        rec = BenchRecord.from_json(migrated)
-        assert rec.workload == "wordcount"
-        assert rec.timings_dict() == {"workers=1": 2.0, "workers=4": 0.6}
-        assert rec.config_dict()["lines"] == "2000"
-        assert rec.extra["migrated_from"] == "legacy"
-        assert rec.extra["rows"] == legacy["rows"]  # nothing dropped
-
-    def test_kernels_map_becomes_kernel_backend_labels(self):
-        legacy = {
-            "name": "executor_backends",
-            # legacy free-text description must NOT become the workload
-            "workload": "kmeans assignment step, n=4000",
-            "kernels": {"numpy": {"seconds": {"serial": 0.1, "thread": 0.2}}},
-        }
-        rec = BenchRecord.from_json(migrate_bench_payload(legacy))
-        assert rec.workload == "executor_backends"
-        assert rec.timings_dict() == {"numpy/serial": 0.1, "numpy/thread": 0.2}
-
-    def test_overhead_gate_sec_suffixes_and_nested_workload(self):
-        legacy = {
-            "bench": "sanitizer_overhead",
-            "disabled_sec": 0.26,
-            "observed_sec": 0.27,
-            "baseline_seconds": 0.5,
-            "ratio": 1.03,
-            "threshold": 1.05,
-            "workload": {"model": "kmeans_openmp", "threads": 4},
-        }
-        rec = BenchRecord.from_json(migrate_bench_payload(legacy))
-        assert rec.workload == "sanitizer_overhead"
-        assert rec.timings_dict() == {
-            "disabled": 0.26, "observed": 0.27, "baseline": 0.5,
-        }
-        assert rec.config_dict() == {"model": "kmeans_openmp", "threads": "4"}
-        assert rec.extra["ratio"] == 1.03  # the analyzer reads this
-
-    def test_bit_identical_survives_migration(self):
-        legacy = {"name": "x", "baseline_sec": 1.0, "bit_identical": False}
-        assert migrate_bench_payload(legacy)["bit_identical"] is False
-
-    def test_unrecoverable_payload_raises(self):
-        with pytest.raises(ValueError, match="no recoverable timings"):
-            migrate_bench_payload({"name": "x", "note": "no numbers here"})
-        with pytest.raises(ValueError, match="no name"):
-            migrate_bench_payload({"baseline_sec": 1.0})
-        with pytest.raises(ValueError, match="object"):
-            migrate_bench_payload([1])
-
-
 class TestLoadBench:
     def test_every_checked_in_bench_file_loads(self):
         records = load_bench_dir(REPO_OUT)
@@ -185,12 +119,20 @@ class TestLoadBench:
     def test_missing_dir_is_empty_not_fatal(self, tmp_path):
         assert load_bench_dir(tmp_path / "nope") == []
 
-    def test_load_file_migrates_and_stamps_source(self, tmp_path):
+    def test_load_file_stamps_source(self, tmp_path):
         path = tmp_path / "BENCH_demo.json"
-        path.write_text(json.dumps({"name": "demo", "run_sec": 1.5}))
+        payload = _rec("demo").to_json()
+        payload.pop("source", None)
+        path.write_text(json.dumps(payload))
         rec = load_bench_file(path)
         assert rec.workload == "demo"
         assert rec.source == "BENCH_demo.json"
+
+    def test_load_file_rejects_legacy_payload(self, tmp_path):
+        path = tmp_path / "BENCH_demo.json"
+        path.write_text(json.dumps({"name": "demo", "run_sec": 1.5}))
+        with pytest.raises(ValueError, match="schema_version must be 1"):
+            load_bench_file(path)
 
 
 class TestHistoryStore:
@@ -211,7 +153,7 @@ class TestHistoryStore:
     def test_missing_history_is_empty(self, tmp_path):
         assert load_history(tmp_path / "none.jsonl") == ([], 0)
 
-    def test_loader_skips_malformed_and_keeps_legacy_lines(self, tmp_path):
+    def test_loader_skips_malformed_and_legacy_lines(self, tmp_path):
         path = tmp_path / "history.jsonl"
         lines = [
             json.dumps(_rec("good").to_json(), sort_keys=True),
@@ -223,8 +165,8 @@ class TestHistoryStore:
         ]
         path.write_text("\n".join(lines) + "\n")
         records, skipped = load_history(path)
-        assert [r.workload for r in records] == ["good", "legacy"]
-        assert skipped == 3
+        assert [r.workload for r in records] == ["good"]
+        assert skipped == 4
 
 
 class TestHistoryRotation:

@@ -3,8 +3,8 @@
 A seeded mini-campaign runs twice into one history file; the second run
 carries an injected >10% slowdown on one (workload, config) cell and an
 injected bit-identity break on another. The analyzer must name exactly
-those two pairs — bit-identically across repeated runs — and tolerate
-malformed and legacy history lines alongside the campaign's records.
+those two pairs — bit-identically across repeated runs — and skip
+malformed and pre-schema history lines alongside the campaign's records.
 """
 
 import json
@@ -209,11 +209,11 @@ class TestEndToEndTrends:
         _run_twice(history)
 
         records, skipped = load_history(history)
-        assert skipped == 2  # the legacy line migrates; the junk is skipped
-        assert {r.workload for r in records} == {"legacy_bench", "kmeans", "wordcount"}
+        assert skipped == 3  # a pre-schema line is skipped like the junk
+        assert {r.workload for r in records} == {"kmeans", "wordcount"}
         findings = analyze_trends(records)
         report = render_trends(records, findings=findings, skipped=skipped)
-        assert "2 malformed history lines skipped." in report
+        assert "3 malformed history lines skipped." in report
         assert {(f.workload, f.config) for f in findings} == {SLOW_CELL, BREAK_CELL}
 
     def test_analyzer_overhead_under_five_percent_of_campaign(self, tmp_path):
@@ -264,9 +264,10 @@ class TestCli:
 
         bench_dir = tmp_path / "out"
         bench_dir.mkdir()
-        (bench_dir / "BENCH_legacy.json").write_text(
-            json.dumps({"name": "legacy", "run_sec": 0.25})
-        )
+        (bench_dir / "BENCH_snapshot.json").write_text(json.dumps({
+            "schema_version": 1, "workload": "snapshot", "config": {},
+            "unit": "seconds", "timings": {"run": 0.25},
+        }))
         history = tmp_path / "history.jsonl"
         trends = tmp_path / "TRENDS.md"
         assert main([
@@ -277,6 +278,6 @@ class TestCli:
         ]) == 0
         records, skipped = load_history(history)
         assert skipped == 0
-        assert [r.workload for r in records] == ["legacy"]
+        assert [r.workload for r in records] == ["snapshot"]
         assert records[0].timestamp  # ingest stamps undated snapshots
         assert "ingested 1 BENCH_*.json snapshot(s)" in capsys.readouterr().out

@@ -1,8 +1,11 @@
 """Tests for repro.util.timing."""
 
+from types import SimpleNamespace
+
 import pytest
 
-from repro.util.timing import ScalingStudy, Timer, time_call
+from repro.util import timing
+from repro.util.timing import ScalingStudy, Timer, interleaved_min, time_call
 
 
 class TestTimer:
@@ -63,6 +66,56 @@ class TestTimer:
     def test_time_call_rejects_zero_repeats(self):
         with pytest.raises(ValueError):
             time_call(lambda: None, repeats=0)
+
+
+class TestInterleavedMin:
+    @pytest.fixture
+    def clock(self, monkeypatch):
+        """A fake perf_counter that a run advances by its scripted duration."""
+        clock = SimpleNamespace(now=0.0)
+        monkeypatch.setattr(timing, "time", SimpleNamespace(perf_counter=lambda: clock.now))
+        return clock
+
+    def _scripted(self, clock, label, durations, calls):
+        script = iter(durations)
+
+        def run():
+            calls.append(label)
+            clock.now += next(script)
+            return f"{label}{len(calls)}"
+
+        return run
+
+    def test_rounds_interleave_in_mapping_order(self):
+        calls = []
+        runs = {"a": lambda: calls.append("a"), "b": lambda: calls.append("b")}
+        interleaved_min(runs, repeats=3)
+        assert calls == ["a", "b", "a", "b", "a", "b"]
+
+    def test_keeps_min_and_last_result_per_label(self, clock):
+        calls = []
+        runs = {
+            "a": self._scripted(clock, "a", [3.0, 1.0, 2.0], calls),
+            "b": self._scripted(clock, "b", [5.0, 6.0, 4.0], calls),
+        }
+        best, last = interleaved_min(runs, repeats=3)
+        assert best == {"a": 1.0, "b": 4.0}
+        assert last == {"a": "a5", "b": "b6"}
+
+    def test_inner_calls_run_back_to_back(self, clock):
+        calls = []
+        runs = {
+            "a": self._scripted(clock, "a", [4.0, 2.0, 3.0, 5.0], calls),
+            "b": self._scripted(clock, "b", [1.0, 1.0, 1.0, 1.0], calls),
+        }
+        best, _ = interleaved_min(runs, repeats=2, inner=2)
+        assert calls == ["a", "a", "b", "b", "a", "a", "b", "b"]
+        assert best == {"a": 2.0, "b": 1.0}
+
+    @pytest.mark.parametrize("repeats", [0, -1])
+    def test_rejects_fewer_than_one_repeat(self, repeats):
+        with pytest.raises(ValueError, match="repeats must be >= 1"):
+            interleaved_min({"a": lambda: None}, repeats=repeats)
 
 
 class TestScalingStudy:

@@ -6,9 +6,9 @@ idiom applied to bench output)::
 
     python tools/check_bench_schema.py --check   # exit 1 + problem list
 
-Every file must either already be a schema-v1 record or be upgradable
-through :func:`repro.trace.history.migrate_bench_payload` — a bench
-that emits JSON the trend pipeline cannot read is a broken bench. The
+Every file must be a schema-v1 record (what ``bench_json_writer`` in
+``benchmarks/conftest.py`` writes) — a bench that emits JSON the trend
+pipeline cannot read is a broken bench. The
 tier-1 suite runs the same comparison via
 ``tests/core/test_bench_schema.py``; ``benchmarks/history.jsonl`` is
 reported informationally (its loader is tolerant by design, but silent
@@ -26,11 +26,7 @@ ROOT = Path(__file__).resolve().parent.parent
 if str(ROOT / "src") not in sys.path:
     sys.path.insert(0, str(ROOT / "src"))
 
-from repro.trace.history import (  # noqa: E402
-    BenchRecord,
-    load_history,
-    migrate_bench_payload,
-)
+from repro.trace.history import BenchRecord, load_history  # noqa: E402
 
 __all__ = ["check", "main"]
 
@@ -54,8 +50,7 @@ def check(out_dir: Path = DEFAULT_OUT_DIR) -> tuple[bool, str]:
             problems.append(f"{path.name}: unreadable JSON ({exc})")
             continue
         try:
-            BenchRecord.from_json(migrate_bench_payload(payload, source=path.name),
-                                  source=path.name)
+            BenchRecord.from_json(payload, source=path.name)
         except ValueError as exc:
             problems.append(f"{path.name}: {exc}")
     return not problems, "\n".join(problems)

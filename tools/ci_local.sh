@@ -63,12 +63,9 @@ python tools/check_bench_schema.py --check
 if [ "${1:-}" = "--perf" ]; then
     echo "== perf tripwires (non-blocking in CI) =="
     python -m pytest -q \
-        tests/trace/test_overhead_gate.py \
-        tests/spark/test_fault_overhead_gate.py \
-        tests/spark/test_spill_overhead_gate.py \
-        tests/serve/test_serve_overhead_gate.py \
+        tests/integration/test_overhead_tripwires.py \
+        benchmarks/test_overhead_gates.py \
         benchmarks/test_executor_backends.py \
-        benchmarks/test_shuffle_spill.py \
         benchmarks/test_serve_throughput.py \
         benchmarks/test_align.py
 fi
@@ -108,8 +105,9 @@ if [ "${1:-}" = "--serve" ]; then
         tests/serve \
         tests/spark/test_cancellation.py \
         tests/core/test_executor_interrupt.py
-    echo "== serve throughput + idle-overhead bench =="
-    python -m pytest -q benchmarks/test_serve_throughput.py
+    echo "== serve throughput soak + idle-overhead gate =="
+    python -m pytest -q benchmarks/test_serve_throughput.py \
+        benchmarks/test_overhead_gates.py -k 'soak or serve'
 fi
 
 echo "ci_local: all checks passed"
