@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Any, Callable, Iterable, Sequence
 
 from repro.core.executor import BACKENDS, Executor, get_executor
-from repro.mapreduce.hashing import partition_for
+from repro.mapreduce.hashing import partition_for, task_router
 from repro.mapreduce.keymultivalue import KeyMultiValue
 from repro.mapreduce.keyvalue import KeyValue
 from repro.mpi import SUM, Communicator
@@ -269,9 +269,14 @@ class MapReduce:
         tracer = self.comm.tracer
         with tracer.span("shuffle", category="mapreduce"):
             outboxes: list[list[tuple[Any, Any]]] = [[] for _ in range(size)]
+            if partitioner:
+                # A user partitioner need not be pure: it sees every record.
+                route = lambda key: partitioner(key) % size
+            else:
+                # Hash each distinct key once on this rank.
+                route = task_router(lambda key: partition_for(key, size))
             for key, value in self.kv:
-                dest = partitioner(key) % size if partitioner else partition_for(key, size)
-                outboxes[dest].append((key, value))
+                outboxes[route(key)].append((key, value))
             self.last_shuffle_sent = sum(
                 len(box) for r, box in enumerate(outboxes) if r != self.comm.rank
             )

@@ -13,6 +13,7 @@ import heapq
 import threading
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
+from repro.mapreduce.hashing import task_router
 from repro.rng.counter import CounterRNG
 from repro.spark.partitioner import HashPartitioner, RangePartitioner
 from repro.spark.shuffle import CorruptShuffleBlockError, LostSpillFileError
@@ -333,7 +334,11 @@ class RDD:
     # wide (shuffle) transformations
     # ------------------------------------------------------------------
     def partition_by(self, partitioner: Any) -> "RDD":
-        """Pair RDD: route each pair to ``partitioner.partition(key)``."""
+        """Pair RDD: route each pair to ``partitioner.partition(key)``.
+
+        ``partition`` must be a pure function of the key: lineage recovery
+        re-runs it, and a map task reuses one answer for every record of
+        a key (see :func:`~repro.mapreduce.hashing.task_router`)."""
         return ShuffledRDD(
             self,
             partitioner,
@@ -885,15 +890,16 @@ class ShuffledRDD(RDD):
         """The map-task body: route (and optionally pre-combine) one parent
         partition's pairs into one bucket per reduce partition. Also the
         unit of lineage recovery — a lost map output is rebuilt by
-        re-running this on the recomputed parent partition."""
+        re-running this on the recomputed parent partition. Each distinct
+        key is routed once per task (:func:`task_router`)."""
         nparts = self.num_partitions
-        partitioner = self._partitioner
+        route = task_router(self._partitioner.partition)
         buckets: list[list[tuple[Any, Any]]] = [[] for _ in range(nparts)]
         if self._map_side_combine:
             combined: dict[int, dict[Any, Any]] = {}
             order: list[list[Any]] = [[] for _ in range(nparts)]
             for key, value in part:
-                dest = partitioner.partition(key)
+                dest = route(key)
                 dest_map = combined.setdefault(dest, {})
                 if key in dest_map:
                     dest_map[key] = self._merge_value(dest_map[key], value)
@@ -904,7 +910,7 @@ class ShuffledRDD(RDD):
                 buckets[dest] = [(k, dest_map[k]) for k in order[dest]]
         else:
             for key, value in part:
-                buckets[partitioner.partition(key)].append((key, value))
+                buckets[route(key)].append((key, value))
         return buckets
 
     def _materialize_shuffle(self) -> Any:
