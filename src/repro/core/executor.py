@@ -783,6 +783,9 @@ class ProcessExecutor(Executor):
     # ------------------------------------------------------------------
     def _ensure_pool(self) -> None:
         """Spawn missing workers (first map, or respawn after a crash)."""
+        from repro.core.shm import share_resource_tracker
+
+        share_resource_tracker()
         if self._result_queue is None:
             self._result_queue = self._ctx.Queue()
         for w in range(self.num_workers):
@@ -924,6 +927,9 @@ class ProcessExecutor(Executor):
         with _FORK_LOCK:
             _FORK_JOBS[token] = (fn, items)
 
+        from repro.core.shm import share_resource_tracker
+
+        share_resource_tracker()
         result_queue = self._ctx.Queue()
         workers = [
             self._ctx.Process(

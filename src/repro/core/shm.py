@@ -20,9 +20,12 @@ Three roles, three surfaces:
   numpy view, cached per process so a persistent pool worker attaches
   once per segment, not once per task. Attached views are read-only
   unless the caller asks for a writable window (disjoint-range result
-  segments); the attachment is *unregistered* from the worker's
-  resource tracker so a worker exiting under the ``spawn`` start method
-  can never unlink a segment the driver still owns.
+  segments). Workers share the driver's resource tracker
+  (:func:`share_resource_tracker`), whose registry is a *set* of names:
+  an attach re-registers a name the owner already registered (a no-op),
+  and only the owner's ``unlink`` unregisters it. A worker exit
+  therefore never unlinks a segment the driver still owns, and the
+  tracker never sees an unregister for a name it no longer holds.
 - **Tests (auditors)** — :func:`active_segments` lists what this
   process currently owns, which is how the lifecycle property tests
   assert leak-freedom after normal stop, worker crash, cancellation,
@@ -54,6 +57,7 @@ __all__ = [
     "active_segments",
     "forget_inherited_state",
     "release_attachments",
+    "share_resource_tracker",
 ]
 
 #: Every segment this module creates is named ``repro-shm-<pid>-<seq>``,
@@ -129,18 +133,6 @@ class SharedSegment:
             shm.close()
         except Exception:
             pass
-        # Fork/spawn workers share the driver's resource tracker, and
-        # their attach-side unregister (see _untrack_attachment) may
-        # have dropped this name from it. Re-registering is a set-add
-        # (no-op when still present) and keeps shm.unlink()'s built-in
-        # unregister balanced — otherwise the tracker process spams a
-        # KeyError traceback on stderr for every published segment.
-        try:  # pragma: no cover - tracker internals vary across 3.10..3.13
-            from multiprocessing import resource_tracker
-
-            resource_tracker.register(shm._name, "shared_memory")  # type: ignore[attr-defined]
-        except Exception:
-            pass
         try:
             shm.unlink()
         except FileNotFoundError:
@@ -183,28 +175,27 @@ def attach_array(descriptor: ArrayDescriptor, *, writable: bool = False) -> np.n
         shm = _ATTACHED.get(descriptor.segment)
         if shm is None:
             shm = shared_memory.SharedMemory(name=descriptor.segment)
-            _untrack_attachment(shm)
             _ATTACHED[descriptor.segment] = shm
     view = np.ndarray(descriptor.shape, dtype=descriptor.dtype, buffer=shm.buf)
     view.flags.writeable = writable
     return view
 
 
-def _untrack_attachment(shm: shared_memory.SharedMemory) -> None:
-    """Keep a borrower's exit from unlinking the owner's segment.
+def share_resource_tracker() -> None:
+    """Start this process's resource tracker before it starts workers.
 
-    Under ``spawn`` each worker runs its own resource tracker, which
-    would "clean up" (unlink!) every segment the worker ever attached
-    when the worker exits — while the driver still owns it. Attachments
-    are therefore unregistered immediately; the owner's create-side
-    registration is the single tracked reference.
+    ``SharedMemory`` registers every attachment with the resource
+    tracker. Spawn and forkserver children always use their parent's
+    tracker, but a forked child only inherits one that is already
+    running; otherwise its first attach starts a private tracker, which
+    unlinks every segment the child attached when the child exits —
+    while the driver still owns them. Call this before starting any
+    worker process.
     """
-    try:  # pragma: no cover - tracker internals vary across 3.10..3.13
+    if os.name == "posix":
         from multiprocessing import resource_tracker
 
-        resource_tracker.unregister(shm._name, "shared_memory")  # type: ignore[attr-defined]
-    except Exception:
-        pass
+        resource_tracker.ensure_running()
 
 
 def release_attachments() -> None:

@@ -12,6 +12,7 @@ the audit done against both the in-process registry
 from __future__ import annotations
 
 import functools
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -152,3 +153,74 @@ class TestForgottenDriver:
         assert name.startswith(SEGMENT_PREFIX)
         if _DEV_SHM.is_dir():
             assert not (_DEV_SHM / name).exists(), "atexit sweep leaked a segment"
+
+
+def _run_script(script: str) -> subprocess.CompletedProcess:
+    """Run ``script`` in a fresh interpreter (its own resource tracker).
+
+    The tracker inherits the child's stderr, so waiting for the pipe to
+    close also collects anything the tracker prints on its way out.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = "src" + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=env, cwd=Path(__file__).parents[2],
+        timeout=120,
+    )
+
+
+class TestResourceTracker:
+    def test_shared_pool_prints_no_tracker_traceback(self):
+        """Workers attaching one segment at once must not unbalance the
+        tracker they share with the driver (it used to print
+        ``KeyError: '/repro-shm-…'`` tracebacks)."""
+        script = (
+            "import numpy as np\n"
+            "from repro.core.executor import ProcessExecutor\n"
+            "from repro.kmeans.parallel_kmeans import kmeans_parallel\n"
+            "points = np.random.default_rng(0).normal(size=(400, 2))\n"
+            "with ProcessExecutor(2) as ex:\n"
+            "    for seed in range(20):\n"
+            "        kmeans_parallel(points, 4, num_workers=2, backend=ex, seed=seed)\n"
+        )
+        proc = _run_script(script)
+        assert proc.returncode == 0, proc.stderr
+        assert "KeyError" not in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "leaked" not in proc.stderr
+
+    @pytest.mark.skipif(
+        not _DEV_SHM.is_dir() or "fork" not in multiprocessing.get_all_start_methods(),
+        reason="needs fork and a /dev/shm listing",
+    )
+    def test_segment_survives_workers_forked_before_any_publish(self):
+        """A pool forked before the driver's first publish must still
+        share its tracker: a private one would unlink every segment its
+        worker attached when that worker exits."""
+        script = (
+            "import functools, os, time\n"
+            "import numpy as np\n"
+            "from repro.core.executor import ProcessExecutor, WorkerCrashError\n"
+            "def noop(i, _):\n"
+            "    return i\n"
+            "def total(ref, i, _):\n"
+            "    return float(ref.array().sum())\n"
+            "def crash(i, _):\n"
+            "    os._exit(9)\n"
+            "ex = ProcessExecutor(2, start_method='fork', chunks_per_worker=1)\n"
+            "ex.map(noop, [0, 1])\n"
+            "ref = ex.publish(np.arange(8.0))\n"
+            "assert ex.map(functools.partial(total, ref), [0, 1]) == [28.0, 28.0]\n"
+            "try:\n"
+            "    ex.map(crash, [0, 1])\n"
+            "except WorkerCrashError:\n"
+            "    pass\n"
+            "time.sleep(0.5)\n"
+            "assert os.path.exists('/dev/shm/' + ref.segment_name), 'segment unlinked'\n"
+            "assert ex.map(functools.partial(total, ref), [0, 1]) == [28.0, 28.0]\n"
+            "ex.close()\n"
+        )
+        proc = _run_script(script)
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
