@@ -44,15 +44,23 @@ python -m pytest -x -q
 
 echo "== benchmark smoke run =="
 # run.py exits 0 even when an answer is wrong, so check the "correct"
-# flag of the JSON result on its last output line.
+# flag of the JSON result on its last output line. A traceback on
+# stderr (e.g. from a worker or the resource tracker) also fails.
+smoke_err="$(mktemp)"
 for w in ladder dataflow serve-soak; do
     for t in 0 1; do
-        python3 perfbench/run.py --workload "$w" --seed 1 --seconds 1 --trace "$t" \
+        python3 perfbench/run.py --workload "$w" --seed 1 --seconds 1 --trace "$t" 2>"$smoke_err" \
             | tail -n 1 \
             | python3 -c 'import json, sys; sys.exit(json.load(sys.stdin).get("correct") is not True)' \
-            || { echo "benchmark smoke: $w --trace $t answered wrong"; exit 1; }
+            || { cat "$smoke_err" >&2; echo "benchmark smoke: $w --trace $t answered wrong"; exit 1; }
+        cat "$smoke_err" >&2
+        if grep -q Traceback "$smoke_err"; then
+            echo "benchmark smoke: $w --trace $t printed a traceback"
+            exit 1
+        fi
     done
 done
+rm -f "$smoke_err"
 
 echo "== api index =="
 python tools/check_api_index.py --check
