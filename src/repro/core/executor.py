@@ -785,13 +785,13 @@ class ProcessExecutor(Executor):
         """Spawn missing workers (first map, or respawn after a crash)."""
         from repro.core.shm import share_resource_tracker
 
-        share_resource_tracker()
         if self._result_queue is None:
             self._result_queue = self._ctx.Queue()
         for w in range(self.num_workers):
             proc = self._workers[w]
             if proc is not None and proc.is_alive():
                 continue
+            share_resource_tracker()
             task_queue = self._ctx.Queue()
             proc = self._ctx.Process(
                 target=_pool_worker_main,

@@ -894,23 +894,21 @@ class ShuffledRDD(RDD):
         key is routed once per task (:func:`task_router`)."""
         nparts = self.num_partitions
         route = task_router(self._partitioner.partition)
-        buckets: list[list[tuple[Any, Any]]] = [[] for _ in range(nparts)]
         if self._map_side_combine:
-            combined: dict[int, dict[Any, Any]] = {}
-            order: list[list[Any]] = [[] for _ in range(nparts)]
+            create, merge_value = self._create, self._merge_value
+            # Dicts keep first-insertion order: each bucket lists its keys
+            # in the order the partition first produced them.
+            combined: list[dict[Any, Any]] = [{} for _ in range(nparts)]
             for key, value in part:
-                dest = route(key)
-                dest_map = combined.setdefault(dest, {})
+                dest_map = combined[route(key)]
                 if key in dest_map:
-                    dest_map[key] = self._merge_value(dest_map[key], value)
+                    dest_map[key] = merge_value(dest_map[key], value)
                 else:
-                    dest_map[key] = self._create(value)
-                    order[dest].append(key)
-            for dest, dest_map in combined.items():
-                buckets[dest] = [(k, dest_map[k]) for k in order[dest]]
-        else:
-            for key, value in part:
-                buckets[route(key)].append((key, value))
+                    dest_map[key] = create(value)
+            return [list(dest_map.items()) for dest_map in combined]
+        buckets: list[list[tuple[Any, Any]]] = [[] for _ in range(nparts)]
+        for key, value in part:
+            buckets[route(key)].append((key, value))
         return buckets
 
     def _materialize_shuffle(self) -> Any:
