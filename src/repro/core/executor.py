@@ -920,6 +920,9 @@ class ProcessExecutor(Executor):
     def _map_fork(
         self, fn: Callable[[int, Any], Any], items: Sequence[Any], n: int
     ) -> list[Any]:
+        from repro.core.shm import share_resource_tracker
+
+        share_resource_tracker()
         assignments = self._chunk_assignments(n)
         num_active = sum(1 for a in assignments if a)
 
@@ -927,9 +930,6 @@ class ProcessExecutor(Executor):
         with _FORK_LOCK:
             _FORK_JOBS[token] = (fn, items)
 
-        from repro.core.shm import share_resource_tracker
-
-        share_resource_tracker()
         result_queue = self._ctx.Queue()
         workers = [
             self._ctx.Process(
