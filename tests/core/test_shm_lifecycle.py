@@ -128,33 +128,6 @@ class TestLifecycleProperty:
         _assert_no_leaks()
 
 
-class TestForgottenDriver:
-    def test_atexit_sweep_cleans_unclosed_driver(self):
-        """A driver that never calls close() still unlinks at exit."""
-        script = (
-            "import numpy as np, sys\n"
-            "from repro.core.executor import ProcessExecutor\n"
-            "from repro.core.shm import SEGMENT_PREFIX\n"
-            "ex = ProcessExecutor(2)\n"
-            "ref = ex.publish(np.ones(1024))\n"
-            "print(ref.segment_name)\n"
-            "sys.stdout.flush()\n"
-            # no unpublish, no close: atexit + GC finalizer must sweep
-        )
-        env = dict(os.environ)
-        env["PYTHONPATH"] = "src" + os.pathsep + env.get("PYTHONPATH", "")
-        proc = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True, text=True, env=env, cwd=Path(__file__).parents[2],
-            timeout=60,
-        )
-        assert proc.returncode == 0, proc.stderr
-        name = proc.stdout.strip().splitlines()[-1]
-        assert name.startswith(SEGMENT_PREFIX)
-        if _DEV_SHM.is_dir():
-            assert not (_DEV_SHM / name).exists(), "atexit sweep leaked a segment"
-
-
 def _run_script(script: str) -> subprocess.CompletedProcess:
     """Run ``script`` in a fresh interpreter (its own resource tracker).
 
@@ -168,6 +141,27 @@ def _run_script(script: str) -> subprocess.CompletedProcess:
         capture_output=True, text=True, env=env, cwd=Path(__file__).parents[2],
         timeout=120,
     )
+
+
+class TestForgottenDriver:
+    def test_atexit_sweep_cleans_unclosed_driver(self):
+        """A driver that never calls close() still unlinks at exit."""
+        script = (
+            "import numpy as np, sys\n"
+            "from repro.core.executor import ProcessExecutor\n"
+            "from repro.core.shm import SEGMENT_PREFIX\n"
+            "ex = ProcessExecutor(2)\n"
+            "ref = ex.publish(np.ones(1024))\n"
+            "print(ref.segment_name)\n"
+            "sys.stdout.flush()\n"
+            # no unpublish, no close: atexit + GC finalizer must sweep
+        )
+        proc = _run_script(script)
+        assert proc.returncode == 0, proc.stderr
+        name = proc.stdout.strip().splitlines()[-1]
+        assert name.startswith(SEGMENT_PREFIX)
+        if _DEV_SHM.is_dir():
+            assert not (_DEV_SHM / name).exists(), "atexit sweep leaked a segment"
 
 
 class TestResourceTracker:
