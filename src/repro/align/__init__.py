@@ -41,6 +41,7 @@ from repro.align.scoring import (
     in_band,
     init_matrix,
     summarize_matrix,
+    sweep_cells,
     traceback_path,
 )
 from repro.align.sequential import KERNELS, align_sequential, score_matrix
@@ -60,6 +61,7 @@ __all__ = [
     "in_band",
     "diagonal_row_range",
     "cell_score",
+    "sweep_cells",
     "init_matrix",
     "summarize_matrix",
     "traceback_path",

@@ -33,27 +33,18 @@ import numpy as np
 from repro.align.scoring import (
     AlignResult,
     ScoringScheme,
+    band_cells,
     build_result,
-    cell_score,
     check_band,
     encode_sequence,
-    in_band,
     init_matrix,
+    sweep_cells,
 )
 from repro.core.executor import BACKENDS, DataRef, Executor, get_executor
 from repro.trace.tracer import get_tracer
 from repro.util.validation import require_positive_int
 
 __all__ = ["align_executor", "tile_diagonals"]
-
-
-def _tile_in_band(
-    i0: int, i1: int, j0: int, j1: int, band: int | None
-) -> bool:
-    """True when tile ``rows [i0,i1] x cols [j0,j1]`` intersects the band."""
-    if band is None:
-        return True
-    return i0 - j1 <= band and j0 - i1 <= band
 
 
 def tile_diagonals(
@@ -78,7 +69,7 @@ def tile_diagonals(
             i1 = min(n, i0 + tile - 1)
             j0 = 1 + tj * tile
             j1 = min(m, j0 + tile - 1)
-            if _tile_in_band(i0, i1, j0, j1, band):
+            if any(band_cells(i0, i1, j0, j1, band)):  # the tile meets the band
                 wave.append((ti, tj))
         diagonals.append(wave)
     return diagonals
@@ -98,32 +89,27 @@ def _tile_task(
     """One pooled tile: read shared predecessors, write shared scores.
 
     Module-level (bound with :func:`functools.partial`) so the payload
-    pickles and the process backend keeps its persistent pool. Row-major
-    order inside the tile respects the intra-tile dependencies; the
-    inter-tile ones are guaranteed finished by the per-diagonal map
-    barrier. Returns the number of in-band cells it computed.
+    pickles and the process backend keeps its persistent pool. The tile
+    and its halo row and column are copied out in one ``tolist()``,
+    swept row-major in local coordinates (the per-diagonal map barrier
+    finished every inter-tile dependency), and written back in one
+    slice. Returns the number of in-band cells it computed.
     """
     n, m = shape
     ti, tj = coord
-    a = a_ref.array()
-    b = b_ref.array()
     H = h_ref.array()
     i0 = 1 + ti * tile
     i1 = min(n, i0 + tile - 1)
     j0 = 1 + tj * tile
     j1 = min(m, j0 + tile - 1)
-    cells = 0
-    for i in range(i0, i1 + 1):
-        ai = a[i - 1]
-        for j in range(j0, j1 + 1):
-            if not in_band(i, j, band):
-                continue
-            value, _matched = cell_score(
-                H[i - 1, j - 1], H[i - 1, j], H[i, j - 1], ai == b[j - 1], scheme
-            )
-            H[i, j] = value
-            cells += 1
-    return cells
+    rows = H[i0 - 1 : i1 + 1, j0 - 1 : j1 + 1].tolist()
+    cells = list(band_cells(i0, i1, j0, j1, band, origin=(i0 - 1, j0 - 1)))
+    sweep_cells(
+        rows, a_ref.array()[i0 - 1 : i1].tolist(), b_ref.array()[j0 - 1 : j1].tolist(),
+        cells, scheme,
+    )
+    H[i0 : i1 + 1, j0 : j1 + 1] = np.asarray(rows, dtype=np.int64)[1:, 1:]
+    return len(cells)
 
 
 def align_executor(

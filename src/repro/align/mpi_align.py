@@ -29,6 +29,7 @@ that under crash and straggler plans.
 from __future__ import annotations
 
 import threading
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -36,12 +37,13 @@ from repro.align.scoring import (
     AlignResult,
     ScoringScheme,
     build_result,
-    cell_score,
     check_band,
+    diagonal_cells,
     diagonal_row_range,
     encode_sequence,
     in_band,
     init_matrix,
+    sweep_cells,
 )
 from repro.mpi import Communicator, run_spmd
 from repro.util.partition import block_bounds
@@ -169,6 +171,18 @@ def align_mpi(
     else:
         start_d = 1  # diagonal 1 is pure boundary; the loop starts past it
         H = init_matrix(n, m, scheme, band)
+    rows = H.tolist()
+
+    def gathered() -> np.ndarray | None:
+        """The matrix of every rank's completed rows on rank 0 (collective)."""
+        blocks = comm.gather(rows[first_row : last_row + 1], root=0)
+        if rank != 0:
+            return None
+        full = list(rows)
+        for r, block in enumerate(blocks):
+            r_lo, r_hi = block_bounds(n, size, r)
+            full[r_lo + 1 : r_hi + 1] = block
+        return np.asarray(full, dtype=np.int64)
 
     enabled = tracer.enabled
     stride = max(1, (n + m) // 32)
@@ -177,28 +191,23 @@ def align_mpi(
         for d in range(start_d + 1, n + m + 1):
             # Compute this rank's share of anti-diagonal d.
             ilo, ihi = diagonal_row_range(d, n, m, band)
-            row_lo = max(ilo, first_row)
-            row_hi = min(ihi, last_row)
-            for i in range(row_lo, row_hi + 1):
-                j = d - i
-                value, _matched = cell_score(
-                    H[i - 1, j - 1], H[i - 1, j], H[i, j - 1],
-                    a_list[i - 1] == b_list[j - 1], scheme,
-                )
-                H[i, j] = value
+            sweep_cells(
+                rows, a_list, b_list,
+                diagonal_cells(d, max(ilo, first_row), min(ihi, last_row)), scheme,
+            )
 
             # Halo exchange: push the last owned row's cell downstream,
             # pull the halo row's cell from upstream (send first —
             # buffered sends make the step deadlock-free).
             with tracer.span(
                 "align.exchange", category="align", model="mpi", rank=rank, d=d
-            ) if enabled and d % stride == 0 else _NULL_SPAN:
+            ) if enabled and d % stride == 0 else nullcontext():
                 if rank + 1 < size and _halo_exists(last_row, d, m, band):
-                    comm.send(int(H[last_row, d - last_row]), dest=rank + 1,
+                    comm.send(rows[last_row][d - last_row], dest=rank + 1,
                               tag=_TAG_HALO_BASE + d)
                     exchanges += 1
                 if rank > 0 and _halo_exists(halo_row, d, m, band):
-                    H[halo_row, d - halo_row] = comm.recv(
+                    rows[halo_row][d - halo_row] = comm.recv(
                         source=rank - 1, tag=_TAG_HALO_BASE + d
                     )
                     exchanges += 1
@@ -208,40 +217,20 @@ def align_mpi(
             # Periodic checkpoint: the completed rows land on rank 0
             # before anyone can die on a later diagonal.
             if checkpoint is not None and (d % checkpoint_every == 0 or d == n + m):
-                blocks = comm.gather(H[first_row : last_row + 1, :], root=0)
+                full = gathered()
                 if rank == 0:
-                    full = H.copy()
-                    for r, block in enumerate(blocks):
-                        r_lo, r_hi = block_bounds(n, size, r)
-                        full[r_lo + 1 : r_hi + 1, :] = block
                     checkpoint.save(d, full)
 
     if enabled:
         tracer.metrics.counter("align.exchanges", model="mpi", rank=rank).inc(exchanges)
 
     # --- gather the matrix back to root (collective gather) ------------
-    blocks = comm.gather(H[first_row : last_row + 1, :], root=0)
+    H = gathered()
     if rank != 0:
         return None
-    for r, block in enumerate(blocks):
-        r_lo, r_hi = block_bounds(n, size, r)
-        H[r_lo + 1 : r_hi + 1, :] = block
     if enabled:
         tracer.metrics.counter("align.alignments", model="mpi").inc()
     return build_result(H, a_codes, b_codes, scheme, band)
-
-
-class _NullSpan:
-    """Zero-cost stand-in for a tracer span on the disabled/strided path."""
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-
-_NULL_SPAN = _NullSpan()
 
 
 def run_align_mpi(

@@ -19,11 +19,11 @@ best-cell box) each thread flushes per diagonal:
 - ``"reduction"`` — thread-private statistics merged in thread order
   after the join (contention-free and deterministic).
 
-Per-cell matrix accesses carry ``align.H[i,j]`` sanitizer annotations
-(hoisted behind one :func:`~repro.sanitizer.runtime.get_sanitizer` read,
-so the uninstrumented path pays a ``None`` test per cell), which is what
-lets ``tests/sanitizer/test_align_certification.py`` certify the barrier
-structure itself, not just the statistics.
+Each thread hands its block of diagonal ``d`` of a list-of-rows matrix
+to :func:`~repro.align.scoring.sweep_cells` with the sanitizer it read
+once, so each cell carries ``align.H[i,j]`` annotations when one is
+installed, which is what lets ``tests/sanitizer/test_align_certification.py``
+certify the barrier structure itself, not just the statistics.
 """
 
 from __future__ import annotations
@@ -34,12 +34,13 @@ from repro.align.scoring import (
     OUT_OF_BAND,
     AlignResult,
     ScoringScheme,
-    cell_score,
+    build_result,
     check_band,
+    diagonal_cells,
     diagonal_row_range,
     encode_sequence,
     init_matrix,
-    traceback_path,
+    sweep_cells,
 )
 from repro.openmp import Atomic, RacyCell, parallel_region
 from repro.sanitizer.runtime import annotate_read, annotate_write, get_sanitizer, preemption_point
@@ -85,7 +86,7 @@ def align_openmp(
     n = a_codes.shape[0]
     m = b_codes.shape[0]
     check_band(n, m, band, scheme.mode)
-    H = init_matrix(n, m, scheme, band)
+    rows = init_matrix(n, m, scheme, band).tolist()
     a_list = a_codes.tolist()
     b_list = b_codes.tolist()
 
@@ -111,28 +112,10 @@ def align_openmp(
             count = ihi - ilo + 1
             if count > 0:
                 lo, hi = block_bounds(count, ctx.num_threads, tid)
-                diag_matches = 0
-                diag_best = (OUT_OF_BAND, 0, 0)
-                for offset in range(lo, hi):
-                    i = ilo + offset
-                    j = d - i
-                    if san is not None:
-                        san.mem_read(f"align.H[{i - 1},{j - 1}]", "align.wavefront:diag")
-                        san.mem_read(f"align.H[{i - 1},{j}]", "align.wavefront:up")
-                        san.mem_read(f"align.H[{i},{j - 1}]", "align.wavefront:left")
-                    value, matched = cell_score(
-                        H[i - 1, j - 1], H[i - 1, j], H[i, j - 1],
-                        a_list[i - 1] == b_list[j - 1], scheme,
-                    )
-                    value = int(value)
-                    if san is not None:
-                        san.mem_write(f"align.H[{i},{j}]", "align.wavefront:write")
-                    H[i, j] = value
-                    if matched:
-                        diag_matches += 1
-                    if _better((value, i, j), diag_best):
-                        diag_best = (value, i, j)
-
+                diag_matches, diag_best = sweep_cells(
+                    rows, a_list, b_list, diagonal_cells(d, ilo + lo, ilo + hi - 1),
+                    scheme, san,
+                )
                 if hi > lo:  # this thread owned cells on the diagonal: flush
                     if variant == "racy":
                         # Rung zero: the counter loses updates in RacyCell's
@@ -170,6 +153,7 @@ def align_openmp(
         variant=variant, num_threads=num_threads,
     ):
         parallel_region(num_threads, body)
+    H = np.asarray(rows, dtype=np.int64)
     if tracer.enabled:
         tracer.metrics.counter("align.diagonals", model="openmp").inc(n + m - 1)
         tracer.metrics.counter("align.alignments", model="openmp").inc()
@@ -187,25 +171,5 @@ def align_openmp(
         best = best_cell_atomic.value
     else:
         match_events = matches_cell.value
-        best = (best_box[0], best_box[1], best_box[2])
-    best_score = int(best[0])
-    best_cell = (int(best[1]), int(best[2]))
-
-    if scheme.mode == "global":
-        score = int(H[n, m])
-        path, aligned_a, aligned_b = traceback_path(H, a_codes, b_codes, scheme, band)
-    else:
-        score = best_score
-        path, aligned_a, aligned_b = traceback_path(
-            H, a_codes, b_codes, scheme, band, start=best_cell
-        )
-    return AlignResult(
-        score=score,
-        matrix=H,
-        path=path,
-        aligned_a=aligned_a,
-        aligned_b=aligned_b,
-        best_score=best_score,
-        best_cell=best_cell,
-        match_events=int(match_events),
-    )
+        best = tuple(best_box)
+    return build_result(H, a_codes, b_codes, scheme, band, stats=(best[0], best[1:], match_events))

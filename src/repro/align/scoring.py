@@ -7,11 +7,14 @@ score-related is integer arithmetic defined **once**, here:
 
 - :class:`ScoringScheme` — match / mismatch / gap scores plus the
   ``"global"`` (Needleman–Wunsch) vs ``"local"`` (Smith–Waterman) mode;
-- :func:`cell_score` — the scalar recurrence every per-cell kernel
-  calls (the numpy kernel in :mod:`repro.align.sequential` is its
-  vectorized twin, asserted equal in ``tests/align``);
-- :func:`in_band` / :func:`diagonal_row_range` — banded-DP geometry,
-  shared by the wavefront walkers so they enumerate identical cells;
+- :func:`cell_score` — the scalar recurrence for one cell (the numpy
+  kernel in :mod:`repro.align.sequential` is its vectorized twin,
+  asserted equal in ``tests/align``);
+- :func:`sweep_cells` — the one per-cell loop over :func:`cell_score`;
+  the python oracle, the OpenMP, MPI and executor walkers differ only
+  in which cells they hand it;
+- :func:`in_band` / :func:`diagonal_row_range` / :func:`diagonal_cells`
+  / :func:`band_cells` — banded-DP geometry, shared by the walkers;
 - :func:`summarize_matrix` — the derived statistics (best cell, match
   events) that the OpenMP rung ladder recomputes cooperatively;
 - :func:`traceback_path` / :func:`build_result` — the deterministic
@@ -26,7 +29,8 @@ certifies that no model computed cells it was not supposed to.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import chain, repeat
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -39,6 +43,7 @@ __all__ = [
     "in_band",
     "diagonal_row_range",
     "cell_score",
+    "sweep_cells",
     "init_matrix",
     "summarize_matrix",
     "traceback_path",
@@ -165,6 +170,27 @@ def diagonal_row_range(d: int, n: int, m: int, band: int | None) -> tuple[int, i
     return ilo, ihi
 
 
+def diagonal_cells(d: int, ilo: int, ihi: int) -> Iterable[tuple[int, int]]:
+    """Cells ``(i, d - i)`` of anti-diagonal ``d`` for rows ``ilo..ihi``, ``i`` ascending."""
+    return zip(range(ilo, ihi + 1), range(d - ilo, d - ihi - 1, -1))
+
+
+def band_cells(
+    i0: int, i1: int, j0: int, j1: int, band: int | None, origin: tuple[int, int] = (0, 0)
+) -> Iterable[tuple[int, int]]:
+    """In-band cells of rows ``i0..i1`` x columns ``j0..j1``, row-major, less ``origin``.
+
+    The shift lets a walker sweep a copied block in local coordinates.
+    """
+    oi, oj = origin
+    if band is None:
+        band = i1 + j1  # wide enough that the clip below never bites
+    return chain.from_iterable(
+        zip(repeat(i - oi), range(max(j0, i - band) - oj, min(j1, i + band) - oj + 1))
+        for i in range(i0, i1 + 1)
+    )
+
+
 def cell_score(diag: int, up: int, left: int, equal: bool, scheme: ScoringScheme) -> tuple[int, bool]:
     """The recurrence for one cell, given its three predecessor values.
 
@@ -174,17 +200,55 @@ def cell_score(diag: int, up: int, left: int, equal: bool, scheme: ScoringScheme
     Out-of-band predecessors arrive as :data:`OUT_OF_BAND` and lose
     every ``max`` on their own.
     """
-    sub = scheme.match if equal else scheme.mismatch
-    value = diag + sub
-    candidate = up + scheme.gap
-    if candidate > value:
-        value = candidate
-    candidate = left + scheme.gap
-    if candidate > value:
-        value = candidate
-    if scheme.mode == "local" and value < 0:
+    gap = scheme.gap
+    value = diag + (scheme.match if equal else scheme.mismatch)
+    if up + gap > value:
+        value = up + gap
+    if left + gap > value:
+        value = left + gap
+    if value < 0 and scheme.mode == "local":
         value = 0
     return value, (equal and value == diag + scheme.match)
+
+
+def sweep_cells(
+    rows: list[list[int]], a: Sequence[int], b: Sequence[int],
+    cells: Iterable[tuple[int, int]], scheme: ScoringScheme, san=None,
+) -> tuple[int, tuple[int, int, int]]:
+    """Fill ``cells`` of ``rows`` in order; ``(match_events, best)`` over them.
+
+    ``rows`` is the DP matrix (or a block of it) as lists of plain ints;
+    cell ``(i, j)`` reads ``rows[i-1][j-1]``, ``rows[i-1][j]`` and
+    ``rows[i][j-1]`` and compares codes ``a[i-1]`` and ``b[j-1]``, so
+    the caller's order must put every predecessor first. ``best`` is the
+    ``(value, i, j)`` maximizing ``(value, -i, -j)`` over the swept
+    cells (``(OUT_OF_BAND, 0, 0)`` for none): the order
+    :func:`summarize_matrix` uses, so a full row-major sweep reproduces
+    its statistics. With a sanitizer ``san``, each cell makes three
+    ``align.H`` reads and one write, labelled with its coordinates.
+    """
+    events = 0
+    best_value, best_i, best_j = OUT_OF_BAND, 0, 0
+    row_i = -1
+    for i, j in cells:
+        if i != row_i:  # row-major runs fetch their rows once per row
+            row_i = i
+            above = rows[i - 1]
+            row = rows[i]
+            ai = a[i - 1]
+        if san is not None:
+            san.mem_read(f"align.H[{i - 1},{j - 1}]", "align.wavefront:diag")
+            san.mem_read(f"align.H[{i - 1},{j}]", "align.wavefront:up")
+            san.mem_read(f"align.H[{i},{j - 1}]", "align.wavefront:left")
+        value, matched = cell_score(above[j - 1], above[j], row[j - 1], ai == b[j - 1], scheme)
+        if san is not None:
+            san.mem_write(f"align.H[{i},{j}]", "align.wavefront:write")
+        row[j] = value
+        if matched:
+            events += 1
+        if value >= best_value and (value > best_value or (i, j) < (best_i, best_j)):
+            best_value, best_i, best_j = value, i, j
+    return events, (best_value, best_i, best_j)
 
 
 def init_matrix(n: int, m: int, scheme: ScoringScheme, band: int | None) -> np.ndarray:
@@ -335,16 +399,18 @@ def build_result(
     b_codes: np.ndarray,
     scheme: ScoringScheme,
     band: int | None,
+    stats: tuple[int, tuple[int, int], int] | None = None,
 ) -> AlignResult:
     """Assemble the full :class:`AlignResult` from a finished matrix.
 
-    The sequential, MPI, and executor models all finish here; the
-    OpenMP model overrides the summarized statistics with the ladder's
-    cooperatively accumulated ones (equal on every guarded rung).
+    Every model finishes here. ``stats`` — ``(best_score, best_cell,
+    match_events)`` — replaces the summarized statistics: the OpenMP
+    model passes the ladder's cooperatively accumulated ones (equal on
+    every guarded rung), and a local traceback starts from its cell.
     """
     n = matrix.shape[0] - 1
     m = matrix.shape[1] - 1
-    best_score, best_cell, match_events = summarize_matrix(
+    best_score, best_cell, match_events = stats or summarize_matrix(
         matrix, a_codes, b_codes, scheme, band
     )
     if scheme.mode == "global":

@@ -8,10 +8,10 @@ Two kernels compute the same banded dynamic-programming matrix:
   fancy-indexed ``maximum`` fills the whole wavefront at once. This is
   the exact dependency structure the parallel models exploit, expressed
   serially.
-- ``"python"`` — the per-cell scalar loop (row-major), calling the same
-  :func:`repro.align.scoring.cell_score` recurrence the OpenMP, MPI,
-  and executor walkers use. The GIL-bound stand-in for the C starter
-  code.
+- ``"python"`` — the per-cell scalar loop: one row-major
+  :func:`repro.align.scoring.sweep_cells` over the in-band cells, the
+  same loop the OpenMP, MPI, and executor walkers hand their own cells
+  to. The GIL-bound stand-in for the C starter code.
 
 Both kernels produce bit-identical int64 matrices (integer arithmetic
 has no rounding, and ``max`` is order-independent), which is what makes
@@ -30,13 +30,13 @@ import numpy as np
 from repro.align.scoring import (
     AlignResult,
     ScoringScheme,
+    band_cells,
     build_result,
-    cell_score,
     check_band,
     diagonal_row_range,
     encode_sequence,
-    in_band,
     init_matrix,
+    sweep_cells,
 )
 from repro.trace.tracer import get_tracer
 
@@ -85,26 +85,14 @@ def _score_matrix_numpy(
 def _score_matrix_python(
     a_codes: np.ndarray, b_codes: np.ndarray, scheme: ScoringScheme, band: int | None
 ) -> np.ndarray:
-    """Row-major scalar loop over :func:`cell_score` (the teaching kernel)."""
+    """Row-major :func:`sweep_cells` over the in-band cells (the teaching kernel)."""
     n = a_codes.shape[0]
     m = b_codes.shape[0]
-    H = init_matrix(n, m, scheme, band)
-    a = a_codes.tolist()
-    b = b_codes.tolist()
-    rows = H.tolist()
-    tracer = get_tracer()
-    with tracer.span("align.score", category="align", model="sequential", kernel="python"):
-        for i in range(1, n + 1):
-            row = rows[i]
-            above = rows[i - 1]
-            ai = a[i - 1]
-            for j in range(1, m + 1):
-                if not in_band(i, j, band):
-                    continue
-                value, _matched = cell_score(
-                    above[j - 1], above[j], row[j - 1], ai == b[j - 1], scheme
-                )
-                row[j] = value
+    rows = init_matrix(n, m, scheme, band).tolist()
+    with get_tracer().span("align.score", category="align", model="sequential", kernel="python"):
+        sweep_cells(
+            rows, a_codes.tolist(), b_codes.tolist(), band_cells(1, n, 1, m, band), scheme
+        )
     return np.asarray(rows, dtype=np.int64)
 
 

@@ -18,8 +18,10 @@ from repro.align import (
     mutate_sequence,
     score_matrix,
     summarize_matrix,
+    sweep_cells,
     tile_diagonals,
 )
+from repro.align.scoring import band_cells, diagonal_cells
 
 
 class TestScoringScheme:
@@ -61,6 +63,7 @@ class TestEncodeAndBand:
             ilo, ihi = diagonal_row_range(d, n, m, band)
             for i in range(ilo, ihi + 1):
                 from_ranges.add((i, d - i))
+            assert list(diagonal_cells(d, ilo, ihi)) == [(i, d - i) for i in range(ilo, ihi + 1)]
         expected = {
             (i, j)
             for i in range(1, n + 1)
@@ -68,6 +71,11 @@ class TestEncodeAndBand:
             if in_band(i, j, band)
         }
         assert from_ranges == expected
+        assert list(band_cells(1, n, 1, m, band)) == sorted(expected)
+        # Shifted by an origin: the same cells in a copied block's coordinates.
+        assert list(band_cells(3, 5, 2, 4, band, origin=(2, 1))) == [
+            (i - 2, j - 1) for i, j in sorted(expected) if 3 <= i <= 5 and 2 <= j <= 4
+        ]
 
 
 class TestCellScore:
@@ -106,16 +114,30 @@ class TestOracle:
 
     def test_kernels_bit_identical(self):
         a, b = generate_pair(3, 33)
+        a_codes, b_codes = encode_sequence(a), encode_sequence(b)
+        n, m = len(a), len(b)
         for mode in ("global", "local"):
             for band in (None, 12):
                 scheme = ScoringScheme(mode=mode)
                 use_band = band
                 if band is not None and mode == "global":
                     use_band = max(band, abs(len(a) - len(b)))
+                matrix = score_matrix(a, b, scheme=scheme, band=use_band, kernel="numpy")
                 np.testing.assert_array_equal(
-                    score_matrix(a, b, scheme=scheme, band=use_band, kernel="numpy"),
-                    score_matrix(a, b, scheme=scheme, band=use_band, kernel="python"),
+                    matrix, score_matrix(a, b, scheme=scheme, band=use_band, kernel="python")
                 )
+                # A full row-major sweep yields summarize_matrix's statistics:
+                # the contract the OpenMP reduction rung's merge relies on.
+                rows = init_matrix(n, m, scheme, use_band).tolist()
+                swept = sweep_cells(
+                    rows, a_codes.tolist(), b_codes.tolist(),
+                    band_cells(1, n, 1, m, use_band), scheme,
+                )
+                np.testing.assert_array_equal(np.asarray(rows), matrix)
+                best_score, best_cell, match_events = summarize_matrix(
+                    matrix, a_codes, b_codes, scheme, use_band
+                )
+                assert swept == (match_events, (best_score, *best_cell))
 
     def test_unknown_kernel_rejected(self):
         with pytest.raises(ValueError, match="kernel"):

@@ -149,18 +149,27 @@ class TestAlignConformance:
             band = max(band, abs(len(a) - len(b)))
         reference = align_sequential(a, b, scheme=scheme, band=band)
         candidates = {
-            "openmp-reduction": align_openmp(
-                a, b, num_threads=3, scheme=scheme, band=band
+            "sequential-python": align_sequential(
+                a, b, scheme=scheme, band=band, kernel="python"
             ),
             "mpi": run_align_mpi(3, a, b, scheme=scheme, band=band),
-            "executor-thread": align_executor(
-                a, b, backend="thread", num_workers=3, tile=16, scheme=scheme, band=band
-            ),
         }
+        for variant in ALIGN_VARIANTS:
+            candidates[f"openmp-{variant}"] = align_openmp(
+                a, b, num_threads=3, variant=variant, scheme=scheme, band=band
+            )
+        # The process backend writes each tile back into a shared segment.
+        for backend in ("thread", "process"):
+            candidates[f"executor-{backend}"] = align_executor(
+                a, b, backend=backend, num_workers=3, tile=16, scheme=scheme, band=band
+            )
         for name, result in candidates.items():
             np.testing.assert_array_equal(result.matrix, reference.matrix, err_msg=name)
             assert result.path == reference.path, name
             assert result.score == reference.score, name
+            assert result.best_score == reference.best_score, name
+            assert result.best_cell == reference.best_cell, name
+            assert result.match_events == reference.match_events, name
 
 
 class TestTrafficConformance:
