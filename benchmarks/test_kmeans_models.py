@@ -3,20 +3,15 @@
 The assignment's arc: critical sections are correct but slow; atomics
 are finer-grained; reductions eliminate contention entirely; MPI needs
 one distributed reduction per iteration; the CUDA-style version compares
-per-block reductions against global atomics. All six configurations
-cluster the same cloud from the same initial centroids and must agree;
-the series reported is their wall-clock times.
+per-block reductions against global atomics. Every rung of
+:func:`repro.kmeans.ladder.rungs`, plus the device rung with global
+atomics, clusters the same cloud from the same initial centroids and
+must meet the ladder's same-answer contract; the series reported is
+their wall-clock times.
 """
 
-import numpy as np
-
-from repro.kmeans import (
-    TerminationCriteria,
-    kmeans_device,
-    kmeans_openmp,
-    kmeans_sequential,
-    run_kmeans_mpi,
-)
+from repro.kmeans import TerminationCriteria, kmeans_device
+from repro.kmeans import ladder as kmeans_ladder
 from repro.kmeans.initialization import init_random_points
 from repro.knn.data import make_blobs
 from repro.util.timing import time_call
@@ -28,52 +23,24 @@ CRITERIA = TerminationCriteria(max_iterations=15, min_changes=0, max_centroid_sh
 
 def test_kmeans_programming_models(benchmark, report_writer):
     points, _ = make_blobs(N, D, K, seed=2, separation=5.0)
-    init = init_random_points(points, K, seed=9)
-
-    reference = benchmark(
-        lambda: kmeans_sequential(points, K, criteria=CRITERIA, initial_centroids=init)
+    model_kwargs = {"criteria": CRITERIA, "initial_centroids": init_random_points(points, K, seed=9)}
+    configs = kmeans_ladder.rungs((points, K), workers=THREADS, **model_kwargs)
+    configs["device-globalatomic"] = lambda: kmeans_device(
+        points, K, block_size=512, update_mode="global_atomic", **model_kwargs
     )
 
-    configs = {
-        "sequential": lambda: kmeans_sequential(
-            points, K, criteria=CRITERIA, initial_centroids=init
-        ),
-        "openmp-critical": lambda: kmeans_openmp(
-            points, K, num_threads=THREADS, variant="critical",
-            criteria=CRITERIA, initial_centroids=init,
-        ),
-        "openmp-atomic": lambda: kmeans_openmp(
-            points, K, num_threads=THREADS, variant="atomic",
-            criteria=CRITERIA, initial_centroids=init,
-        ),
-        "openmp-reduction": lambda: kmeans_openmp(
-            points, K, num_threads=THREADS, variant="reduction",
-            criteria=CRITERIA, initial_centroids=init,
-        ),
-        "mpi-4ranks": lambda: run_kmeans_mpi(
-            4, points, K, criteria=CRITERIA, initial_centroids=init
-        ),
-        "device-blockreduce": lambda: kmeans_device(
-            points, K, block_size=512, update_mode="block_reduce",
-            criteria=CRITERIA, initial_centroids=init,
-        ),
-        "device-globalatomic": lambda: kmeans_device(
-            points, K, block_size=512, update_mode="global_atomic",
-            criteria=CRITERIA, initial_centroids=init,
-        ),
-    }
+    reference = benchmark(configs["sequential"])
 
     lines = [
-        "E-kmeans-ladder: one clustering, six parallelization strategies",
-        f"n={N} d={D} K={K} iterations={reference.iterations} threads/ranks={THREADS}",
+        f"E-kmeans-ladder: one clustering, {len(configs)} parallelization strategies",
+        f"n={N} d={D} K={K} iterations={reference.iterations} threads/ranks/workers={THREADS}",
         "",
         f"{'model':>22} {'seconds':>9} {'same answer':>12}",
     ]
     times = {}
     for name, task in configs.items():
         sec, result = time_call(task, repeats=2)
-        agrees = bool(np.array_equal(result.assignments, reference.assignments))
-        assert agrees, f"{name} diverged from the sequential reference"
+        assert not kmeans_ladder.mismatches(result, reference), name
         times[name] = sec
         lines.append(f"{name:>22} {sec:>9.3f} {'yes':>12}")
 
@@ -81,7 +48,7 @@ def test_kmeans_programming_models(benchmark, report_writer):
     # the reduction rung beats the single big critical section,
     assert times["openmp-reduction"] < times["openmp-critical"]
     # and per-block reduction beats per-point global atomics on 'device'.
-    assert times["device-blockreduce"] < times["device-globalatomic"]
+    assert times["device"] < times["device-globalatomic"]
     lines.append("")
     lines.append("shape: reduction < critical (the OpenMP ladder pays off);")
     lines.append("       block-reduce < global-atomic (the CUDA profitability question)")

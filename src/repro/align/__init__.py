@@ -18,6 +18,10 @@ answer:
 Inputs come from :func:`generate_pair` (block-split ``repro.rng``
 streams); everything downstream is a pure function of the seed, which
 is why cross-model bit-identity is testable at all (docs/align.md).
+:mod:`repro.align.ladder` declares the models once: ``rungs`` gives
+every correct one as a labelled runner, ``mismatches`` the fields on
+which a result breaks bit-identity with the oracle; conformance tests,
+benches and trials iterate it.
 """
 
 from repro.align.data import (

@@ -19,6 +19,10 @@ per-cluster coordinate sums) in each model.
 - :mod:`repro.kmeans.parallel_kmeans` — the executor-backend variant:
   phase 1 farmed over serial/thread/process workers
   (:mod:`repro.core.executor`), bit-identical across backends;
+- :mod:`repro.kmeans.ladder` — every correct model above as one
+  labelled list of runners (``rungs``) plus the same-answer contract
+  they meet against sequential (``mismatches``), which conformance
+  tests, benches and trials iterate;
 - :mod:`repro.kmeans.initialization` / :mod:`repro.kmeans.termination`
   — deterministic centroid seeding and the stopping rules.
 """

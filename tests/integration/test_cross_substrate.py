@@ -9,8 +9,6 @@ import numpy as np
 import pytest
 
 from repro.knn import KNNClassifier, make_blobs, run_knn_mapreduce, train_test_split
-from repro.kmeans import kmeans_sequential, run_kmeans_mpi
-from repro.kmeans.initialization import init_random_points
 from repro.mpi import SUM, run_spmd
 from repro.spark import SparkContext
 from repro.traffic import TrafficParams, simulate_parallel, simulate_serial
@@ -36,23 +34,6 @@ class TestKnnOverMapReduceOverMpi:
         ]
         for got in results[1:]:
             np.testing.assert_array_equal(got, results[0])
-
-
-class TestKmeansAcrossModels:
-    """The same clustering answered identically by every programming model."""
-
-    def test_all_four_models_agree(self):
-        from repro.kmeans import kmeans_device, kmeans_openmp
-
-        points, _ = make_blobs(500, 3, 4, seed=3, separation=6.0)
-        init = init_random_points(points, 4, seed=11)
-        seq = kmeans_sequential(points, 4, initial_centroids=init)
-        omp = kmeans_openmp(points, 4, num_threads=3, initial_centroids=init)
-        mpi = run_kmeans_mpi(3, points, 4, initial_centroids=init)
-        dev = kmeans_device(points, 4, block_size=128, initial_centroids=init)
-        for other in (omp, mpi, dev):
-            np.testing.assert_array_equal(other.assignments, seq.assignments)
-            assert other.iterations == seq.iterations
 
 
 class TestTrafficOverRngOverOpenmp:

@@ -4,45 +4,36 @@ The paper's assignments all share one correctness story — the parallel
 program must compute *the same answer* as the serial one. This suite
 pins that story end to end at fixed seeds:
 
-- k-means: sequential == openmp (every correct rung) == mpi == the
-  executor-backed variant on every backend, centroid-for-centroid;
+- k-means: every rung of :func:`repro.kmeans.ladder.rungs` (OpenMP
+  critical/atomic/reduction, MPI, the executor variant on every
+  backend, device) meets :func:`repro.kmeans.ladder.mismatches`
+  against sequential: exact assignments, iterations and change
+  history, centroids within 1e-9;
 - traffic: serial and parallel simulations are bit-identical (the
   shared-LCG contract of paper §5);
 - heat: the forall and coforall solvers match both the serial stencil
   (bitwise) and the analytic eigenmode solution (within tolerance);
-- align: the wavefront family — sequential (both kernels), every
-  guarded OpenMP rung, MPI block rows, and every executor backend
-  produce bit-identical score matrices *and* traceback paths (integer
-  scoring makes exact equality the contract, not a tolerance).
+- align: every rung of :func:`repro.align.ladder.rungs` (python
+  kernel, every guarded OpenMP rung, MPI block rows, every executor
+  backend) matches the numpy oracle field for field, matrices and
+  traceback paths included, under global, local and banded schemes
+  (integer scoring makes exact equality the contract, not a tolerance).
 """
 
 import numpy as np
 import pytest
 
-from repro.align import (
-    ScoringScheme,
-    align_executor,
-    align_openmp,
-    align_sequential,
-    generate_pair,
-    run_align_mpi,
-)
-from repro.align.openmp_align import VARIANTS as ALIGN_VARIANTS
+from repro.align import ScoringScheme, generate_pair
+from repro.align import ladder as align_ladder
 from repro.chapel import set_num_locales
 from repro.core.executor import BACKENDS
 from repro.heat.analytic import discrete_sine_solution, sine_initial_condition
 from repro.heat.coforall_solver import solve_coforall
 from repro.heat.forall_solver import solve_forall
 from repro.heat.serial import solve_serial
-from repro.kmeans import (
-    TerminationCriteria,
-    kmeans_openmp,
-    kmeans_parallel,
-    kmeans_sequential,
-    run_kmeans_mpi,
-)
+from repro.kmeans import TerminationCriteria, kmeans_parallel
+from repro.kmeans import ladder as kmeans_ladder
 from repro.kmeans.initialization import init_random_points
-from repro.kmeans.openmp_kmeans import VARIANTS
 from repro.traffic import TrafficParams, simulate_parallel, simulate_serial
 
 SEEDS = (0, 7, 123)
@@ -57,6 +48,14 @@ def make_points(seed: int, shape: tuple[int, int]) -> np.ndarray:
     return np.random.default_rng(seed).normal(size=shape)
 
 
+def assert_ladder_agrees(ladder, problem, **model_kwargs):
+    """Every rung of a family's ladder meets its contract against sequential."""
+    rungs = ladder.rungs(problem, workers=3, **model_kwargs)
+    reference = rungs.pop("sequential")()
+    for name, run in rungs.items():
+        assert not ladder.mismatches(run(), reference), name
+
+
 class TestKMeansConformance:
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("shape", KMEANS_SIZES)
@@ -64,35 +63,9 @@ class TestKMeansConformance:
         points = make_points(seed, shape)
         k = 3
         init = init_random_points(points, k, seed=seed)
-        reference = kmeans_sequential(
-            points, k, criteria=CRITERIA, initial_centroids=init
+        assert_ladder_agrees(
+            kmeans_ladder, (points, k), criteria=CRITERIA, initial_centroids=init
         )
-
-        candidates = {
-            f"openmp-{variant}": kmeans_openmp(
-                points, k, num_threads=3, variant=variant,
-                criteria=CRITERIA, initial_centroids=init,
-            )
-            for variant in VARIANTS
-        }
-        candidates["mpi"] = run_kmeans_mpi(
-            3, points, k, criteria=CRITERIA, initial_centroids=init
-        )
-        for backend in BACKENDS:
-            candidates[f"parallel-{backend}"] = kmeans_parallel(
-                points, k, num_workers=3, backend=backend,
-                criteria=CRITERIA, initial_centroids=init,
-            )
-
-        for name, result in candidates.items():
-            np.testing.assert_array_equal(
-                result.assignments, reference.assignments, err_msg=name
-            )
-            np.testing.assert_allclose(
-                result.centroids, reference.centroids, atol=1e-9, err_msg=name
-            )
-            assert result.iterations == reference.iterations, name
-            assert result.changes_history == reference.changes_history, name
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_executor_backends_bit_identical(self, seed):
@@ -114,29 +87,7 @@ class TestAlignConformance:
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("length", ALIGN_LENGTHS)
     def test_all_models_agree_bitwise(self, seed, length):
-        a, b = generate_pair(seed, length)
-        reference = align_sequential(a, b)
-
-        candidates = {"sequential-python": align_sequential(a, b, kernel="python")}
-        for variant in ALIGN_VARIANTS:
-            candidates[f"openmp-{variant}"] = align_openmp(
-                a, b, num_threads=3, variant=variant
-            )
-        candidates["mpi"] = run_align_mpi(3, a, b)
-        for backend in BACKENDS:
-            candidates[f"executor-{backend}"] = align_executor(
-                a, b, backend=backend, num_workers=3, tile=16
-            )
-
-        for name, result in candidates.items():
-            np.testing.assert_array_equal(result.matrix, reference.matrix, err_msg=name)
-            assert result.path == reference.path, name
-            assert result.score == reference.score, name
-            assert result.aligned_a == reference.aligned_a, name
-            assert result.aligned_b == reference.aligned_b, name
-            assert result.best_score == reference.best_score, name
-            assert result.best_cell == reference.best_cell, name
-            assert result.match_events == reference.match_events, name
+        assert_ladder_agrees(align_ladder, generate_pair(seed, length), tile=16)
 
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize(
@@ -144,32 +95,11 @@ class TestAlignConformance:
     )
     def test_modes_and_bands_agree_bitwise(self, seed, mode, band):
         a, b = generate_pair(seed, 60)
-        scheme = ScoringScheme(mode=mode)
         if band is not None and mode == "global":
             band = max(band, abs(len(a) - len(b)))
-        reference = align_sequential(a, b, scheme=scheme, band=band)
-        candidates = {
-            "sequential-python": align_sequential(
-                a, b, scheme=scheme, band=band, kernel="python"
-            ),
-            "mpi": run_align_mpi(3, a, b, scheme=scheme, band=band),
-        }
-        for variant in ALIGN_VARIANTS:
-            candidates[f"openmp-{variant}"] = align_openmp(
-                a, b, num_threads=3, variant=variant, scheme=scheme, band=band
-            )
-        # The process backend writes each tile back into a shared segment.
-        for backend in ("thread", "process"):
-            candidates[f"executor-{backend}"] = align_executor(
-                a, b, backend=backend, num_workers=3, tile=16, scheme=scheme, band=band
-            )
-        for name, result in candidates.items():
-            np.testing.assert_array_equal(result.matrix, reference.matrix, err_msg=name)
-            assert result.path == reference.path, name
-            assert result.score == reference.score, name
-            assert result.best_score == reference.best_score, name
-            assert result.best_cell == reference.best_cell, name
-            assert result.match_events == reference.match_events, name
+        assert_ladder_agrees(
+            align_ladder, (a, b), tile=16, scheme=ScoringScheme(mode=mode), band=band
+        )
 
 
 class TestTrafficConformance:

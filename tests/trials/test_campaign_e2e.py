@@ -81,10 +81,16 @@ class TestMatrix:
             "serve_soak", "align",
         }
         # dimensions sweep where they apply
-        kmeans = [s for s in specs if s.workload == "kmeans"]
-        assert {dict(s.config)["backend"] for s in kmeans} == {"serial", "thread"}
-        align = [s for s in specs if s.workload == "align"]
-        assert {dict(s.config)["model"] for s in align} == {"sequential", "executor"}
+        def labels(workload):
+            return [s.config_label for s in specs if s.workload == workload]
+
+        # Pinned exactly: these labels key the kmeans/align history series.
+        assert labels("kmeans") == ["backend=serial,seed=0", "backend=thread,seed=0"]
+        assert labels("align") == [
+            "model=sequential,seed=0",
+            "backend=serial,model=executor,seed=0",
+            "backend=thread,model=executor,seed=0",
+        ]
         heat = [s for s in specs if s.workload == "heat_coforall"]
         assert {dict(s.config)["locales"] for s in heat} == {"1", "2"}
 

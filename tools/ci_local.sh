@@ -75,7 +75,8 @@ if [ "${1:-}" = "--perf" ]; then
         benchmarks/test_overhead_gates.py \
         benchmarks/test_executor_backends.py \
         benchmarks/test_serve_throughput.py \
-        benchmarks/test_align.py
+        benchmarks/test_align.py \
+        benchmarks/test_kmeans_models.py
 fi
 
 if [ "${1:-}" = "--sanitizer" ]; then

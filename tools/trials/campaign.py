@@ -69,6 +69,14 @@ def _spec(workload: str, config: Mapping[str, Any], runner: Callable[[], Any]) -
     )
 
 
+def _fingerprinted(
+    rungs: Mapping[str, Callable[[], Any]], rung: str, *names: str
+) -> Callable[[], Any]:
+    """A runner for one model-ladder rung, reduced to the result fields
+    its trial digest covers (an unknown rung fails inside the trial)."""
+    return lambda: tuple(getattr(rungs[rung](), name) for name in names)
+
+
 @dataclass(frozen=True)
 class CampaignInjection:
     """Measurement-level fault injection for the trend pipeline itself.
@@ -115,37 +123,30 @@ def default_git_sha() -> str | None:
 # ----------------------------------------------------------------------
 
 def _kmeans_trials(backends: Sequence[str], seed: int) -> list[TrialSpec]:
-    from repro.kmeans import TerminationCriteria, kmeans_parallel
+    from repro.kmeans import TerminationCriteria, ladder
     from repro.knn.data import make_blobs
 
     points, _ = make_blobs(2_000, 8, 8, seed=seed)
-    criteria = TerminationCriteria(max_iterations=5)
-    specs = []
-    for backend in backends:
-        def runner(b: str = backend) -> Any:
-            result = kmeans_parallel(
-                points, 8, num_workers=4, backend=b, kernel="numpy",
-                seed=seed, criteria=criteria,
-            )
-            return (result.centroids, result.assignments)
-
-        specs.append(_spec("kmeans", {"backend": backend, "seed": seed}, runner))
-    return specs
+    rungs = ladder.rungs(
+        (points, 8), workers=4, seed=seed, criteria=TerminationCriteria(max_iterations=5)
+    )
+    return [
+        _spec("kmeans", {"backend": backend, "seed": seed},
+              _fingerprinted(rungs, f"executor-{backend}", "centroids", "assignments"))
+        for backend in backends
+    ]
 
 
 def _kmeans_openmp_trials(schedules: Sequence[str], seed: int) -> list[TrialSpec]:
-    from repro.kmeans import TerminationCriteria, kmeans_openmp
+    from repro.kmeans import TerminationCriteria, ladder
     from repro.knn.data import make_blobs
     from repro.sanitizer import Sanitizer, use_sanitizer
 
     points, _ = make_blobs(1_200, 8, 8, seed=seed)
-    criteria = TerminationCriteria(max_iterations=4)
-
-    def plain() -> Any:
-        result = kmeans_openmp(
-            points, 8, num_threads=4, variant="reduction", seed=seed, criteria=criteria
-        )
-        return (result.centroids, result.assignments)
+    rungs = ladder.rungs(
+        (points, 8), workers=4, seed=seed, criteria=TerminationCriteria(max_iterations=4)
+    )
+    plain = _fingerprinted(rungs, "openmp-reduction", "centroids", "assignments")
 
     def observed() -> Any:
         with use_sanitizer(Sanitizer()):
@@ -244,24 +245,18 @@ def _serve_trials(fault_plans: Sequence[str], seed: int) -> list[TrialSpec]:
 
 
 def _align_trials(backends: Sequence[str], seed: int) -> list[TrialSpec]:
-    from repro.align import align_executor, align_sequential, generate_pair
+    from repro.align import generate_pair, ladder
 
-    a, b = generate_pair(seed, 96)
-
-    def oracle() -> Any:
-        result = align_sequential(a, b)
-        return (result.matrix, tuple(result.path))
-
-    specs = [_spec("align", {"model": "sequential", "seed": seed}, oracle)]
-    for backend in backends:
-        def runner(bk: str = backend) -> Any:
-            result = align_executor(a, b, num_workers=4, backend=bk, tile=24)
-            return (result.matrix, tuple(result.path))
-
-        specs.append(
-            _spec("align", {"model": "executor", "backend": backend, "seed": seed}, runner)
-        )
-    return specs
+    rungs = ladder.rungs(generate_pair(seed, 96), workers=4, tile=24)
+    models = {"sequential": {"model": "sequential"}} | {
+        f"executor-{backend}": {"model": "executor", "backend": backend}
+        for backend in backends
+    }
+    return [
+        _spec("align", {**config, "seed": seed},
+              _fingerprinted(rungs, rung, "matrix", "path"))
+        for rung, config in models.items()
+    ]
 
 
 def build_matrix(
