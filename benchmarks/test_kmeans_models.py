@@ -23,7 +23,8 @@ CRITERIA = TerminationCriteria(max_iterations=15, min_changes=0, max_centroid_sh
 
 def test_kmeans_programming_models(benchmark, report_writer):
     points, _ = make_blobs(N, D, K, seed=2, separation=5.0)
-    model_kwargs = {"criteria": CRITERIA, "initial_centroids": init_random_points(points, K, seed=9)}
+    init = init_random_points(points, K, seed=9)
+    model_kwargs = {"criteria": CRITERIA, "initial_centroids": init}
     configs = kmeans_ladder.rungs((points, K), workers=THREADS, **model_kwargs)
     configs["device-globalatomic"] = lambda: kmeans_device(
         points, K, block_size=512, update_mode="global_atomic", **model_kwargs

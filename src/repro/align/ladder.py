@@ -39,19 +39,18 @@ def rungs(
     ``band``) go to every model.
     """
     a, b = problem
-    kw = model_kwargs
     ladder = {
-        "sequential": lambda: align_sequential(a, b, **kw),
-        "sequential-python": lambda: align_sequential(a, b, kernel="python", **kw),
+        "sequential": lambda: align_sequential(a, b, **model_kwargs),
+        "sequential-python": lambda: align_sequential(a, b, kernel="python", **model_kwargs),
     }
     for variant in VARIANTS:
         ladder[f"openmp-{variant}"] = lambda v=variant: align_openmp(
-            a, b, num_threads=workers, variant=v, **kw
+            a, b, num_threads=workers, variant=v, **model_kwargs
         )
-    ladder["mpi"] = lambda: run_align_mpi(workers, a, b, **kw)
+    ladder["mpi"] = lambda: run_align_mpi(workers, a, b, **model_kwargs)
     for backend in BACKENDS:
         ladder[f"executor-{backend}"] = lambda bk=backend: align_executor(
-            a, b, num_workers=workers, backend=bk, tile=tile, **kw
+            a, b, num_workers=workers, backend=bk, tile=tile, **model_kwargs
         )
     return ladder
 

@@ -33,18 +33,17 @@ def rungs(
     with the per-block reduction update.
     """
     points, k = problem
-    kw = model_kwargs
-    ladder = {"sequential": lambda: kmeans_sequential(points, k, **kw)}
+    ladder = {"sequential": lambda: kmeans_sequential(points, k, **model_kwargs)}
     for variant in VARIANTS:
         ladder[f"openmp-{variant}"] = lambda v=variant: kmeans_openmp(
-            points, k, num_threads=workers, variant=v, **kw
+            points, k, num_threads=workers, variant=v, **model_kwargs
         )
-    ladder["mpi"] = lambda: run_kmeans_mpi(workers, points, k, **kw)
+    ladder["mpi"] = lambda: run_kmeans_mpi(workers, points, k, **model_kwargs)
     for backend in BACKENDS:
         ladder[f"executor-{backend}"] = lambda b=backend: kmeans_parallel(
-            points, k, num_workers=workers, backend=b, **kw
+            points, k, num_workers=workers, backend=b, **model_kwargs
         )
-    ladder["device"] = lambda: kmeans_device(points, k, block_size=512, **kw)
+    ladder["device"] = lambda: kmeans_device(points, k, block_size=512, **model_kwargs)
     return ladder
 
 
