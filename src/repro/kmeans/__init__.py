@@ -4,10 +4,16 @@ One problem, solved the way the Valladolid assignment series teaches it:
 start from an intentionally understandable sequential program, then
 parallelize it under OpenMP, MPI and CUDA/OpenCL, confronting the same
 two race conditions (the per-point cluster-change counter and the
-per-cluster coordinate sums) in each model.
+per-cluster coordinate sums) in each model. As in the paper, a model
+parallelizes only who assigns which points and how the per-cluster sums
+merge; the driver around that exists once.
 
 - :mod:`repro.kmeans.sequential` — the starter code: static data
-  structures, two-phase loop, three termination thresholds;
+  structures, two-phase loop, three termination thresholds — and the
+  pieces every model calls: input validation and starting centroids
+  (``start_centroids``), the distance kernel (``assign_points``), the
+  per-cluster partials (``cluster_sums``) and the one Lloyd loop
+  (``lloyd``) around a model's merged step;
 - :mod:`repro.kmeans.openmp_kmeans` — the four-stage strategy: races
   guarded by ``critical``, upgraded to ``atomic``, then restructured as
   ``reduction`` (each stage is a selectable variant so the ladder is

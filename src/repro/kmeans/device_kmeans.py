@@ -14,14 +14,18 @@ The simulator keeps the GPU *structure* while executing on numpy:
 
 so the profitability question the assignment poses — per-update atomics
 vs block-level reduction — is measurable by flipping ``update_mode``.
+The assign kernel is the shared
+:func:`~repro.kmeans.sequential.assign_points`; the host loop around the
+grid launches is :func:`~repro.kmeans.sequential.lloyd`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.kmeans.initialization import init_random_points
-from repro.kmeans.sequential import KMeansResult, compute_inertia
+from repro.kmeans.sequential import (
+    KMeansResult, assign_points, cluster_sums, lloyd, start_centroids,
+)
 from repro.kmeans.termination import TerminationCriteria
 from repro.trace.tracer import get_tracer
 from repro.util.validation import require_positive_int
@@ -49,90 +53,38 @@ def kmeans_device(
       accumulators directly (one np.add.at per point row), modeling the
       atomic-contention alternative.
     """
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2 or points.shape[0] == 0:
-        raise ValueError("points must be a non-empty 2-D array")
-    require_positive_int("k", k)
     require_positive_int("block_size", block_size)
     if update_mode not in ("block_reduce", "global_atomic"):
         raise ValueError(f"unknown update_mode {update_mode!r}")
-    criteria = criteria or TerminationCriteria()
-
+    points, centroids = start_centroids(points, k, seed=seed, initial_centroids=initial_centroids)
     n, d = points.shape
-    if initial_centroids is not None:
-        centroids = np.asarray(initial_centroids, dtype=float).copy()
-        if centroids.shape != (k, d):
-            raise ValueError(f"initial_centroids must be {(k, d)}, got {centroids.shape}")
-    else:
-        centroids = init_random_points(points, k, seed)
-
-    num_blocks = (n + block_size - 1) // block_size
     assignments = np.full(n, -1, dtype=np.int64)
-    changes_history: list[int] = []
-    shift_history: list[float] = []
-    iteration = 0
-    reason = "max_iterations"
 
-    while True:
-        iteration += 1
+    def step(centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
         changes = 0
         sums = np.zeros((k, d))
         counts = np.zeros(k, dtype=np.int64)
-
-        for b in range(num_blocks):  # the kernel grid
-            lo = b * block_size
+        for lo in range(0, n, block_size):  # the kernel grid
             hi = min(lo + block_size, n)
             block = points[lo:hi]  # contiguous = coalesced
 
             # assign kernel
-            d2 = (
-                np.einsum("ij,ij->i", block, block)[:, None]
-                - 2.0 * block @ centroids.T
-                + np.einsum("ij,ij->i", centroids, centroids)[None, :]
-            )
-            new_local = np.argmin(d2, axis=1)
-            changes += int(np.count_nonzero(new_local != assignments[lo:hi]))
+            new_local, block_changes = assign_points(block, centroids, assignments[lo:hi])
+            changes += block_changes
             assignments[lo:hi] = new_local
 
             # update kernel
             if update_mode == "block_reduce":
-                block_sums = np.zeros((k, d))
-                block_counts = np.zeros(k, dtype=np.int64)
-                np.add.at(block_sums, new_local, block)    # shared-memory reduce
-                np.add.at(block_counts, new_local, 1)
-                sums += block_sums                          # one global combine
+                # shared-memory reduce, then one global combine
+                block_sums, block_counts = cluster_sums(block, new_local, k)
+                sums += block_sums
                 counts += block_counts
             else:
-                for row in range(block.shape[0]):           # global atomics
+                for row in range(block.shape[0]):  # global atomics
                     c = new_local[row]
                     sums[c] += block[row]
                     counts[c] += 1
+        return sums, counts, changes
 
-        new_centroids = centroids.copy()
-        nonempty = counts > 0
-        new_centroids[nonempty] = sums[nonempty] / counts[nonempty, None]
-        max_shift = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
-        centroids = new_centroids
-        changes_history.append(changes)
-        shift_history.append(max_shift)
-        tracer = get_tracer()
-        if tracer.enabled:
-            tracer.instant(
-                "kmeans.iteration", category="kmeans", iteration=iteration, changes=changes
-            )
-            tracer.metrics.histogram("kmeans.iteration_shift", model="device").observe(max_shift)
-            tracer.metrics.counter("kmeans.iterations", model="device").inc()
-        stop = criteria.reason_to_stop(iteration, changes, max_shift)
-        if stop is not None:
-            reason = stop
-            break
-
-    return KMeansResult(
-        centroids=centroids,
-        assignments=assignments,
-        iterations=iteration,
-        stop_reason=reason,
-        inertia=compute_inertia(points, centroids, assignments),
-        changes_history=changes_history,
-        shift_history=shift_history,
-    )
+    run = lloyd(step, centroids, criteria, model="device", tracer=get_tracer())
+    return run.result(points, assignments)

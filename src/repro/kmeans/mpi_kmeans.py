@@ -14,13 +14,18 @@ Phase structure per iteration:
 3. one ``allreduce`` folds the partials — in rank order, so the result
    is deterministic and equal to the OpenMP reduction variant's.
 
+Steps 2–3 are this model's ``step`` for the shared
+:func:`~repro.kmeans.sequential.lloyd` loop, which every rank runs on
+the same reduced values; only rank 0 traces it.
+
 For fault tolerance the loop can checkpoint: pass a
 :class:`KMeansCheckpoint` and rank 0 records ``(iteration, centroids,
-assignments, histories)`` after each completed iteration. A *restarted*
-world handed the same checkpoint resumes from the last completed
-iteration and — because the reduction folds in rank order — finishes
-with centroids bit-identical to an uninterrupted run of the same world
-size (docs/fault_tolerance.md).
+assignments, histories)`` after each completed iteration (the loop's
+``after`` hook). A *restarted* world handed the same checkpoint resumes
+the loop from the last completed iteration and its histories and —
+because the reduction folds in rank order — finishes with centroids
+bit-identical to an uninterrupted run of the same world size
+(docs/fault_tolerance.md).
 """
 
 from __future__ import annotations
@@ -29,12 +34,13 @@ import threading
 
 import numpy as np
 
-from repro.kmeans.initialization import init_random_points
-from repro.kmeans.sequential import KMeansResult, compute_inertia
+from repro.kmeans.sequential import (
+    KMeansResult, Lloyd, assign_points, cluster_sums, lloyd, start_centroids,
+)
 from repro.kmeans.termination import TerminationCriteria
-from repro.mpi import SUM, Communicator, run_spmd
+from repro.mpi import Communicator, run_spmd
+from repro.trace.tracer import NULL_TRACER
 from repro.util.partition import block_bounds
-from repro.util.validation import require_positive_int
 
 __all__ = ["kmeans_mpi", "run_kmeans_mpi", "KMeansCheckpoint"]
 
@@ -112,27 +118,22 @@ def kmeans_mpi(
     *non-empty* checkpoint resumes from it instead of initializing —
     the restart path for a run killed by a fault.
     """
-    require_positive_int("k", k)
-    criteria = criteria or TerminationCriteria()
     rank, size = comm.rank, comm.size
-    tracer = comm.tracer
 
     # --- one-time distribution of the input (collective scatter) -------
     restored = checkpoint is not None and checkpoint.has_state()
-    assignment_chunks = None
-    start_iteration = 0
+    chunks = assignment_chunks = centroids = None
+    iteration = 0
     changes_history: list[int] = []
     shift_history: list[float] = []
     if rank == 0:
-        points = np.asarray(points, dtype=float)
-        if points.ndim != 2 or points.shape[0] == 0:
-            raise ValueError("points must be a non-empty 2-D array on root")
+        points, centroids = start_centroids(
+            points, k, seed=seed, initial_centroids=initial_centroids
+        )
         n, d = points.shape
-        chunks = [
-            points[slice(*block_bounds(n, size, r))] for r in range(size)
-        ]
+        chunks = [points[slice(*block_bounds(n, size, r))] for r in range(size)]
         if restored:
-            start_iteration, centroids, assignments_g, changes_history, shift_history = (
+            iteration, centroids, assignments_g, changes_history, shift_history = (
                 checkpoint.restore()
             )
             if centroids.shape != (k, d):
@@ -142,99 +143,52 @@ def kmeans_mpi(
             assignment_chunks = [
                 assignments_g[slice(*block_bounds(n, size, r))] for r in range(size)
             ]
-        elif initial_centroids is not None:
-            centroids = np.asarray(initial_centroids, dtype=float).copy()
-            if centroids.shape != (k, d):
-                raise ValueError(f"initial_centroids must be {(k, d)}, got {centroids.shape}")
-        else:
-            centroids = init_random_points(points, k, seed)
-    else:
-        chunks = None
-        centroids = None
 
     my_points = comm.scatter(chunks, root=0)
     centroids = comm.bcast(centroids, root=0)
-    k_dims = centroids.shape[1]
-
     if restored:
         my_assignments = comm.scatter(assignment_chunks, root=0)
-        start_iteration = comm.bcast(start_iteration, root=0)
+        iteration = comm.bcast(iteration, root=0)
     else:
         my_assignments = np.full(my_points.shape[0], -1, dtype=np.int64)
-    iteration = start_iteration
-    reason = "max_iterations"
 
-    while True:
-        iteration += 1
-        # Phase 1: local assignment.
-        if my_points.shape[0]:
-            d2 = (
-                np.einsum("ij,ij->i", my_points, my_points)[:, None]
-                - 2.0 * my_points @ centroids.T
-                + np.einsum("ij,ij->i", centroids, centroids)[None, :]
-            )
-            new_local = np.argmin(d2, axis=1)
-            local_changes = int(np.count_nonzero(new_local != my_assignments))
-            my_assignments = new_local
-        else:
-            local_changes = 0
-
-        # Phase 2: local partial sums, then ONE distributed reduction.
-        local_sums = np.zeros((k, k_dims))
-        local_counts = np.zeros(k, dtype=np.int64)
-        if my_points.shape[0]:
-            np.add.at(local_sums, my_assignments, my_points)
-            np.add.at(local_counts, my_assignments, 1)
-        sums, counts, changes = comm.allreduce(
+    def step(centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+        nonlocal my_assignments
+        # Phase 1 and the phase-2 partials on this rank's block, then ONE
+        # distributed reduction.
+        my_assignments, local_changes = assign_points(my_points, centroids, my_assignments)
+        local_sums, local_counts = cluster_sums(my_points, my_assignments, k)
+        return comm.allreduce(
             (local_sums, local_counts, local_changes),
             op=lambda a, b: (a[0] + b[0], a[1] + b[1], a[2] + b[2]),
         )
 
-        new_centroids = centroids.copy()
-        nonempty = counts > 0
-        new_centroids[nonempty] = sums[nonempty] / counts[nonempty, None]
-        max_shift = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
-        centroids = new_centroids
-        changes_history.append(changes)
-        shift_history.append(max_shift)
-        if tracer.enabled and rank == 0:
-            # Post-allreduce the values are global, so rank 0 speaks for all.
-            tracer.instant(
-                "kmeans.iteration", category="kmeans", iteration=iteration, changes=changes
+    def save(state: Lloyd) -> None:
+        # One extra collective per iteration: the completed state lands
+        # on rank 0 before anyone can die in iteration i+1.
+        gathered = comm.gather(my_assignments, root=0)
+        if rank == 0:
+            checkpoint.save(
+                state.iterations,
+                state.centroids,
+                np.concatenate(gathered),
+                state.changes_history,
+                state.shift_history,
             )
-            tracer.metrics.histogram("kmeans.iteration_shift", model="mpi").observe(max_shift)
-            tracer.metrics.counter("kmeans.iterations", model="mpi").inc()
-        stop = criteria.reason_to_stop(iteration, changes, max_shift)
-        if checkpoint is not None:
-            # One extra collective per iteration: the completed state
-            # lands on rank 0 before anyone can die in iteration i+1.
-            ckpt_assignments = comm.gather(my_assignments, root=0)
-            if rank == 0:
-                checkpoint.save(
-                    iteration,
-                    centroids,
-                    np.concatenate(ckpt_assignments),
-                    changes_history,
-                    shift_history,
-                )
-        if stop is not None:
-            reason = stop
-            break
+
+    # Post-allreduce the values are global, so rank 0 speaks for all.
+    tracer = comm.tracer if rank == 0 else NULL_TRACER
+    run = lloyd(
+        step, centroids, criteria, model="mpi", tracer=tracer, iteration=iteration,
+        changes_history=changes_history, shift_history=shift_history,
+        after=save if checkpoint is not None else None,
+    )
 
     # --- gather results back to root (collective gather) ---------------
     gathered = comm.gather(my_assignments, root=0)
     if rank != 0:
         return None
-    assignments = np.concatenate(gathered)
-    return KMeansResult(
-        centroids=centroids,
-        assignments=assignments,
-        iterations=iteration,
-        stop_reason=reason,
-        inertia=compute_inertia(points, centroids, assignments),
-        changes_history=changes_history,
-        shift_history=shift_history,
-    )
+    return run.result(points, np.concatenate(gathered))
 
 
 def run_kmeans_mpi(

@@ -20,9 +20,13 @@ selectable ``variant`` so correctness and cost can be compared:
 ``VARIANTS`` lists the *correct* rungs (what conformance tests sweep);
 ``ALL_VARIANTS`` adds ``"racy"`` for the sanitizer suite.
 
-All variants share phase-1 vectorized assignment over static thread
-blocks, so they produce identical assignments; centroid coordinates may
-differ across variants by float-addition order only. Shared cells carry
+Only the body of one iteration is OpenMP: each thread runs the shared
+:func:`~repro.kmeans.sequential.assign_points` kernel on its static
+block, and the rungs differ in how the per-cluster sums meet. The means,
+histories, tracing and stop test are
+:func:`~repro.kmeans.sequential.lloyd`'s. So all variants produce
+identical assignments; centroid coordinates may differ across variants
+by float-addition order only. Shared cells carry
 ``annotate_read``/``annotate_write`` declarations — free when no
 sanitizer is installed — so every rung is certifiable by
 ``tests/sanitizer/test_kmeans_certification.py``.
@@ -32,8 +36,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.kmeans.initialization import init_random_points
-from repro.kmeans.sequential import KMeansResult, compute_inertia
+from repro.kmeans.sequential import (
+    KMeansResult, assign_points, cluster_sums, lloyd, start_centroids,
+)
 from repro.kmeans.termination import TerminationCriteria
 from repro.openmp import Atomic, RacyCell, parallel_region
 from repro.sanitizer.runtime import annotate_read, annotate_write
@@ -60,31 +65,14 @@ def kmeans_openmp(
     initial_centroids: np.ndarray | None = None,
 ) -> KMeansResult:
     """Shared-memory K-means with the chosen race-repair variant."""
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2 or points.shape[0] == 0:
-        raise ValueError("points must be a non-empty 2-D array")
-    require_positive_int("k", k)
     require_positive_int("num_threads", num_threads)
     if variant not in ALL_VARIANTS:
         raise ValueError(f"variant must be one of {ALL_VARIANTS}, got {variant!r}")
-    criteria = criteria or TerminationCriteria()
-
+    points, centroids = start_centroids(points, k, seed=seed, initial_centroids=initial_centroids)
     n, d = points.shape
-    if initial_centroids is not None:
-        centroids = np.asarray(initial_centroids, dtype=float).copy()
-        if centroids.shape != (k, d):
-            raise ValueError(f"initial_centroids must be {(k, d)}, got {centroids.shape}")
-    else:
-        centroids = init_random_points(points, k, seed)
-
     assignments = np.full(n, -1, dtype=np.int64)
-    changes_history: list[int] = []
-    shift_history: list[float] = []
-    iteration = 0
-    reason = "max_iterations"
 
-    while True:
-        iteration += 1
+    def step(centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
         if variant == "racy":
             changes_cell = RacyCell(0, name="kmeans.changes")
         else:
@@ -96,14 +84,7 @@ def kmeans_openmp(
             if variant == "atomic"
             else None
         )
-        thread_sums = (
-            [np.zeros((k, d)) for _ in range(num_threads)] if variant == "reduction" else None
-        )
-        thread_counts = (
-            [np.zeros(k, dtype=np.int64) for _ in range(num_threads)]
-            if variant == "reduction"
-            else None
-        )
+        thread_partials = [None] * num_threads  # the "reduction" rung's privates
 
         def body(ctx) -> None:
             lo, hi = block_bounds(n, ctx.num_threads, ctx.thread_id)
@@ -113,13 +94,7 @@ def kmeans_openmp(
             # Phase 1: vectorized assignment of this thread's block. The
             # per-point writes are disjoint; the shared *counter* is the race.
             annotate_read("kmeans.centroids", "kmeans.assign:centroids")
-            d2 = (
-                np.einsum("ij,ij->i", block, block)[:, None]
-                - 2.0 * block @ centroids.T
-                + np.einsum("ij,ij->i", centroids, centroids)[None, :]
-            )
-            new_local = np.argmin(d2, axis=1)
-            local_changes = int(np.count_nonzero(new_local != assignments[lo:hi]))
+            new_local, local_changes = assign_points(block, centroids, assignments[lo:hi])
             assignments[lo:hi] = new_local
 
             if variant == "critical":
@@ -154,44 +129,19 @@ def kmeans_openmp(
             else:
                 # Stage 4: thread-private accumulators, merged after the join.
                 annotate_write(f"kmeans.sums:t{ctx.thread_id}", "kmeans.reduction:sums")
-                np.add.at(thread_sums[ctx.thread_id], new_local, block)
-                np.add.at(thread_counts[ctx.thread_id], new_local, 1)
+                thread_partials[ctx.thread_id] = cluster_sums(block, new_local, k)
 
         parallel_region(num_threads, body)
 
         if variant == "reduction":
-            for t in range(num_threads):  # deterministic thread-order merge
+            for t, partial in enumerate(thread_partials):  # deterministic thread-order merge
                 annotate_read(f"kmeans.sums:t{t}", "kmeans.reduction:merge")
-                sums += thread_sums[t]
-                counts += thread_counts[t]
+                if partial is not None:
+                    sums += partial[0]
+                    counts += partial[1]
 
         annotate_write("kmeans.centroids", "kmeans.update:centroids")
-        new_centroids = centroids.copy()
-        nonempty = counts > 0
-        new_centroids[nonempty] = sums[nonempty] / counts[nonempty, None]
-        max_shift = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
-        centroids = new_centroids
-        changes = changes_cell.value
-        changes_history.append(changes)
-        shift_history.append(max_shift)
-        tracer = get_tracer()
-        if tracer.enabled:
-            tracer.instant(
-                "kmeans.iteration", category="kmeans", iteration=iteration, changes=changes
-            )
-            tracer.metrics.histogram("kmeans.iteration_shift", model="openmp").observe(max_shift)
-            tracer.metrics.counter("kmeans.iterations", model="openmp").inc()
-        stop = criteria.reason_to_stop(iteration, changes, max_shift)
-        if stop is not None:
-            reason = stop
-            break
+        return sums, counts, changes_cell.value
 
-    return KMeansResult(
-        centroids=centroids,
-        assignments=assignments,
-        iterations=iteration,
-        stop_reason=reason,
-        inertia=compute_inertia(points, centroids, assignments),
-        changes_history=changes_history,
-        shift_history=shift_history,
-    )
+    run = lloyd(step, centroids, criteria, model="openmp", tracer=get_tracer())
+    return run.result(points, assignments)

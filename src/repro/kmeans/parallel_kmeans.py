@@ -8,7 +8,9 @@ task returns *private* per-cluster sums/counts, and the driver merges
 partials in block order — the same deterministic reduction as
 ``kmeans_openmp(variant="reduction")``, so results are bit-identical
 across the ``serial``/``thread``/``process`` backends (asserted in
-``tests/core/test_executor_determinism.py``).
+``tests/core/test_executor_determinism.py``). That farmed map plus the
+merge is this model's ``step``; the loop around it is the shared
+:func:`~repro.kmeans.sequential.lloyd`.
 
 The data plane is communication-avoiding (the arXiv 1608.06347 shape):
 the point array is *published* once per call through
@@ -21,8 +23,9 @@ place. What crosses the process boundary per task per iteration is a
 
 Two ``kernel`` choices select what each task actually computes:
 
-- ``"numpy"`` — the vectorized einsum/argmin math shared with the other
-  models. numpy releases the GIL inside these kernels, so *threads*
+- ``"numpy"`` — :func:`~repro.kmeans.sequential.assign_points` and
+  :func:`~repro.kmeans.sequential.cluster_sums`, the math every other
+  model runs. numpy releases the GIL inside these kernels, so *threads*
   already scale here; zero-copy sharing is what lets the process
   backend match them instead of drowning in pickled partitions.
 - ``"python"`` — a pure-Python distance loop, the GIL-bound stand-in
@@ -38,8 +41,9 @@ import functools
 import numpy as np
 
 from repro.core.executor import BACKENDS, DataRef, Executor, get_executor
-from repro.kmeans.initialization import init_random_points
-from repro.kmeans.sequential import KMeansResult, compute_inertia
+from repro.kmeans.sequential import (
+    KMeansResult, assign_points, cluster_sums, lloyd, start_centroids,
+)
 from repro.kmeans.termination import TerminationCriteria
 from repro.trace.tracer import get_tracer
 from repro.util.partition import block_partition
@@ -54,19 +58,8 @@ def _assign_block_numpy(
     block: np.ndarray, centroids: np.ndarray, old: np.ndarray
 ) -> tuple[np.ndarray, int, np.ndarray, np.ndarray]:
     """One task: vectorized assignment + private sums/counts for a block."""
-    k, d = centroids.shape
-    d2 = (
-        np.einsum("ij,ij->i", block, block)[:, None]
-        - 2.0 * block @ centroids.T
-        + np.einsum("ij,ij->i", centroids, centroids)[None, :]
-    )
-    new_local = np.argmin(d2, axis=1)
-    changes = int(np.count_nonzero(new_local != old))
-    sums = np.zeros((k, d))
-    counts = np.zeros(k, dtype=np.int64)
-    np.add.at(sums, new_local, block)
-    np.add.at(counts, new_local, 1)
-    return new_local, changes, sums, counts
+    new_local, changes = assign_points(block, centroids, old)
+    return (new_local, changes, *cluster_sums(block, new_local, len(centroids)))
 
 
 def _assign_block_python(
@@ -158,50 +151,29 @@ def kmeans_parallel(
     :class:`ProcessExecutor` to amortize its pool across calls (the
     executor is then the caller's to close).
     """
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2 or points.shape[0] == 0:
-        raise ValueError("points must be a non-empty 2-D array")
-    require_positive_int("k", k)
     require_positive_int("num_workers", num_workers)
     if not isinstance(backend, Executor) and backend not in BACKENDS:
         raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
     if kernel not in KERNELS:
         raise ValueError(f"kernel must be one of {KERNELS}, got {kernel!r}")
-    criteria = criteria or TerminationCriteria()
-
+    points, centroids = start_centroids(points, k, seed=seed, initial_centroids=initial_centroids)
     n, d = points.shape
-    if initial_centroids is not None:
-        centroids = np.asarray(initial_centroids, dtype=float).copy()
-        if centroids.shape != (k, d):
-            raise ValueError(f"initial_centroids must be {(k, d)}, got {centroids.shape}")
-    else:
-        centroids = init_random_points(points, k, seed)
-
     blocks = [
         (r.start, r.stop) for r in block_partition(n, num_workers) if r.stop > r.start
     ]
-    changes_history: list[int] = []
-    shift_history: list[float] = []
-    iteration = 0
-    reason = "max_iterations"
     owns_executor = not isinstance(backend, Executor)
     executor = get_executor(backend, num_workers)
-    backend_name = executor.name
-    tracer = get_tracer()
 
     points_ref = assign_ref = None
     try:
         points_ref = executor.publish(points)
         assign_ref = executor.publish(np.full(n, -1, dtype=np.int64), writable=True)
-        assignments = assign_ref.array()  # the owner's live view
 
-        while True:
-            iteration += 1
+        def step(centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
             partials = executor.map(
                 functools.partial(_assign_task, points_ref, assign_ref, kernel, centroids),
                 blocks,
             )
-
             sums = np.zeros((k, d))
             counts = np.zeros(k, dtype=np.int64)
             changes = 0
@@ -209,27 +181,10 @@ def kmeans_parallel(
                 changes += block_changes
                 sums += block_sums  # block-order merge: deterministic reduction
                 counts += block_counts
+            return sums, counts, changes
 
-            new_centroids = centroids.copy()
-            nonempty = counts > 0
-            new_centroids[nonempty] = sums[nonempty] / counts[nonempty, None]
-            max_shift = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
-            centroids = new_centroids
-            changes_history.append(changes)
-            shift_history.append(max_shift)
-            if tracer.enabled:
-                tracer.instant(
-                    "kmeans.iteration", category="kmeans", iteration=iteration,
-                    changes=changes, backend=backend_name,
-                )
-                tracer.metrics.histogram("kmeans.iteration_shift", model="executor").observe(max_shift)
-                tracer.metrics.counter("kmeans.iterations", model="executor").inc()
-            stop = criteria.reason_to_stop(iteration, changes, max_shift)
-            if stop is not None:
-                reason = stop
-                break
-
-        final_assignments = np.array(assignments)  # outlive the segment
+        run = lloyd(step, centroids, criteria, model="executor", tracer=get_tracer())
+        assignments = np.array(assign_ref.array())  # outlive the segment
     finally:
         if assign_ref is not None:
             executor.unpublish(assign_ref)
@@ -238,12 +193,4 @@ def kmeans_parallel(
         if owns_executor:
             executor.close()
 
-    return KMeansResult(
-        centroids=centroids,
-        assignments=final_assignments,
-        iterations=iteration,
-        stop_reason=reason,
-        inertia=compute_inertia(points, centroids, assignments=final_assignments),
-        changes_history=changes_history,
-        shift_history=shift_history,
-    )
+    return run.result(points, assignments)

@@ -1,4 +1,4 @@
-"""The sequential K-means starter program.
+"""The sequential K-means starter program, and the loop every model shares.
 
 Mirrors the structure of the Valladolid handout (paper §3): static
 arrays, a two-phase main loop —
@@ -9,22 +9,40 @@ arrays, a two-phase main loop —
            per-cluster coordinate sums and member counts (the second
            race, plus the load-balance discussion);
 
-— and a three-threshold termination check. Helper functions
-:func:`assign_points` and :func:`update_centroids` are shared by the
-parallel variants so every model computes the same mathematics.
+— and a three-threshold termination check. The parallel models change
+only *who* does phase 1 and the phase-2 partials and *how* the partials
+merge, so everything else lives here once and they all call it:
+
+- :func:`start_centroids` — input validation and the starting centroids;
+- :func:`assign_points` — the distance/argmin kernel, on any block;
+- :func:`cluster_sums` — the per-cluster sums and counts of a block;
+- :func:`lloyd` — the iterate/update/stop loop around a model's merged
+  ``step``, with the histories and the ``kmeans.iteration`` trace; its
+  :class:`Lloyd` state builds the :class:`KMeansResult`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from repro.kmeans.initialization import init_random_points
 from repro.kmeans.termination import TerminationCriteria
+from repro.trace.tracer import Tracer, get_tracer
 from repro.util.validation import require_positive_int
 
-__all__ = ["KMeansResult", "assign_points", "update_centroids", "kmeans_sequential"]
+__all__ = [
+    "KMeansResult",
+    "Lloyd",
+    "assign_points",
+    "cluster_sums",
+    "update_centroids",
+    "start_centroids",
+    "lloyd",
+    "kmeans_sequential",
+]
 
 
 @dataclass
@@ -58,6 +76,29 @@ def assign_points(
     return new_assignments, changes
 
 
+def cluster_sums(
+    points: np.ndarray, labels: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Phase 2 partials on a (sub)array: per-cluster sums and member counts.
+
+    Accumulates in point order, so a fixed blocking merged in a fixed
+    order gives a fixed float result.
+    """
+    sums = np.zeros((k, points.shape[1]))
+    counts = np.zeros(k, dtype=np.int64)
+    np.add.at(sums, labels, points)
+    np.add.at(counts, labels, 1)
+    return sums, counts
+
+
+def _means(sums: np.ndarray, counts: np.ndarray, old_centroids: np.ndarray) -> np.ndarray:
+    """Per-cluster means; empty clusters keep their old centroid."""
+    new_centroids = old_centroids.copy()
+    nonempty = counts > 0
+    new_centroids[nonempty] = sums[nonempty] / counts[nonempty, None]
+    return new_centroids
+
+
 def update_centroids(
     points: np.ndarray,
     assignments: np.ndarray,
@@ -69,21 +110,114 @@ def update_centroids(
     Returns (new_centroids, sums, counts). Empty clusters keep their old
     centroid (the conventional fix; the starter code's behaviour).
     """
-    d = points.shape[1]
-    sums = np.zeros((k, d))
-    counts = np.zeros(k, dtype=np.int64)
-    np.add.at(sums, assignments, points)
-    np.add.at(counts, assignments, 1)
-    new_centroids = old_centroids.copy()
-    nonempty = counts > 0
-    new_centroids[nonempty] = sums[nonempty] / counts[nonempty, None]
-    return new_centroids, sums, counts
+    sums, counts = cluster_sums(points, assignments, k)
+    return _means(sums, counts, old_centroids), sums, counts
 
 
 def compute_inertia(points: np.ndarray, centroids: np.ndarray, assignments: np.ndarray) -> float:
     """Sum of squared distances of points to their assigned centroid."""
     diffs = points - centroids[assignments]
     return float(np.einsum("ij,ij->", diffs, diffs))
+
+
+def start_centroids(
+    points: np.ndarray,
+    k: int,
+    *,
+    seed: int = 0,
+    initial_centroids: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Validate the input and pick the starting centroids.
+
+    Returns ``(points, centroids)`` with ``points`` as a float array.
+    ``initial_centroids`` overrides the seeded choice — the hook every
+    model uses to start from identical state.
+    """
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[0] == 0:
+        raise ValueError("points must be a non-empty 2-D array")
+    require_positive_int("k", k)
+    if initial_centroids is None:
+        return points, init_random_points(points, k, seed)
+    centroids = np.asarray(initial_centroids, dtype=float).copy()
+    if centroids.shape != (k, points.shape[1]):
+        raise ValueError(
+            f"initial_centroids must be {(k, points.shape[1])}, got {centroids.shape}"
+        )
+    return points, centroids
+
+
+class Lloyd(NamedTuple):
+    """Where :func:`lloyd` stands after an iteration.
+
+    ``stop_reason`` is None while the loop is still going (what an
+    ``after`` hook sees on every iteration but the last).
+    """
+
+    centroids: np.ndarray
+    iterations: int
+    stop_reason: str | None
+    changes_history: list[int]
+    shift_history: list[float]
+
+    def result(self, points: np.ndarray, assignments: np.ndarray) -> KMeansResult:
+        """The finished run as a :class:`KMeansResult`, inertia included."""
+        return KMeansResult(
+            centroids=self.centroids,
+            assignments=assignments,
+            iterations=self.iterations,
+            stop_reason=self.stop_reason,
+            inertia=compute_inertia(points, self.centroids, assignments),
+            changes_history=self.changes_history,
+            shift_history=self.shift_history,
+        )
+
+
+def lloyd(
+    step: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, int]],
+    centroids: np.ndarray,
+    criteria: TerminationCriteria | None,
+    *,
+    model: str,
+    tracer: Tracer,
+    iteration: int = 0,
+    changes_history: list[int] | None = None,
+    shift_history: list[float] | None = None,
+    after: Callable[[Lloyd], None] | None = None,
+) -> Lloyd:
+    """The clustering loop every model runs; only ``step`` is parallel.
+
+    ``step(centroids)`` does phase 1 and the phase-2 partials however
+    the model distributes them, and returns the merged ``(sums, counts,
+    changes)``. This loop takes the means, records both histories,
+    traces the iteration (``kmeans.iteration`` plus the
+    ``{model}``-labelled metrics) and stops on ``criteria``. A resumed
+    run passes the ``iteration`` it had completed and its histories;
+    ``after`` sees the state at the end of every iteration.
+    """
+    criteria = criteria or TerminationCriteria()
+    changes_history = [] if changes_history is None else changes_history
+    shift_history = [] if shift_history is None else shift_history
+    while True:
+        iteration += 1
+        sums, counts, changes = step(centroids)
+        new_centroids = _means(sums, counts, centroids)
+        max_shift = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
+        centroids = new_centroids
+        changes_history.append(changes)
+        shift_history.append(max_shift)
+        if tracer.enabled:
+            tracer.instant(
+                "kmeans.iteration", category="kmeans", iteration=iteration, changes=changes
+            )
+            tracer.metrics.histogram("kmeans.iteration_shift", model=model).observe(max_shift)
+            tracer.metrics.counter("kmeans.iterations", model=model).inc()
+        reason = criteria.reason_to_stop(iteration, changes, max_shift)
+        state = Lloyd(centroids, iteration, reason, changes_history, shift_history)
+        if after is not None:
+            after(state)
+        if state.stop_reason is not None:
+            return state
 
 
 def kmeans_sequential(
@@ -94,49 +228,14 @@ def kmeans_sequential(
     criteria: TerminationCriteria | None = None,
     initial_centroids: np.ndarray | None = None,
 ) -> KMeansResult:
-    """The reference clustering loop.
-
-    ``initial_centroids`` overrides the random seeding — the hook all
-    parallel variants use to start from identical state.
-    """
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2 or points.shape[0] == 0:
-        raise ValueError("points must be a non-empty 2-D array")
-    require_positive_int("k", k)
-    criteria = criteria or TerminationCriteria()
-    if initial_centroids is not None:
-        centroids = np.asarray(initial_centroids, dtype=float).copy()
-        if centroids.shape != (k, points.shape[1]):
-            raise ValueError(
-                f"initial_centroids must be {(k, points.shape[1])}, got {centroids.shape}"
-            )
-    else:
-        centroids = init_random_points(points, k, seed)
-
+    """The reference clustering run: both phases over the whole array."""
+    points, centroids = start_centroids(points, k, seed=seed, initial_centroids=initial_centroids)
     assignments = np.full(points.shape[0], -1, dtype=np.int64)
-    changes_history: list[int] = []
-    shift_history: list[float] = []
-    iteration = 0
-    reason = "max_iterations"
-    while True:
-        iteration += 1
-        assignments, changes = assign_points(points, centroids, assignments)
-        new_centroids, _, _ = update_centroids(points, assignments, k, centroids)
-        max_shift = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
-        centroids = new_centroids
-        changes_history.append(changes)
-        shift_history.append(max_shift)
-        stop = criteria.reason_to_stop(iteration, changes, max_shift)
-        if stop is not None:
-            reason = stop
-            break
 
-    return KMeansResult(
-        centroids=centroids,
-        assignments=assignments,
-        iterations=iteration,
-        stop_reason=reason,
-        inertia=compute_inertia(points, centroids, assignments),
-        changes_history=changes_history,
-        shift_history=shift_history,
-    )
+    def step(centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+        nonlocal assignments
+        assignments, changes = assign_points(points, centroids, assignments)
+        return (*cluster_sums(points, assignments, k), changes)
+
+    run = lloyd(step, centroids, criteria, model="sequential", tracer=get_tracer())
+    return run.result(points, assignments)

@@ -158,7 +158,7 @@ def _wordcount_body(seed: int) -> Callable[[JobContext], Any]:
 
 def _kmeans_body(seed: int) -> Callable[[JobContext], Any]:
     def body(ctx: JobContext) -> Any:
-        from repro.kmeans.parallel_kmeans import TerminationCriteria, kmeans_parallel
+        from repro.kmeans import TerminationCriteria, kmeans_parallel
         from repro.knn.data import make_blobs
 
         ctx.check_cancelled()

@@ -15,8 +15,10 @@ from repro.kmeans import (
     kmeans_sequential,
     run_kmeans_mpi,
 )
+from repro.kmeans import ladder
 from repro.kmeans.sequential import compute_inertia
 from repro.knn.data import make_blobs
+from repro.mpi import RankFailedError
 
 
 @pytest.fixture(scope="module")
@@ -123,11 +125,23 @@ class TestSequential:
         result = kmeans_sequential(pts, 2, initial_centroids=init)
         np.testing.assert_array_equal(result.centroids[1], [100.0, 100.0])
 
-    def test_input_validation(self):
-        with pytest.raises(ValueError):
-            kmeans_sequential(np.zeros((0, 2)), 2)
-        with pytest.raises(ValueError):
-            kmeans_sequential(np.zeros((5, 2)), 2, initial_centroids=np.zeros((3, 2)))
+    @pytest.mark.parametrize(
+        "points,k,init,message",
+        [
+            (np.zeros((0, 2)), 2, None, "points must be a non-empty 2-D array"),
+            (np.zeros(5), 2, None, "points must be a non-empty 2-D array"),
+            (np.zeros((5, 2)), 0, None, "k must be >= 1"),
+            (np.zeros((5, 2)), 2, np.zeros((3, 2)), r"initial_centroids must be \(2, 2\)"),
+        ],
+        ids=["empty", "1-D", "k=0", "init-shape"],
+    )
+    def test_input_validation(self, points, k, init, message):
+        # Every model validates through the same start; MPI surfaces the
+        # root's error inside RankFailedError.
+        for label, run in ladder.rungs((points, k), workers=2, initial_centroids=init).items():
+            error = RankFailedError if label == "mpi" else ValueError
+            with pytest.raises(error, match=message):
+                run()
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=10, deadline=None)

@@ -7,7 +7,13 @@ from repro.heat.mpi2d import run_mpi_2d, solve_serial_2d
 from repro.hpo.monitoring import AccuracyMonitor, StopTraining, learning_curve
 from repro.hpo.nn.network import MLP
 from repro.hpo.search import HyperParams, train_one
-from repro.kmeans import TerminationCriteria, kmeans_device, kmeans_openmp
+from repro.kmeans import (
+    TerminationCriteria,
+    kmeans_device,
+    kmeans_openmp,
+    kmeans_parallel,
+    kmeans_sequential,
+)
 from repro.kmeans.mpi_kmeans import run_kmeans_mpi
 from repro.knn.data import make_blobs
 from repro.mapreduce import MapReduce
@@ -232,11 +238,20 @@ class TestKmeansInstrumentation:
     @pytest.mark.parametrize(
         "model,run",
         [
+            ("sequential", lambda self: kmeans_sequential(
+                self._points(), 3, criteria=self.CRITERIA
+            )),
             ("openmp", lambda self: kmeans_openmp(
                 self._points(), 3, num_threads=2, criteria=self.CRITERIA
             )),
             ("device", lambda self: kmeans_device(
                 self._points(), 3, block_size=64, criteria=self.CRITERIA
+            )),
+            ("executor", lambda self: kmeans_parallel(
+                self._points(), 3, num_workers=2, backend="serial", criteria=self.CRITERIA
+            )),
+            ("executor", lambda self: kmeans_parallel(
+                self._points(), 3, num_workers=2, backend="process", criteria=self.CRITERIA
             )),
         ],
     )

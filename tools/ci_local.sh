@@ -82,8 +82,8 @@ fi
 if [ "${1:-}" = "--sanitizer" ]; then
     echo "== sanitizer suite (including slow systematic-DFS tests) =="
     python -m pytest -q tests/sanitizer -m 'slow or not slow'
-    echo "== align conformance (cross-model bit-identity) =="
-    python -m pytest -q tests/integration/test_model_conformance.py -k Align
+    echo "== align and k-means conformance (cross-model same answer) =="
+    python -m pytest -q tests/integration/test_model_conformance.py -k "Align or KMeans"
     echo "== ladder certification campaign (k-means + align, seed matrix) =="
     for seed in 0 7 123; do
         python tools/sanitizer_campaign.py --seed "$seed" --schedules 50 \
