@@ -125,6 +125,12 @@ class TestSequential:
         result = kmeans_sequential(pts, 2, initial_centroids=init)
         np.testing.assert_array_equal(result.centroids[1], [100.0, 100.0])
 
+    def test_input_validation(self):
+        with pytest.raises(ValueError):
+            kmeans_sequential(np.zeros((0, 2)), 2)
+        with pytest.raises(ValueError):
+            kmeans_sequential(np.zeros((5, 2)), 2, initial_centroids=np.zeros((3, 2)))
+
     @pytest.mark.parametrize(
         "points,k,init,message",
         [
@@ -135,7 +141,7 @@ class TestSequential:
         ],
         ids=["empty", "1-D", "k=0", "init-shape"],
     )
-    def test_input_validation(self, points, k, init, message):
+    def test_input_validation_every_rung(self, points, k, init, message):
         # Every model validates through the same start; MPI surfaces the
         # root's error inside RankFailedError.
         for label, run in ladder.rungs((points, k), workers=2, initial_centroids=init).items():
