@@ -3,15 +3,25 @@
 Runs the full aggregation → cleaning → spatial-join → normalization
 pipeline over synthetic stand-ins for the four NYC Open Data datasets
 (arrests historic + current year, NTA boundaries, NTA population) and
-renders the heat-map matrix the figure colors.
+renders the heat-map matrix the figure colors. The run is timed and
+recorded as ``BENCH_fig2.json``; every rate and tally must equal a
+plain-Python recount that locates each arrest with the linear
+:func:`~repro.pipeline.nyc.locate_nta` scan instead of the pipeline's
+grid index.
 """
 
 import numpy as np
 
 from repro.pipeline import arrests_per_100k, generate_arrests, generate_ntas, heat_map_matrix
+from repro.pipeline.nyc import locate_nta
 from repro.spark import SparkContext
+from repro.trace.history import result_digest
+from repro.util.timing import time_call
 
 ROWS, COLS = 6, 8
+SEED, WORKERS, YEAR = 7, 4, 2021
+HISTORIC, CURRENT = 12_000, 6_000
+REPEATS = 5
 
 
 def _shade(matrix: np.ndarray) -> str:
@@ -24,16 +34,50 @@ def _shade(matrix: np.ndarray) -> str:
     return "\n".join(out)
 
 
-def test_fig2_nyc_arrests_heatmap(benchmark, report_writer):
-    ntas = generate_ntas(ROWS, COLS, seed=7)
-    historic = generate_arrests(12_000, ntas, year=2020, seed=1)
-    current = generate_arrests(6_000, ntas, year=2021, seed=1)
+def linear_recount(datasets, ntas, year):
+    """(rates, diagnostics) by one plain pass with the linear NTA scan."""
+    counts = dict.fromkeys((nta.code for nta in ntas), 0)
+    tally = {"dropped": 0, "unlocated": 0}
+    for arrest in (a for dataset in datasets for a in dataset if a.year == year):
+        if not (arrest.valid and 0.0 <= arrest.x <= 1.0 and 0.0 <= arrest.y <= 1.0):
+            tally["dropped"] += 1
+            continue
+        code = locate_nta(arrest.x, arrest.y, ntas)
+        if code is None:
+            tally["unlocated"] += 1
+        else:
+            counts[code] += 1
+    population = {nta.code: nta.population for nta in ntas}
+    rates = {code: 100_000.0 * n / population[code] if n else 0.0 for code, n in counts.items()}
+    return rates, tally
+
+
+def test_fig2_nyc_arrests_heatmap(benchmark, report_writer, bench_json_writer):
+    ntas = generate_ntas(ROWS, COLS, seed=SEED)
+    historic = generate_arrests(HISTORIC, ntas, year=YEAR - 1, seed=1)
+    current = generate_arrests(CURRENT, ntas, year=YEAR, seed=1)
 
     def run():
-        sc = SparkContext(num_workers=4)
-        return arrests_per_100k(sc, [historic, current], ntas, year_filter=2021)
+        with SparkContext(num_workers=WORKERS) as sc:
+            return arrests_per_100k(sc, [historic, current], ntas, year_filter=YEAR)
 
     rates, diagnostics = benchmark(run)
+    seconds, _ = time_call(run, repeats=REPEATS)
+    bit_identical = (rates, diagnostics) == linear_recount([historic, current], ntas, YEAR)
+    bench_json_writer(
+        "fig2",
+        {"pipeline": seconds},
+        workload="fig2_nyc_pipeline",
+        config={
+            "seed": SEED, "rows": ROWS, "cols": COLS, "workers": WORKERS,
+            "historic": HISTORIC, "current": CURRENT, "year_filter": YEAR,
+            "repeats": REPEATS,
+        },
+        bit_identical=bit_identical,
+        digest=result_digest((rates, diagnostics)),
+        **diagnostics,
+    )
+    assert bit_identical
 
     # Shape checks: every NTA reported, rates vary across neighborhoods,
     # dirty rows were dropped by the cleaning stage.
@@ -45,7 +89,7 @@ def test_fig2_nyc_arrests_heatmap(benchmark, report_writer):
     matrix = heat_map_matrix(rates, ROWS, COLS)
     top = sorted(rates.items(), key=lambda kv: -kv[1])[:5]
     lines = [
-        "Figure 2 reproduction: arrests per 100,000 residents per NTA (2021)",
+        f"Figure 2 reproduction: arrests per 100,000 residents per NTA ({YEAR})",
         f"NTAs={len(ntas)} arrests_in={len(historic) + len(current)} "
         f"dropped_by_cleaning={diagnostics['dropped']} outside_all_ntas={diagnostics['unlocated']}",
         "",

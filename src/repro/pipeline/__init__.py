@@ -9,8 +9,9 @@ visualization). This package provides:
   run reports, and a validator encoding the assignment's rubric;
 - :mod:`repro.pipeline.nyc` — the exemplar project from the paper
   (Figure 2): NYC arrests joined spatially against Neighborhood
-  Tabulation Areas and census population, producing arrests-per-100k
-  rates and a heat-map matrix — with synthetic stand-ins for the
+  Tabulation Areas (through a broadcast grid index over their
+  polygons) and census population, producing arrests-per-100k rates
+  and a heat-map matrix — with synthetic stand-ins for the
   data.cityofnewyork.us datasets;
 - :mod:`repro.pipeline.geometry` — point-in-polygon and friends for the
   spatial join;

@@ -3,7 +3,11 @@
 The Figure 2 pipeline "identifies the spatial positions of all arrests"
 — i.e. assigns each arrest point to the Neighborhood Tabulation Area
 polygon containing it. Point-in-polygon is the classic even–odd ray
-cast, with a bounding-box pre-check so the join scans cheaply.
+cast, with a bounding-box pre-check that rejects far points before the
+ray cast. The join does not scan every polygon per point: it is indexed
+by :class:`repro.pipeline.nyc.NTAIndex`, a uniform grid over the
+polygons' bounding boxes, and runs :meth:`Polygon.contains` only on the
+few polygons listed in the point's cell.
 """
 
 from __future__ import annotations

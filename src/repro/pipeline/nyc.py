@@ -13,12 +13,16 @@ controlled fraction of dirty rows for the cleaning stage to catch.
 
 :func:`arrests_per_100k` is the pipeline itself, written on
 :mod:`repro.spark` exactly as the course teaches it: parallelize →
-filter (clean) → spatial join via a broadcast boundary table →
-reduceByKey → join with population → normalize.
+filter (clean) → spatial join via a broadcast boundary index →
+reduceByKey → join with population → normalize. The index
+(:class:`NTAIndex`) is a uniform grid over the NTAs' bounding boxes, so
+each arrest is tested against the few polygons near it instead of all
+of them; :func:`locate_nta` is the linear scan it must agree with.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +37,7 @@ __all__ = [
     "generate_ntas",
     "generate_arrests",
     "locate_nta",
+    "NTAIndex",
     "arrests_per_100k",
     "nyc_arrests_pipeline",
     "heat_map_matrix",
@@ -144,6 +149,137 @@ def locate_nta(x: float, y: float, ntas: list[NTA]) -> str | None:
     return None
 
 
+class NTAIndex:
+    """A uniform grid over the NTAs' bounding boxes for the spatial join.
+
+    Built once on the driver and broadcast to the tasks. Each cell lists,
+    in the original NTA order, the NTAs whose bounding box spans it, and
+    :meth:`locate` tests only that list — so the first match, and with
+    it the owner of a shared edge or corner, is the one
+    :func:`locate_nta`'s linear scan finds. A polygon's cell range comes
+    from the same monotone :meth:`_cell` that maps points, so a point in
+    a polygon's closed bounding box always lands in a cell listing that
+    polygon, with no epsilon. The grid has ``2 * (isqrt(n) + 1)`` cells
+    per side for ``n`` NTAs: about two ``contains`` calls per arrest on
+    the 6 × 8 exemplar grid, against about 24 for the scan.
+    """
+
+    def __init__(self, ntas: list[NTA]) -> None:
+        if not ntas:
+            raise ValueError("need at least one NTA")
+        boxes = [nta.polygon.bbox for nta in ntas]
+        self.min_x = min(box.min_x for box in boxes)
+        self.min_y = min(box.min_y for box in boxes)
+        self.max_x = max(box.max_x for box in boxes)
+        self.max_y = max(box.max_y for box in boxes)
+        self.side = 2 * (math.isqrt(len(ntas)) + 1)
+        self._scale_x = self._scale(self.max_x - self.min_x)
+        self._scale_y = self._scale(self.max_y - self.min_y)
+        cells: list[list[NTA]] = [[] for _ in range(self.side * self.side)]
+        for nta, box in zip(ntas, boxes):
+            for row in range(self._row(box.min_y), self._row(box.max_y) + 1):
+                for col in range(self._col(box.min_x), self._col(box.max_x) + 1):
+                    cells[row * self.side + col].append(nta)
+        self._cells = [tuple(cell) for cell in cells]
+
+    def _scale(self, extent: float) -> float:
+        # Cells per unit along one axis. A zero extent (say, collinear
+        # vertices) or one so thin that the division overflows puts every
+        # point in cell 0 of that axis.
+        scale = self.side / extent if extent > 0.0 else 0.0
+        return scale if scale < math.inf else 0.0
+
+    def _cell(self, value: float, low: float, scale: float) -> int:
+        # Monotone in ``value``: IEEE subtraction and multiplication by a
+        # non-negative constant preserve order, as do truncation and min.
+        return min(int((value - low) * scale), self.side - 1)
+
+    def _col(self, x: float) -> int:
+        return self._cell(x, self.min_x, self._scale_x)
+
+    def _row(self, y: float) -> int:
+        return self._cell(y, self.min_y, self._scale_y)
+
+    def candidates(self, x: float, y: float) -> tuple[NTA, ...]:
+        """The NTAs, in list order, whose bounding box spans the cell of
+        (x, y); empty outside the union bounding box."""
+        if not (self.min_x <= x <= self.max_x and self.min_y <= y <= self.max_y):
+            return ()
+        return self._cells[self._row(y) * self.side + self._col(x)]
+
+    def locate(self, x: float, y: float) -> str | None:
+        """Code of the NTA containing (x, y), or None — always the answer
+        of :func:`locate_nta` over the NTA list the index was built from."""
+        for nta in self.candidates(x, y):
+            if nta.polygon.contains(x, y):
+                return nta.code
+        return None
+
+
+def _is_clean(arrest: Arrest) -> bool:
+    """The cleaning rule: a valid row with coordinates in the unit square."""
+    return arrest.valid and 0.0 <= arrest.x <= 1.0 and 0.0 <= arrest.y <= 1.0
+
+
+def _union(sc: SparkContext, datasets: list[list[Arrest]], year_filter: int | None):
+    """Aggregation: the raw datasets as one RDD, optionally one year of it."""
+    rdd = sc.parallelize(datasets[0])
+    for extra in datasets[1:]:
+        rdd = rdd.union(sc.parallelize(extra))
+    if year_filter is not None:
+        rdd = rdd.filter(lambda a: a.year == year_filter)
+    return rdd
+
+
+def _clean(sc: SparkContext, rdd):
+    """Cleaning: keep the rows :func:`_is_clean` accepts; returns the
+    clean RDD and an accumulator counting the dropped rows."""
+    dropped = sc.accumulator(0)
+
+    def keep(arrest: Arrest) -> bool:
+        if _is_clean(arrest):
+            return True
+        dropped.add(1)
+        return False
+
+    return rdd.filter(keep), dropped
+
+
+def _locator(sc: SparkContext, ntas: list[NTA]):
+    """The spatial join's lookup: broadcast one :class:`NTAIndex` and
+    return ``arrest -> NTA code`` (None outside every NTA)."""
+    index = sc.broadcast(NTAIndex(ntas))
+    return lambda arrest: index.value.locate(arrest.x, arrest.y)
+
+
+def _rates_per_100k(sc: SparkContext, clean, ntas: list[NTA]):
+    """Analysis: spatial join, count per NTA, join with the population
+    table and normalize per 100k. Returns the rates (every NTA present,
+    zero when it has no arrests) and an accumulator counting the rows
+    outside every NTA."""
+    locate = _locator(sc, ntas)
+    unlocated = sc.accumulator(0)
+
+    def to_nta(arrest: Arrest):
+        code = locate(arrest)
+        if code is None:
+            unlocated.add(1)
+            return []
+        return [(code, 1)]
+
+    counts = clean.flat_map(to_nta).reduce_by_key(lambda a, b: a + b)
+    population = sc.parallelize([(nta.code, nta.population) for nta in ntas])
+    rates = (
+        counts.join(population)
+        .map_values(lambda cp: 100_000.0 * cp[0] / cp[1])
+        .collect_as_map()
+    )
+    # NTAs with zero arrests still appear (rate 0), as a real report would show.
+    for nta in ntas:
+        rates.setdefault(nta.code, 0.0)
+    return rates, unlocated
+
+
 def arrests_per_100k(
     sc: SparkContext,
     arrest_datasets: list[list[Arrest]],
@@ -160,46 +296,8 @@ def arrests_per_100k(
     """
     if not ntas:
         raise ValueError("need at least one NTA")
-    dropped = sc.accumulator(0)
-    unlocated = sc.accumulator(0)
-    boundaries = sc.broadcast(ntas)
-
-    # Aggregation: union the raw datasets into one RDD.
-    rdd = sc.parallelize(arrest_datasets[0])
-    for extra in arrest_datasets[1:]:
-        rdd = rdd.union(sc.parallelize(extra))
-    if year_filter is not None:
-        rdd = rdd.filter(lambda a: a.year == year_filter)
-
-    # Cleaning: drop corrupt coordinates, counting what we discard.
-    def is_clean(arrest: Arrest) -> bool:
-        if arrest.valid and 0.0 <= arrest.x <= 1.0 and 0.0 <= arrest.y <= 1.0:
-            return True
-        dropped.add(1)
-        return False
-
-    clean = rdd.filter(is_clean)
-
-    # Analysis: spatial join against the broadcast boundaries, then count.
-    def to_nta(arrest: Arrest):
-        code = locate_nta(arrest.x, arrest.y, boundaries.value)
-        if code is None:
-            unlocated.add(1)
-            return []
-        return [(code, 1)]
-
-    counts = clean.flat_map(to_nta).reduce_by_key(lambda a, b: a + b)
-
-    # Analysis: join with the population table and normalize per 100k.
-    population = sc.parallelize([(nta.code, nta.population) for nta in ntas])
-    rates = (
-        counts.join(population)
-        .map_values(lambda cp: 100_000.0 * cp[0] / cp[1])
-        .collect_as_map()
-    )
-    # NTAs with zero arrests still appear (rate 0), as a real report would show.
-    for nta in ntas:
-        rates.setdefault(nta.code, 0.0)
+    clean, dropped = _clean(sc, _union(sc, arrest_datasets, year_filter))
+    rates, unlocated = _rates_per_100k(sc, clean, ntas)
     return rates, {"dropped": dropped.value, "unlocated": unlocated.value}
 
 
@@ -255,45 +353,14 @@ def nyc_arrests_pipeline(
     state: dict = {}
 
     def aggregate(sc: SparkContext, datasets: list[list[Arrest]]):
-        rdd = sc.parallelize(datasets[0])
-        for extra in datasets[1:]:
-            rdd = rdd.union(sc.parallelize(extra))
-        if year_filter is not None:
-            rdd = rdd.filter(lambda a: a.year == year_filter)
-        return rdd
+        return _union(sc, datasets, year_filter)
 
     def clean(sc: SparkContext, rdd):
-        dropped = sc.accumulator(0)
-        state["dropped"] = dropped
-
-        def is_clean(arrest: Arrest) -> bool:
-            if arrest.valid and 0.0 <= arrest.x <= 1.0 and 0.0 <= arrest.y <= 1.0:
-                return True
-            dropped.add(1)
-            return False
-
-        return rdd.filter(is_clean)
+        clean_rdd, state["dropped"] = _clean(sc, rdd)
+        return clean_rdd
 
     def analyze(sc: SparkContext, clean_rdd):
-        unlocated = sc.accumulator(0)
-        boundaries = sc.broadcast(ntas)
-
-        def to_nta(arrest: Arrest):
-            code = locate_nta(arrest.x, arrest.y, boundaries.value)
-            if code is None:
-                unlocated.add(1)
-                return []
-            return [(code, 1)]
-
-        counts = clean_rdd.flat_map(to_nta).reduce_by_key(lambda a, b: a + b)
-        population = sc.parallelize([(nta.code, nta.population) for nta in ntas])
-        rates = (
-            counts.join(population)
-            .map_values(lambda cp: 100_000.0 * cp[0] / cp[1])
-            .collect_as_map()
-        )
-        for nta in ntas:
-            rates.setdefault(nta.code, 0.0)
+        rates, unlocated = _rates_per_100k(sc, clean_rdd, ntas)
         pipeline.rates = rates
         # The actions just ran, so the accumulators are final here.
         pipeline.diagnostics = {
@@ -322,13 +389,11 @@ def arrests_dataframe(sc: SparkContext, arrests: list[Arrest], ntas: list[NTA]):
     """
     from repro.spark.dataframe import DataFrame
 
-    boundaries = sc.broadcast(ntas)
+    locate = _locator(sc, ntas)
     borough_of = {nta.code: nta.borough for nta in ntas}
 
     def to_row(arrest: Arrest):
-        if not (arrest.valid and 0.0 <= arrest.x <= 1.0 and 0.0 <= arrest.y <= 1.0):
-            return []
-        code = locate_nta(arrest.x, arrest.y, boundaries.value)
+        code = locate(arrest) if _is_clean(arrest) else None
         if code is None:
             return []
         return [

@@ -13,6 +13,9 @@ pins that story end to end at fixed seeds:
   shared-LCG contract of paper §5);
 - heat: the forall and coforall solvers match both the serial stencil
   (bitwise) and the analytic eigenmode solution (within tolerance);
+- NYC pipeline: the Figure 2 rates and cleaning tallies are identical
+  on every Spark executor backend (the broadcast NTA index survives the
+  process backend's fork and pickle path);
 - align: every rung of :func:`repro.align.ladder.rungs` (python
   kernel, every guarded OpenMP rung, MPI block rows, every executor
   backend) matches the numpy oracle field for field, matrices and
@@ -34,6 +37,8 @@ from repro.heat.serial import solve_serial
 from repro.kmeans import TerminationCriteria, kmeans_parallel
 from repro.kmeans import ladder as kmeans_ladder
 from repro.kmeans.initialization import init_random_points
+from repro.pipeline import arrests_per_100k, generate_arrests, generate_ntas
+from repro.spark import SparkContext
 from repro.traffic import TrafficParams, simulate_parallel, simulate_serial
 
 SEEDS = (0, 7, 123)
@@ -81,6 +86,24 @@ class TestKMeansConformance:
         for other in results[1:]:
             np.testing.assert_array_equal(other.centroids, results[0].centroids)
             np.testing.assert_array_equal(other.assignments, results[0].assignments)
+
+
+class TestNycConformance:
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_spark_backends_bit_identical(self, seed):
+        ntas = generate_ntas(3, 4, seed=seed)
+        datasets = [
+            generate_arrests(900, ntas, year=2020, seed=seed),
+            generate_arrests(600, ntas, year=2021, seed=seed),
+        ]
+        results = {}
+        for backend in BACKENDS:
+            with SparkContext(3, backend=backend) as sc:
+                results[backend] = arrests_per_100k(sc, datasets, ntas, year_filter=2021)
+        reference = results.pop("serial")
+        assert reference[1]["dropped"] > 0
+        for backend, result in results.items():
+            assert result == reference, backend
 
 
 class TestAlignConformance:

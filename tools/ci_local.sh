@@ -76,7 +76,8 @@ if [ "${1:-}" = "--perf" ]; then
         benchmarks/test_executor_backends.py \
         benchmarks/test_serve_throughput.py \
         benchmarks/test_align.py \
-        benchmarks/test_kmeans_models.py
+        benchmarks/test_kmeans_models.py \
+        benchmarks/test_fig2_nyc_pipeline.py
 fi
 
 if [ "${1:-}" = "--sanitizer" ]; then
