@@ -13,10 +13,11 @@ three interchangeable backends:
   GIL-releasing kernels (numpy, IO); serialized for pure-Python loops.
 - :class:`ProcessExecutor` — real CPU parallelism on a **persistent
   pool** of ``multiprocessing`` workers: processes spawn once per
-  executor lifetime, jobs are dispatched warm over per-worker task
-  queues, numpy datasets travel zero-copy as shared-memory descriptors
-  (:meth:`Executor.publish`), and small jobs fuse into one chunk per
-  worker so dispatch never costs more than one message per worker.
+  executor lifetime, each talks to the driver over its own private
+  duplex pipe, numpy datasets travel zero-copy as shared-memory
+  descriptors (:meth:`Executor.publish`), and small jobs fuse into one
+  chunk per worker so dispatch never costs more than one message per
+  worker.
 
 The three backends are **result-identical by construction**: tasks are
 pure functions of ``(index, item)``, results are merged in index order,
@@ -30,25 +31,32 @@ Process-backend ground rules (docs/executors.md has the full story):
 
 - A job whose ``(fn, items)`` payload pickles (module-level functions,
   ``functools.partial``, plain-data items, :class:`DataRef` descriptors)
-  runs on the persistent pool — the fast path. Payloads that do *not*
-  pickle (closures over driver state: RDD lineage, broadcast tables)
-  fall back to the legacy fork-per-map path under the ``fork`` start
-  method, where workers inherit the closure through process memory;
-  under ``spawn`` they raise a clear error (``cloudpickle`` widens what
-  qualifies when importable).
-- Large picklable payloads also prefer the fork path — inheriting a
+  runs on the persistent pool — the fast path. The fork path is the
+  only one for payloads that do *not* pickle (closures over driver
+  state: RDD lineage, broadcast tables, MapReduce task bodies): under
+  the ``fork`` start method fresh workers fork for the map and inherit
+  ``(fn, items)`` through process memory; under ``spawn`` such a payload
+  raises a clear error (``cloudpickle`` widens what qualifies when
+  importable).
+- Large picklable payloads also take the fork path — inheriting a
   100 MB items list is free, shipping it per worker is not. Publish
   big numpy inputs with :meth:`Executor.publish` instead and pass index
   ranges; the descriptors keep pooled payloads tiny.
+- Both paths share one dispatch core: each worker owns a private
+  duplex pipe, one loop collects results from every pipe, and one
+  helper tears workers down.
 - Task *results* (and task exceptions) always travel back by pickle,
   under either path — keep them plain data, or write them into a
   ``writable=True`` published segment over disjoint index ranges.
-- A worker that dies without delivering its results (segfault,
-  ``os._exit``, OOM kill) surfaces as :class:`WorkerCrashError`
-  carrying the completed results and the missing task indices, so
-  schedulers (e.g. the Spark context) can re-execute the lost tasks
-  and record the crash in their fault reports. The pool retires the
-  dead worker and respawns the slot on the next map.
+- A worker that dies before it has fully written a chunk's results
+  (segfault, ``os._exit``, OOM kill — even halfway through the write)
+  loses that chunk and every later one; the driver sees the death as
+  EOF on the worker's own pipe, so no other worker is disturbed. The map
+  raises :class:`WorkerCrashError` carrying the completed results and
+  the missing task indices, so schedulers (e.g. the Spark context) can
+  re-execute the lost tasks and record the crash in their fault
+  reports. The pool retires the dead worker and respawns the slot on
+  the next map.
 - ``close()``/``stop()`` terminates the pool and unlinks every segment
   this executor published; KeyboardInterrupt mid-map kills the pool
   promptly (no orphans) and an ``atexit`` sweep in :mod:`repro.core.shm`
@@ -58,17 +66,16 @@ Process-backend ground rules (docs/executors.md has the full story):
 from __future__ import annotations
 
 import functools
-import itertools
 import multiprocessing
 import os
 import pickle
-import queue as queue_mod
 import threading
 import time
 import traceback
 import weakref
 from abc import ABC, abstractmethod
 from concurrent.futures import ThreadPoolExecutor
+from multiprocessing.connection import wait
 from typing import Any, Callable, Sequence
 
 from repro.sanitizer.runtime import get_sanitizer
@@ -97,7 +104,7 @@ BACKENDS = ("serial", "thread", "process")
 _MASK64 = (1 << 64) - 1
 
 #: Pooled payloads above this size prefer fork-inheritance (zero-copy)
-#: over being shipped once per worker through the task queues.
+#: over being shipped once per worker through the worker pipes.
 _POOL_PAYLOAD_LIMIT = 4 << 20
 
 
@@ -406,16 +413,19 @@ class ThreadExecutor(Executor):
 # process backend
 # ----------------------------------------------------------------------
 
-#: Jobs awaiting pickup by freshly forked workers (the legacy fallback
-#: path for unpicklable payloads). Under the ``fork`` start method the
-#: (fn, items) payload is *inherited* through process memory rather
-#: than pickled, which is what lets closures over driver state (RDD
-#: lineage, broadcast tables) run in workers unmodified. Keyed by a job
-#: token so concurrent maps (Spark jobs run from many threads) never
-#: collide; entries are removed once workers have forked.
-_FORK_JOBS: dict[int, tuple[Callable[[int, Any], Any], Sequence[Any]]] = {}
-_FORK_LOCK = threading.Lock()
-_FORK_TOKENS = iter(range(1, 1 << 62))
+#: Held from creating a worker's pipe until the driver has closed its
+#: copy of the worker's end, so no worker started concurrently (Spark
+#: runs jobs from many threads) inherits that copy through ``fork``. A
+#: leaked copy would keep the pipe open after the worker dies, and the
+#: driver would wait for the rest of a message cut short by the death.
+_START_LOCK = threading.Lock()
+
+#: The longest the collect loop blocks at once. Nothing is polled on
+#: this beat; it only returns control to the interpreter, which runs a
+#: pending KeyboardInterrupt only between bytecodes (a signal caught by
+#: another thread, or ``_thread.interrupt_main``, does not wake the
+#: blocked ``wait``).
+_WAKE_S = 0.1
 
 
 def _encode_error(exc: BaseException) -> tuple[bytes | None, str, str]:
@@ -439,84 +449,168 @@ def _run_chunk(
     return out
 
 
-def _put_chunk(
-    result_queue: Any, worker_id: int, job_id: int, chunk_id: int,
-    results: list[tuple[int, bool, Any]],
-) -> None:
-    """Ship one chunk's results home; unpicklable results degrade to errors."""
+def _send_chunk(conn: Any, results: list[tuple[int, bool, Any]]) -> None:
+    """Ship one chunk's results home; unpicklable results degrade to errors.
+
+    ``send`` pickles the whole message before writing a byte, so a
+    pickling failure leaves the pipe clean for the substitute.
+    """
     try:
-        result_queue.put(("chunk", worker_id, job_id, chunk_id, results))
+        conn.send(results)
     except Exception as exc:  # unpicklable result: report, don't die
-        substitute = [
+        conn.send([
             (i, False, (None, f"result of task {i} could not be pickled: {exc}", ""))
             for i, _ok, _val in results
-        ]
-        result_queue.put(("chunk", worker_id, job_id, chunk_id, substitute))
+        ])
 
 
-def _fork_worker_main(
-    worker_id: int,
-    job_token: int,
-    chunks: list[tuple[int, int, int]],
-    result_queue: Any,
+def _worker_main(
+    conn: Any,
+    job: tuple[Callable[[int, Any], Any], Sequence[Any], list[tuple[int, int, int]]]
+    | None = None,
 ) -> None:
-    """Legacy fork-path worker body: run inherited chunks, then sign off."""
-    from repro.core import shm as shm_mod
+    """The worker body for both dispatch paths; results go home on ``conn``.
 
-    shm_mod.forget_inherited_state()
-    fn, items = _FORK_JOBS[job_token]  # inherited via fork
-    for chunk_id, lo, hi in chunks:
-        _put_chunk(result_queue, worker_id, 0, chunk_id, _run_chunk(fn, items, lo, hi))
-    result_queue.put(("done", worker_id, 0))
-
-
-def _pool_worker_main(worker_id: int, task_queue: Any, result_queue: Any) -> None:
-    """Persistent pool worker: serve jobs until told to stop.
-
-    Each job message carries the pickled ``(fn, items)`` payload once
-    (tiny when inputs travel as :class:`SharedArrayRef` descriptors)
-    plus this worker's chunk list; chunk results stream home as they
-    complete, and a ``done`` message ends the job. Shared-memory
-    attachments are cached across jobs and closed on the way out.
+    A fork worker gets its ``(fn, items, chunks)`` job as inherited
+    ``Process`` args (never pickled under ``fork``), runs it and exits.
+    A pool worker serves ``(payload, chunks)`` messages — the pickled
+    ``(fn, items)``, tiny when inputs travel as :class:`SharedArrayRef`
+    descriptors, plus its chunk list — until a ``None`` stop message or
+    EOF. Either way the worker sends one message per chunk, in chunk
+    order. Shared-memory attachments are cached across jobs and closed
+    on the way out.
     """
     from repro.core import shm as shm_mod
 
     shm_mod.forget_inherited_state()
     try:
-        while True:
-            message = task_queue.get()
-            if message[0] == "stop":
-                break
-            _kind, job_id, payload, chunks = message
+        if job is not None:
+            fn, items, chunks = job
+            for _c, lo, hi in chunks:
+                _send_chunk(conn, _run_chunk(fn, items, lo, hi))
+            return
+        while (message := conn.recv()) is not None:
+            payload, chunks = message
             try:
-                fn, items = _loads_payload(payload)
+                fn, items = pickle.loads(payload)
             except BaseException as exc:  # noqa: BLE001 - reported per task
                 encoded = _encode_error(exc)
-                for chunk_id, lo, hi in chunks:
-                    result_queue.put((
-                        "chunk", worker_id, job_id, chunk_id,
-                        [(i, False, encoded) for i in range(lo, hi)],
-                    ))
-                result_queue.put(("done", worker_id, job_id))
+                for _c, lo, hi in chunks:
+                    conn.send([(i, False, encoded) for i in range(lo, hi)])
                 continue
-            for chunk_id, lo, hi in chunks:
-                _put_chunk(
-                    result_queue, worker_id, job_id, chunk_id,
-                    _run_chunk(fn, items, lo, hi),
-                )
-            result_queue.put(("done", worker_id, job_id))
+            for _c, lo, hi in chunks:
+                _send_chunk(conn, _run_chunk(fn, items, lo, hi))
+    except EOFError:
+        pass  # the driver closed its end
     finally:
         shm_mod.release_attachments()
+
+
+def _start_worker(
+    ctx: Any, w: int, job: tuple[Any, Any, Any] | None = None
+) -> tuple[Any, Any]:
+    """Start worker ``w`` on a private duplex pipe: (process, driver's end).
+
+    The driver closes its copy of the worker's end at once, so the
+    worker's death reads as EOF on the driver's end.
+    """
+    from repro.core.shm import share_resource_tracker
+
+    share_resource_tracker()
+    with _START_LOCK:
+        conn, worker_end = ctx.Pipe()
+        proc = ctx.Process(
+            target=_worker_main, args=(worker_end, job),
+            name=f"executor-worker-{w}", daemon=True,
+        )
+        try:
+            proc.start()
+        finally:
+            worker_end.close()
+    return proc, conn
+
+
+def _collect(
+    procs: list[Any], conns: list[Any], assignments: list[list[tuple[int, int, int]]]
+) -> tuple[dict[int, Any], dict[int, tuple[bytes | None, str, str]], list[tuple[int, int | None]]]:
+    """Receive every chunk of one map from its workers' pipes.
+
+    Worker ``w`` owes one message per chunk in ``assignments[w]``. The
+    driver blocks on the pipes and the process sentinels together, so
+    a result or a death wakes it at once. A worker is lost when its
+    pipe ends (EOF, or a message cut short by its death) or its process
+    exits with nothing left to read; its outstanding chunks go missing
+    and it is reported as ``(w, exitcode)``.
+    """
+    results: dict[int, Any] = {}
+    errors: dict[int, tuple[bytes | None, str, str]] = {}
+    crashed: list[tuple[int, int | None]] = []
+    owed = {w: len(chunks) for w, chunks in enumerate(assignments) if chunks}
+    while owed:
+        waitables = [conns[w] for w in owed] + [procs[w].sentinel for w in owed]
+        ready = set(wait(waitables, timeout=_WAKE_S))
+        for w in sorted(owed):
+            conn, proc = conns[w], procs[w]
+            if conn not in ready and proc.sentinel not in ready:
+                continue
+            try:
+                if not conn.poll():
+                    raise EOFError  # exited with nothing left in the pipe
+                chunk = conn.recv()
+            except (EOFError, OSError):
+                del owed[w]
+                proc.join(1.0)  # it is exiting; wait for the exit code
+                crashed.append((w, proc.exitcode))
+                continue
+            for index, ok, value in chunk:
+                (results if ok else errors)[index] = value
+            owed[w] -= 1
+            if not owed[w]:
+                del owed[w]
+    return results, errors, crashed
+
+
+def _reap(
+    procs: list[Any], conns: list[Any], grace: float, slots: Sequence[int] | None = None
+) -> None:
+    """Stop the workers in ``slots`` (default: all) and empty those slots.
+
+    Each gets a ``None`` stop message (fork workers never read it) and
+    ``grace`` seconds in all to exit; stragglers are terminated, then
+    killed, and the driver's pipe ends closed. The one teardown path for
+    :meth:`ProcessExecutor.close`, the GC backstop, the interrupt kill,
+    crash retirement and the fork map's join. Idempotent.
+    """
+    slots = range(len(procs)) if slots is None else slots
+    for w in slots:
+        if conns[w] is not None:
+            try:
+                conns[w].send(None)
+            except OSError:
+                pass  # the worker is gone
+    deadline = time.monotonic() + grace
+    for w in slots:
+        proc = procs[w]
+        if proc is not None:
+            proc.join(max(0.0, deadline - time.monotonic()))
+            if proc.is_alive():
+                proc.terminate()
+                proc.join(1.0)
+            if proc.is_alive():  # pragma: no cover - SIGTERM-proof task
+                proc.kill()
+                proc.join(0.5)
+        if conns[w] is not None:
+            conns[w].close()
+        procs[w] = conns[w] = None
 
 
 def _shutdown_pool(
     lock: threading.RLock,
     workers: list[Any],
-    task_queues: list[Any],
-    result_box: list[Any],
+    conns: list[Any],
     segments: dict[str, Any],
 ) -> None:
-    """Stop pool workers, drop queues, unlink segments (idempotent).
+    """Stop pool workers and unlink segments (idempotent).
 
     Module-level over the executor's *containers* (not the executor)
     so a ``weakref.finalize`` can run it when an un-closed executor is
@@ -524,33 +618,7 @@ def _shutdown_pool(
     uses, keeping dropped pools from idling forever.
     """
     with lock:
-        for w in range(len(workers)):
-            proc, task_queue = workers[w], task_queues[w]
-            if proc is not None and proc.is_alive() and task_queue is not None:
-                try:
-                    task_queue.put(("stop",))
-                except Exception:  # pragma: no cover - queue torn down
-                    pass
-        for w in range(len(workers)):
-            proc = workers[w]
-            if proc is None:
-                continue
-            proc.join(timeout=1.0)
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=1.0)
-            if proc.is_alive():  # pragma: no cover - SIGTERM-proof task
-                proc.kill()
-                proc.join(timeout=0.5)
-            workers[w] = None
-            task_queue, task_queues[w] = task_queues[w], None
-            if task_queue is not None:
-                task_queue.cancel_join_thread()
-                task_queue.close()
-        result_queue, result_box[0] = result_box[0], None
-        if result_queue is not None:
-            result_queue.cancel_join_thread()
-            result_queue.close()
+        _reap(workers, conns, 1.0)
         leftovers = list(segments.values())
         segments.clear()
     for segment in leftovers:
@@ -572,11 +640,6 @@ def _dumps_payload(fn: Callable[[int, Any], Any], items: Sequence[Any]) -> bytes
         return cloudpickle.dumps((fn, items))
 
 
-def _loads_payload(payload: bytes | None) -> tuple[Callable[[int, Any], Any], Sequence[Any]]:
-    assert payload is not None
-    return pickle.loads(payload)
-
-
 class ProcessExecutor(Executor):
     """Real CPU parallelism: a persistent worker pool with zero-copy data.
 
@@ -585,27 +648,30 @@ class ProcessExecutor(Executor):
     the seed benchmarks measured is paid once, not per call. Each map
     picks its dispatch path:
 
-    - **pool** — the ``(fn, items)`` payload pickles and is small:
-      it is sent once per worker over that worker's task queue, chunks
-      stream back over a shared result queue. Publish numpy inputs with
-      :meth:`publish` so the payload stays descriptor-sized.
-    - **fork** (legacy fallback, ``fork`` platforms only) — the payload
-      does not pickle (driver-state closures) or is large enough that
-      inheritance is cheaper: fresh workers fork for this map and
-      inherit the payload through process memory, exactly the pre-pool
-      behaviour.
+    - **pool** — the ``(fn, items)`` payload pickles and is at most
+      4 MiB: it is sent once to each warm worker. Publish numpy inputs
+      with :meth:`publish` so the payload stays descriptor-sized.
+    - **fork** (``fork`` platforms only) — the only path for payloads
+      that do not pickle (closures over driver state), and the cheaper
+      one for oversized payloads: fresh workers fork for this map and
+      inherit ``(fn, items)`` through process memory.
 
-    ``chunks_per_worker`` controls batching on both paths: the item
-    range splits into at most ``num_workers * chunks_per_worker``
-    contiguous blocks (assigned round-robin), and **chunk fusion**
-    collapses small jobs to one chunk per worker so a 4-task job costs
-    4 messages, not 16. The chunk->index mapping is static, so results
-    are bit-identical to serial regardless of path or scheduling.
+    Every worker, pool or fork, talks to the driver over one private
+    duplex pipe, and one collect loop serves both paths.
+    ``chunks_per_worker`` controls batching: the item range splits into
+    at most ``num_workers * chunks_per_worker`` contiguous blocks
+    (assigned round-robin), and **chunk fusion** collapses small jobs to
+    one chunk per worker so a 4-task job costs 4 messages, not 16. The
+    chunk->index mapping is static, so results are bit-identical to
+    serial regardless of path or scheduling.
 
-    A crashed worker surfaces as :class:`WorkerCrashError`; the dead
-    slot respawns on the next map. KeyboardInterrupt kills the pool
-    promptly (no orphaned children). ``close()``/``stop()`` terminates
-    the pool and unlinks every published segment; both are idempotent.
+    A worker that dies — before, during or after writing a chunk's
+    results — loses every chunk it had not fully delivered: the map
+    raises :class:`WorkerCrashError` once the other workers finish, and
+    the dead pool slot respawns on the next map. KeyboardInterrupt kills
+    the workers promptly (no orphaned children). ``close()``/``stop()``
+    terminates the pool and unlinks every published segment; both are
+    idempotent.
     """
 
     name = "process"
@@ -632,25 +698,14 @@ class ProcessExecutor(Executor):
         self._owner_pid = os.getpid()
         self._pool_lock = threading.RLock()
         self._workers: list[Any] = [None] * self.num_workers
-        self._task_queues: list[Any] = [None] * self.num_workers
-        self._result_box: list[Any] = [None]
-        self._job_ids = itertools.count(1)
+        self._conns: list[Any] = [None] * self.num_workers
         self._segments: dict[str, Any] = {}
         self._closed = False
         # GC backstop: an executor dropped without close() still stops
         # its pool and unlinks its segments (cf. multiprocessing.Pool).
         self._finalizer = weakref.finalize(
-            self, _shutdown_pool, self._pool_lock,
-            self._workers, self._task_queues, self._result_box, self._segments,
+            self, _shutdown_pool, self._pool_lock, self._workers, self._conns, self._segments,
         )
-
-    @property
-    def _result_queue(self) -> Any:
-        return self._result_box[0]
-
-    @_result_queue.setter
-    def _result_queue(self, value: Any) -> None:
-        self._result_box[0] = value
 
     # ------------------------------------------------------------------
     # zero-copy publication
@@ -718,7 +773,7 @@ class ProcessExecutor(Executor):
     ) -> bytes | None:
         """The pooled payload, or None when the fork path should run.
 
-        Under ``spawn`` there is no fork fallback, so an unpicklable
+        Under ``spawn`` there is no fork path, so an unpicklable
         payload raises the clear error from :func:`_dumps_payload`.
         """
         if self.start_method != "fork":
@@ -779,239 +834,52 @@ class ProcessExecutor(Executor):
         return [results[i] for i in range(n)]
 
     # ------------------------------------------------------------------
-    # pooled dispatch
+    # dispatch
     # ------------------------------------------------------------------
-    def _ensure_pool(self) -> None:
-        """Spawn missing workers (first map, or respawn after a crash)."""
-        from repro.core.shm import share_resource_tracker
-
-        if self._result_queue is None:
-            self._result_queue = self._ctx.Queue()
-        for w in range(self.num_workers):
-            proc = self._workers[w]
-            if proc is not None and proc.is_alive():
-                continue
-            share_resource_tracker()
-            task_queue = self._ctx.Queue()
-            proc = self._ctx.Process(
-                target=_pool_worker_main,
-                args=(w, task_queue, self._result_queue),
-                name=f"executor-worker-{w}",
-                daemon=True,
-            )
-            proc.start()
-            self._workers[w] = proc
-            self._task_queues[w] = task_queue
-
     def _map_pool(self, payload: bytes, n: int) -> list[Any]:
         with self._pool_lock:
             self._check_open()
-            self._ensure_pool()
-            job_id = next(self._job_ids)
+            for w, proc in enumerate(self._workers):
+                # Spawn missing workers (first map, or a slot that died).
+                if proc is None or not proc.is_alive():
+                    _reap(self._workers, self._conns, 0.0, [w])
+                    self._workers[w], self._conns[w] = _start_worker(self._ctx, w)
             assignments = self._chunk_assignments(n)
-            active = {w for w in range(self.num_workers) if assignments[w]}
-            for w in sorted(active):
-                self._task_queues[w].put(("job", job_id, payload, assignments[w]))
             try:
-                results, errors, crashed = self._collect_pool(job_id, active)
+                for w, chunks in enumerate(assignments):
+                    if chunks:
+                        try:
+                            self._conns[w].send((payload, chunks))
+                        except OSError:
+                            pass  # died since the check: _collect sees its EOF
+                results, errors, crashed = _collect(self._workers, self._conns, assignments)
             except BaseException:
                 # KeyboardInterrupt / cancellation mid-collect: workers
                 # may be wedged in a task — kill the pool now, re-raise
                 # with no orphans. The next map respawns a fresh pool.
-                self._kill_pool()
+                _reap(self._workers, self._conns, 0.0)
                 raise
+            _reap(self._workers, self._conns, 0.0, [w for w, _ in crashed])
         return self._finalize(results, errors, crashed, n)
 
-    def _collect_pool(
-        self, job_id: int, pending: set[int]
-    ) -> tuple[dict[int, Any], dict[int, tuple[bytes | None, str, str]], list[tuple[int, int | None]]]:
-        """Drain this job's results until every active worker signed off
-        or died; dead workers are retired (respawned on the next map)."""
-        results: dict[int, Any] = {}
-        errors: dict[int, tuple[bytes | None, str, str]] = {}
-        crashed: list[tuple[int, int | None]] = []
-        while pending:
-            try:
-                message = self._result_queue.get(timeout=0.05)
-            except queue_mod.Empty:
-                for w in sorted(pending):
-                    proc = self._workers[w]
-                    if proc is not None and proc.is_alive():
-                        continue
-                    # Late messages may still sit in the pipe: give the
-                    # queue one grace pass before declaring the loss.
-                    deadline = time.monotonic() + 0.25
-                    drained = False
-                    while time.monotonic() < deadline:
-                        try:
-                            late = self._result_queue.get(timeout=0.05)
-                        except queue_mod.Empty:
-                            continue
-                        self._apply(late, job_id, results, errors, pending)
-                        drained = True
-                        break
-                    if drained and w not in pending:
-                        continue
-                    if not drained:
-                        pending.discard(w)
-                        crashed.append((w, proc.exitcode if proc is not None else None))
-                        self._retire_worker(w)
-                continue
-            self._apply(message, job_id, results, errors, pending)
-        return results, errors, crashed
-
-    @staticmethod
-    def _apply(
-        message: tuple[Any, ...],
-        job_id: int,
-        results: dict[int, Any],
-        errors: dict[int, tuple[bytes | None, str, str]],
-        pending: set[int],
-    ) -> None:
-        kind = message[0]
-        if message[2] != job_id:
-            return  # stale message from an interrupted earlier job
-        if kind == "chunk":
-            for index, ok, value in message[4]:
-                if ok:
-                    results[index] = value
-                else:
-                    errors[index] = value
-        elif kind == "done":
-            pending.discard(message[1])
-
-    def _retire_worker(self, w: int) -> None:
-        """Forget a dead worker's slot so the next map respawns it."""
-        proc, self._workers[w] = self._workers[w], None
-        task_queue, self._task_queues[w] = self._task_queues[w], None
-        if proc is not None:
-            proc.join(timeout=0.1)
-        if task_queue is not None:
-            task_queue.cancel_join_thread()
-            task_queue.close()
-
-    def _kill_pool(self) -> None:
-        """Terminate every pool worker promptly (interrupt/cancel path)."""
-        for w in range(self.num_workers):
-            proc = self._workers[w]
-            if proc is None:
-                continue
-            if proc.is_alive():
-                proc.terminate()
-            proc.join(timeout=1.0)
-            if proc.is_alive():  # pragma: no cover - SIGTERM-proof task
-                proc.kill()
-                proc.join(timeout=1.0)
-            self._workers[w] = None
-            task_queue, self._task_queues[w] = self._task_queues[w], None
-            if task_queue is not None:
-                task_queue.cancel_join_thread()
-                task_queue.close()
-        if self._result_queue is not None:
-            # The feeder thread may hold buffered results for dead
-            # readers; don't let its join block the unwind.
-            self._result_queue.cancel_join_thread()
-            self._result_queue.close()
-            self._result_queue = None
-
-    # ------------------------------------------------------------------
-    # legacy fork dispatch (unpicklable / oversized payloads)
-    # ------------------------------------------------------------------
     def _map_fork(
         self, fn: Callable[[int, Any], Any], items: Sequence[Any], n: int
     ) -> list[Any]:
-        from repro.core.shm import share_resource_tracker
-
-        share_resource_tracker()
         assignments = self._chunk_assignments(n)
-        num_active = sum(1 for a in assignments if a)
-
-        token = next(_FORK_TOKENS)
-        with _FORK_LOCK:
-            _FORK_JOBS[token] = (fn, items)
-
-        result_queue = self._ctx.Queue()
-        workers = [
-            self._ctx.Process(
-                target=_fork_worker_main,
-                args=(w, token, assignments[w], result_queue),
-                name=f"executor-worker-{w}",
-                daemon=True,
-            )
-            for w in range(num_active)
-        ]
+        procs: list[Any] = []
+        conns: list[Any] = []
+        grace = 0.0  # an interrupt or failed start: terminate at once
         try:
-            for p in workers:
-                p.start()
+            for w, chunks in enumerate(assignments):
+                if chunks:
+                    proc, conn = _start_worker(self._ctx, w, (fn, items, chunks))
+                    procs.append(proc)
+                    conns.append(conn)
+            results, errors, crashed = _collect(procs, conns, assignments)
+            grace = 5.0  # every chunk is home: let the workers exit
         finally:
-            # Forked children hold their inherited copy; drop ours.
-            with _FORK_LOCK:
-                _FORK_JOBS.pop(token, None)
-
-        interrupted = False
-        try:
-            results, errors, crashed = self._collect_fork(workers, result_queue)
-        except BaseException:
-            # KeyboardInterrupt / cancellation mid-collect: the workers
-            # may be wedged in a task, so don't grant them the graceful
-            # join window — terminate now and re-raise with no orphans.
-            interrupted = True
-            raise
-        finally:
-            for p in workers:
-                if interrupted:
-                    if p.is_alive():
-                        p.terminate()
-                    p.join(timeout=1.0)
-                    if p.is_alive():  # pragma: no cover - SIGTERM-proof task
-                        p.kill()
-                        p.join(timeout=1.0)
-                else:
-                    p.join(timeout=5.0)
-                    if p.is_alive():  # pragma: no cover - stuck worker backstop
-                        p.terminate()
-                        p.join(timeout=1.0)
-            result_queue.close()
-            if interrupted:
-                # The feeder thread may hold buffered results for dead
-                # readers; don't let its join block the unwind.
-                result_queue.cancel_join_thread()
-
+            _reap(procs, conns, grace)
         return self._finalize(results, errors, crashed, n)
-
-    def _collect_fork(
-        self, workers: list[Any], result_queue: Any
-    ) -> tuple[dict[int, Any], dict[int, tuple[bytes | None, str, str]], list[tuple[int, int | None]]]:
-        """Drain chunk results until every fork worker signed off or died."""
-        results: dict[int, Any] = {}
-        errors: dict[int, tuple[bytes | None, str, str]] = {}
-        pending = set(range(len(workers)))
-        crashed: list[tuple[int, int | None]] = []
-        while pending:
-            try:
-                message = result_queue.get(timeout=0.05)
-            except queue_mod.Empty:
-                for w in sorted(pending):
-                    proc = workers[w]
-                    if not proc.is_alive():
-                        deadline = time.monotonic() + 0.25
-                        drained = False
-                        while time.monotonic() < deadline:
-                            try:
-                                late = result_queue.get(timeout=0.05)
-                            except queue_mod.Empty:
-                                continue
-                            self._apply(late, 0, results, errors, pending)
-                            drained = True
-                            break
-                        if drained and w not in pending:
-                            continue
-                        if not drained:
-                            pending.discard(w)
-                            crashed.append((w, proc.exitcode))
-                continue
-            self._apply(message, 0, results, errors, pending)
-        return results, errors, crashed
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -1020,10 +888,7 @@ class ProcessExecutor(Executor):
         """Stop the pool and unlink every published segment (idempotent)."""
         with self._pool_lock:
             self._closed = True
-        _shutdown_pool(
-            self._pool_lock,
-            self._workers, self._task_queues, self._result_box, self._segments,
-        )
+        self._finalizer()
 
     def __repr__(self) -> str:
         return (

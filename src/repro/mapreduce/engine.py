@@ -60,7 +60,7 @@ class MapReduce:
         #: :mod:`repro.core.executor` workers — pair order and therefore
         #: all results stay bit-identical (tasks emit into private
         #: KeyValues, merged in task order). A live :class:`Executor`
-        #: may be passed instead of a name (e.g. a warm
+        #: may be passed instead of a name (e.g. one
         #: ``ProcessExecutor`` shared across engines); it is then the
         #: caller's to close.
         if isinstance(backend, Executor):
@@ -80,11 +80,12 @@ class MapReduce:
         self.last_shuffle_sent = 0
 
     def _local_executor(self) -> "Executor":
-        """This engine's cached executor — created once, reused warm.
+        """This engine's cached executor — created once per engine.
 
-        A process-backend engine keeps one persistent worker pool for
-        its lifetime instead of forking per phase; :meth:`close`
-        releases it (GC backstops an engine dropped without closing).
+        :meth:`_run_local`'s task body is a closure, so on the process
+        backend every phase takes the executor's fork path (fresh
+        workers per map). :meth:`close` releases the executor (GC
+        backstops an engine dropped without closing).
         """
         if self._executor is None:
             self._executor = get_executor(self.backend, self.num_workers)

@@ -193,16 +193,11 @@ class JobContext:
         name: str,
         submission: int,
         cancel_event: threading.Event,
-        executor: Any | None = None,
     ) -> None:
         self.tenant = tenant
         self.name = name
         self.submission = submission
         self.cancel_event = cancel_event
-        #: The service's shared process-backend executor pool (None when
-        #: the service runs without one). Owned by the service: jobs
-        #: borrow it, the service closes it at shutdown.
-        self.executor = executor
         self._contexts: list[Any] = []
         self._lock = threading.Lock()
 
@@ -226,11 +221,6 @@ class JobContext:
         from repro.spark import SparkContext
 
         kwargs.setdefault("name", f"serve-{self.tenant}-j{self.submission}")
-        if self.executor is not None and kwargs.get("backend") == "process":
-            # Process-backend contexts share the service's warm pool
-            # instead of each spawning their own (stop() leaves a
-            # shared pool running — it is the service's to close).
-            kwargs.setdefault("executor", self.executor)
         sc = SparkContext(num_workers, cancel_token=self.cancel_event, **kwargs)
         with self._lock:
             self._contexts.append(sc)
@@ -379,14 +369,6 @@ class JobService:
         None (the usual no-plan hot path: one ``is None`` test per seam).
     clock:
         Injectable monotonic clock (tests pin deadlines without sleeping).
-    executor_pool:
-        When set, the service owns one shared
-        :class:`~repro.core.executor.ProcessExecutor` with that many
-        workers; process-backend Spark contexts created through
-        :meth:`JobContext.spark_context` borrow it (one warm pool for
-        the whole service instead of a pool per job), and jobs can use
-        it directly via ``ctx.executor``. Closed at :meth:`shutdown`.
-        None (the default) keeps the per-context behaviour.
     """
 
     def __init__(
@@ -405,7 +387,6 @@ class JobService:
         fault_plan: ServeFaultPlan | None = None,
         watchdog_interval: float = 0.002,
         clock: Callable[[], float] = time.monotonic,
-        executor_pool: int | None = None,
     ) -> None:
         self.num_workers = require_positive_int("num_workers", num_workers)
         self.max_retries = require_nonnegative_int("max_retries", max_retries)
@@ -438,12 +419,6 @@ class JobService:
         self._shutdown_done = False
         self._watchdog_interval = watchdog_interval
         self._watchdog_wake = threading.Event()
-        self.executor = None
-        if executor_pool is not None:
-            from repro.core.executor import ProcessExecutor
-
-            require_positive_int("executor_pool", executor_pool)
-            self.executor = ProcessExecutor(executor_pool)
         self._threads = [
             threading.Thread(target=self._worker_loop, args=(w,),
                              name=f"serve-worker-{w}", daemon=True)
@@ -657,10 +632,7 @@ class JobService:
             return
         self._watchdog_wake.set()
         tracer = get_tracer()
-        ctx = JobContext(
-            record.tenant, record.name, record.submission, record.cancel_event,
-            executor=self.executor,
-        )
+        ctx = JobContext(record.tenant, record.name, record.submission, record.cancel_event)
         try:
             if tracer.enabled:
                 with tracer.scope(f"serve.j{record.submission}"):
@@ -845,9 +817,6 @@ class JobService:
         self._shutdown_done = True
         self._watchdog_wake.set()
         self._watchdog.join(timeout=5.0)
-        executor, self.executor = self.executor, None
-        if executor is not None:
-            executor.close()
 
     def __enter__(self) -> "JobService":
         return self

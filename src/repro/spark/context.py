@@ -176,7 +176,6 @@ class SparkContext:
         verify_reads: bool = False,
         spill_dir: str | Path | None = None,
         cancel_token: Any | None = None,
-        executor: Executor | None = None,
     ) -> None:
         self.num_workers = require_positive_int("num_workers", num_workers)
         self.default_partitions = default_partitions or num_workers
@@ -226,15 +225,10 @@ class SparkContext:
         self._spill_fired: dict[tuple[int, int], int] = {}
         # --- cooperative cancellation (the serve tier's hook) ---
         self._cancel_token = cancel_token if cancel_token is not None else threading.Event()
-        # --- process-backend worker pool ---
-        # One persistent ProcessExecutor per context (created lazily on
-        # the first process-backend job, reused warm across jobs, closed
-        # by stop()) — or a caller-shared pool (e.g. the serve tier's),
-        # which outlives this context and is the caller's to close.
-        if executor is not None and not isinstance(executor, Executor):
-            raise TypeError(f"executor must be an Executor, got {type(executor).__name__}")
-        self._executor = executor
-        self._owns_executor = executor is None
+        # --- process-backend executor ---
+        # One ProcessExecutor per context, created lazily on the first
+        # process-backend job and closed by stop().
+        self._executor: Executor | None = None
 
     # ------------------------------------------------------------------
     # ingest
@@ -525,9 +519,9 @@ class SparkContext:
         """Map ``body`` over ``items`` in worker processes, recovering
         lost results on the driver when a worker dies mid-job.
 
-        The context's executor persists across jobs (task bodies close
-        over live lineage, so they ship via the executor's fork path —
-        forked workers always see the driver state as of *this* job).
+        Task bodies close over live lineage, so they never pickle and
+        always take the executor's fork path: fresh workers per job that
+        see the driver state as of *this* job.
         """
         executor = self._process_executor()
         try:
@@ -546,7 +540,7 @@ class SparkContext:
             return [outcomes[i] for i in range(len(items))]
 
     def _process_executor(self) -> Executor:
-        """The context's (or the caller-shared) process-backend executor."""
+        """The context's process-backend executor."""
         if self._executor is None:
             self._executor = ProcessExecutor(self.num_workers, start_method="fork")
         return self._executor
@@ -813,7 +807,7 @@ class SparkContext:
             return
         self._stopped = True
         executor, self._executor = self._executor, None
-        if executor is not None and self._owns_executor:
+        if executor is not None:
             executor.close()
 
     def _check_alive(self) -> None:

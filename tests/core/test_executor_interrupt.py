@@ -35,14 +35,18 @@ def _no_executor_workers(timeout: float = 5.0) -> bool:
 
 
 class TestInterruptCleanup:
-    def test_keyboard_interrupt_terminates_workers_and_reraises(self):
+    @pytest.mark.parametrize("path", ["pool", "fork"])
+    def test_keyboard_interrupt_terminates_workers_and_reraises(self, path):
         executor = ProcessExecutor(2, chunks_per_worker=1)
+        # A module-level task pickles (pool path); a closure does not
+        # (fork path).
+        task = _hang if path == "pool" else (lambda i, x: _hang(i, x))
         timer = threading.Timer(0.5, _thread.interrupt_main)
         timer.start()
         start = time.monotonic()
         try:
             with pytest.raises(KeyboardInterrupt):
-                executor.map(_hang, list(range(2)))
+                executor.map(task, list(range(2)))
         finally:
             timer.cancel()
         elapsed = time.monotonic() - start

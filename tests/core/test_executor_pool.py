@@ -12,11 +12,16 @@ from __future__ import annotations
 import functools
 import os
 import pickle
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core.executor import (
+    _POOL_PAYLOAD_LIMIT,
     ProcessExecutor,
     SharedArrayRef,
     WorkerCrashError,
@@ -26,6 +31,10 @@ from repro.core.shm import SEGMENT_PREFIX
 
 def _task_pid(_i, _item):
     return os.getpid()
+
+
+def _pid_and_size(blob, _i, _item):
+    return os.getpid(), len(blob)
 
 
 def _crash_on(victim, i, item):
@@ -55,14 +64,22 @@ class TestWarmPool:
                 assert again == first  # warm start: no new forks
             assert os.getpid() not in first
 
-    def test_fork_path_uses_fresh_workers(self):
-        state = {"x": 1}  # closure -> unpicklable payload -> fork path
+    @pytest.mark.parametrize("payload", ["closure", "oversized"])
+    def test_fork_path_uses_fresh_workers(self, payload):
+        if payload == "closure":
+            state = {"x": 1}  # closure -> unpicklable payload -> fork path
+            task, expected = (lambda i, _: (os.getpid(), state["x"])), 1
+        else:  # picklable, but above the pool's payload limit
+            blob = b"x" * (_POOL_PAYLOAD_LIMIT + 1)
+            task, expected = functools.partial(_pid_and_size, blob), len(blob)
         with ProcessExecutor(2) as ex:
-            a = set(ex.map(lambda i, _: (os.getpid(), state["x"]), range(4)))
-            b = set(ex.map(lambda i, _: (os.getpid(), state["x"]), range(4)))
+            a = set(ex.map(task, range(4)))
+            b = set(ex.map(task, range(4)))
+            assert {value for _, value in a | b} == {expected}
             assert not (
                 {pid for pid, _ in a} & {pid for pid, _ in b}
             )  # fresh forks per map
+            assert os.getpid() not in {pid for pid, _ in a | b}
 
     def test_map_after_close_raises(self):
         ex = ProcessExecutor(2)
@@ -90,6 +107,67 @@ class TestCrashRespawn:
             # The dead slot respawns lazily: the next map still works.
             assert ex.map(_task_pid, range(8))
             assert set(ex.map(lambda i, x: x * 2, range(4))) == {0, 2, 4, 6}
+
+
+_MID_WRITE_SCRIPT = """
+import functools, os, sys, threading, time
+from repro.core.executor import ProcessExecutor, WorkerCrashError
+
+def crash(delay, during, i, _item):
+    if i == 0:  # chunk 0: a result big enough to take a while to write
+        if during:  # die halfway through writing it
+            threading.Timer(delay, os._exit, (7,)).start()
+        return b"x" * (32 << 20)
+    if i == 2:  # chunk 1: die while chunk 0 may still be in flight
+        time.sleep(delay)
+        os._exit(7)
+    return i
+
+def double(_i, item):
+    return 2 * item
+
+with ProcessExecutor(1, chunks_per_worker=2) as ex:
+    for during in (False, True):
+        for delay in (0.04, 0.06, 0.1):
+            task, check = functools.partial(crash, delay, during), double
+            if sys.argv[1] == "fork":  # closures never pickle: fork path
+                task = (lambda t: lambda i, x: t(i, x))(task)
+                check = lambda _i, x: 2 * x
+            try:
+                ex.map(task, range(3))
+            except WorkerCrashError as err:
+                assert err.exitcode == 7 and 2 in err.missing, err
+            else:
+                raise AssertionError("the map survived a worker death")
+            assert ex.map(check, range(5)) == [0, 2, 4, 6, 8]
+print("ok")
+"""
+
+
+class TestDeathMidResultWrite:
+    """A worker that dies while a big chunk result may still be in flight
+    costs only its undelivered chunks: the map raises WorkerCrashError
+    and the same executor keeps working. The scenario runs in a child
+    interpreter with a timeout, so a hang fails the test instead of
+    stalling the suite."""
+
+    @pytest.mark.parametrize("path", ["pool", "fork"])
+    def test_crash_surfaces_and_the_executor_recovers(self, path):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = "src" + os.pathsep + env.get("PYTHONPATH", "")
+        child = subprocess.Popen(
+            [sys.executable, "-c", _MID_WRITE_SCRIPT, path],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+            cwd=Path(__file__).parents[2], start_new_session=True,
+        )
+        try:
+            out, err = child.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(child.pid, signal.SIGKILL)  # the workers too
+            child.communicate()
+            pytest.fail(f"{path} path hung after a worker died mid-write")
+        assert child.returncode == 0, err
+        assert out.strip() == "ok"
 
 
 class TestPublish:

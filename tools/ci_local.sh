@@ -104,7 +104,9 @@ if [ "${1:-}" = "--pool" ]; then
         tests/core/test_executor_pool.py \
         tests/core/test_shm_lifecycle.py \
         tests/core/test_executor_determinism.py \
-        tests/core/test_executor_interrupt.py
+        tests/core/test_executor_interrupt.py \
+        tests/spark/test_executor_backends.py \
+        tests/mapreduce/test_executor_backend.py
     echo "== executor pool speedup gates (skip-with-record < 4 cores) =="
     python -m pytest -q -rs benchmarks/test_executor_backends.py
 fi
