@@ -7,12 +7,13 @@ score-related is integer arithmetic defined **once**, here:
 
 - :class:`ScoringScheme` — match / mismatch / gap scores plus the
   ``"global"`` (Needleman–Wunsch) vs ``"local"`` (Smith–Waterman) mode;
-- :func:`cell_score` — the scalar recurrence for one cell (the numpy
-  kernel in :mod:`repro.align.sequential` is its vectorized twin,
-  asserted equal in ``tests/align``);
-- :func:`sweep_cells` — the one per-cell loop over :func:`cell_score`;
-  the python oracle, the OpenMP, MPI and executor walkers differ only
-  in which cells they hand it;
+- :func:`sweep_cells` — the one per-cell loop, and the one place the
+  scalar recurrence is written (the numpy kernel in
+  :mod:`repro.align.sequential` is its vectorized twin, asserted equal
+  in ``tests/align``); the python oracle, the OpenMP, MPI and executor
+  walkers differ only in which cells they hand it;
+- :func:`cell_score` — the recurrence for one cell, as a one-cell
+  :func:`sweep_cells`;
 - :func:`in_band` / :func:`diagonal_row_range` / :func:`diagonal_cells`
   / :func:`band_cells` — banded-DP geometry, shared by the walkers;
 - :func:`summarize_matrix` — the derived statistics (best cell, match
@@ -198,17 +199,12 @@ def cell_score(diag: int, up: int, left: int, equal: bool, scheme: ScoringScheme
     the characters are equal **and** the cell's value equals the
     diagonal-match candidate — the statistic the rung ladder counts.
     Out-of-band predecessors arrive as :data:`OUT_OF_BAND` and lose
-    every ``max`` on their own.
+    every ``max`` on their own. A one-cell :func:`sweep_cells`, which
+    holds the recurrence.
     """
-    gap = scheme.gap
-    value = diag + (scheme.match if equal else scheme.mismatch)
-    if up + gap > value:
-        value = up + gap
-    if left + gap > value:
-        value = left + gap
-    if value < 0 and scheme.mode == "local":
-        value = 0
-    return value, (equal and value == diag + scheme.match)
+    rows = [[diag, up], [left, 0]]
+    events, _ = sweep_cells(rows, (0,), (0 if equal else 1,), ((1, 1),), scheme)
+    return rows[1][1], events == 1
 
 
 def sweep_cells(
@@ -220,13 +216,19 @@ def sweep_cells(
     ``rows`` is the DP matrix (or a block of it) as lists of plain ints;
     cell ``(i, j)`` reads ``rows[i-1][j-1]``, ``rows[i-1][j]`` and
     ``rows[i][j-1]`` and compares codes ``a[i-1]`` and ``b[j-1]``, so
-    the caller's order must put every predecessor first. ``best`` is the
-    ``(value, i, j)`` maximizing ``(value, -i, -j)`` over the swept
-    cells (``(OUT_OF_BAND, 0, 0)`` for none): the order
-    :func:`summarize_matrix` uses, so a full row-major sweep reproduces
-    its statistics. With a sanitizer ``san``, each cell makes three
-    ``align.H`` reads and one write, labelled with its coordinates.
+    the caller's order must put every predecessor first. Each cell takes
+    the best of the diagonal move (``match`` or ``mismatch``) and the
+    two ``gap`` moves, floored at zero in local mode; it is a match
+    event when the codes are equal and the value is the diagonal-match
+    candidate. ``best`` is the ``(value, i, j)`` maximizing ``(value,
+    -i, -j)`` over the swept cells (``(OUT_OF_BAND, 0, 0)`` for none):
+    the order :func:`summarize_matrix` uses, so a full row-major sweep
+    reproduces its statistics. With a sanitizer ``san``, each cell
+    makes three ``align.H`` reads and one write, labelled with its
+    coordinates.
     """
+    match, mismatch, gap = scheme.match, scheme.mismatch, scheme.gap
+    local = scheme.mode == "local"
     events = 0
     best_value, best_i, best_j = OUT_OF_BAND, 0, 0
     row_i = -1
@@ -240,11 +242,21 @@ def sweep_cells(
             san.mem_read(f"align.H[{i - 1},{j - 1}]", "align.wavefront:diag")
             san.mem_read(f"align.H[{i - 1},{j}]", "align.wavefront:up")
             san.mem_read(f"align.H[{i},{j - 1}]", "align.wavefront:left")
-        value, matched = cell_score(above[j - 1], above[j], row[j - 1], ai == b[j - 1], scheme)
+        diag = above[j - 1]
+        equal = ai == b[j - 1]
+        value = diag + match if equal else diag + mismatch
+        up = above[j] + gap
+        if up > value:
+            value = up
+        left = row[j - 1] + gap
+        if left > value:
+            value = left
+        if local and value < 0:
+            value = 0
         if san is not None:
             san.mem_write(f"align.H[{i},{j}]", "align.wavefront:write")
         row[j] = value
-        if matched:
+        if equal and value == diag + match:
             events += 1
         if value >= best_value and (value > best_value or (i, j) < (best_i, best_j)):
             best_value, best_i, best_j = value, i, j

@@ -50,8 +50,8 @@ def kmeans_device(
     - ``"block_reduce"`` — each block reduces locally, one global merge
       (the fast path on real devices for small-to-moderate k);
     - ``"global_atomic"`` — every point update hits the global
-      accumulators directly (one np.add.at per point row), modeling the
-      atomic-contention alternative.
+      accumulators directly (a Python loop adding one point row at a
+      time), modeling the atomic-contention alternative.
     """
     require_positive_int("block_size", block_size)
     if update_mode not in ("block_reduce", "global_atomic"):

@@ -13,7 +13,8 @@ selectable ``variant`` so correctness and cost can be compared:
   updates on adverse ones. Never use it for answers.
 - ``"critical"`` — one named critical section serializes every update
   (correct, maximally contended);
-- ``"atomic"`` — per-cluster atomic cells (correct, finer-grained);
+- ``"atomic"`` — per-cluster atomic cells, one guarded add per
+  non-empty cluster of a block (correct, finer-grained);
 - ``"reduction"`` — per-thread private sums merged once, in thread
   order (correct, contention-free, and deterministic).
 
@@ -21,9 +22,10 @@ selectable ``variant`` so correctness and cost can be compared:
 ``ALL_VARIANTS`` adds ``"racy"`` for the sanitizer suite.
 
 Only the body of one iteration is OpenMP: each thread runs the shared
-:func:`~repro.kmeans.sequential.assign_points` kernel on its static
-block, and the rungs differ in how the per-cluster sums meet. The means,
-histories, tracing and stop test are
+:func:`~repro.kmeans.sequential.assign_points` and
+:func:`~repro.kmeans.sequential.cluster_sums` kernels on its static
+block, and the rungs differ only in how the block partials meet. The
+means, histories, tracing and stop test are
 :func:`~repro.kmeans.sequential.lloyd`'s. So all variants produce
 identical assignments; centroid coordinates may differ across variants
 by float-addition order only. Shared cells carry
@@ -103,29 +105,35 @@ def kmeans_openmp(
             else:
                 changes_cell.add(local_changes)  # racy / atomic / reduction
 
-            # Phase 2: per-cluster sums/counts — the update race.
+            # Phase 2: per-cluster sums/counts — the update race. Every
+            # rung takes its block's partial with the shared kernel; they
+            # differ only in how that partial meets the shared arrays
+            # (added in place: the closure must not rebind them).
             if variant == "racy":
                 # Stage 1: the bug — bare read-modify-writes on shared arrays.
                 annotate_write("kmeans.sums", "kmeans.racy:sums")
                 annotate_write("kmeans.counts", "kmeans.racy:counts")
-                np.add.at(sums, new_local, block)
-                np.add.at(counts, new_local, 1)
+                block_sums, block_counts = cluster_sums(block, new_local, k)
+                sums[:] += block_sums
+                counts[:] += block_counts
             elif variant == "critical":
-                # Stage 2: one big critical region serializes all updates.
+                # Stage 2: one big critical region serializes all updates,
+                # the partial's computation included.
                 with ctx.critical("centroid-update"):
                     annotate_write("kmeans.sums", "kmeans.critical:sums")
                     annotate_write("kmeans.counts", "kmeans.critical:counts")
-                    np.add.at(sums, new_local, block)
-                    np.add.at(counts, new_local, 1)
+                    block_sums, block_counts = cluster_sums(block, new_local, k)
+                    sums[:] += block_sums
+                    counts[:] += block_counts
             elif variant == "atomic":
-                # Stage 3: per-cluster cells — finer-grained exclusion.
-                for c in range(k):
-                    members = block[new_local == c]
-                    if members.shape[0]:
-                        with cluster_cells[c].guarded():
-                            annotate_write(f"kmeans.sums[{c}]", "kmeans.atomic:sums")
-                            sums[c] += members.sum(axis=0)
-                            counts[c] += members.shape[0]
+                # Stage 3: per-cluster cells — finer-grained exclusion, one
+                # guarded add per non-empty cluster of the block.
+                block_sums, block_counts = cluster_sums(block, new_local, k)
+                for c in np.flatnonzero(block_counts):
+                    with cluster_cells[c].guarded():
+                        annotate_write(f"kmeans.sums[{c}]", "kmeans.atomic:sums")
+                        sums[c] += block_sums[c]
+                        counts[c] += block_counts[c]
             else:
                 # Stage 4: thread-private accumulators, merged after the join.
                 annotate_write(f"kmeans.sums:t{ctx.thread_id}", "kmeans.reduction:sums")

@@ -7,7 +7,9 @@ a statement about *every* instance, not a pinned example:
   (the scoring scheme is symmetric in its two inputs);
 - the optimal score is monotone non-decreasing in the match reward
   (every alignment's value is, so the max over alignments is);
-- a sequence aligned against itself scores the perfect-match value.
+- a sequence aligned against itself scores the perfect-match value;
+- the numpy and python kernels build the same matrix for any integer
+  scheme and band, and a row-major sweep yields its statistics.
 """
 
 import numpy as np
@@ -15,6 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.align import ScoringScheme, align_sequential, score_matrix
+from repro.align.scoring import (
+    band_cells, encode_sequence, init_matrix, summarize_matrix, sweep_cells,
+)
 
 dna = st.text(alphabet="ACGT", min_size=1, max_size=28)
 modes = st.sampled_from(["global", "local"])
@@ -60,11 +65,31 @@ def test_local_score_bounds(a, b):
     assert 0 <= score <= scheme.match * min(len(a), len(b))
 
 
-@given(a=dna, b=dna, mode=modes)
-@settings(max_examples=25, deadline=None)
-def test_kernels_agree_on_arbitrary_instances(a, b, mode):
-    scheme = ScoringScheme(mode=mode)
+scores = st.integers(min_value=-5, max_value=5)
+
+
+@given(
+    a=dna, b=dna, mode=modes, match=scores, mismatch=scores, gap=scores,
+    band_slack=st.none() | st.integers(min_value=0, max_value=6),
+)
+@settings(max_examples=60, deadline=None)
+def test_kernels_agree_on_arbitrary_instances(a, b, mode, match, mismatch, gap, band_slack):
+    # Any integer scheme, not just the default: the sweep reads the
+    # scheme's constants once, so a wrong hoist shows on some scheme.
+    scheme = ScoringScheme(match=match, mismatch=mismatch, gap=gap, mode=mode)
+    n, m = len(a), len(b)
+    band = None if band_slack is None else abs(n - m) + band_slack
+    matrix = score_matrix(a, b, scheme=scheme, band=band, kernel="numpy")
     np.testing.assert_array_equal(
-        score_matrix(a, b, scheme=scheme, kernel="numpy"),
-        score_matrix(a, b, scheme=scheme, kernel="python"),
+        matrix, score_matrix(a, b, scheme=scheme, band=band, kernel="python")
     )
+    # A full row-major sweep returns summarize_matrix's statistics.
+    a_codes, b_codes = encode_sequence(a), encode_sequence(b)
+    rows = init_matrix(n, m, scheme, band).tolist()
+    swept = sweep_cells(
+        rows, a_codes.tolist(), b_codes.tolist(), band_cells(1, n, 1, m, band), scheme
+    )
+    best_score, best_cell, match_events = summarize_matrix(
+        matrix, a_codes, b_codes, scheme, band
+    )
+    assert swept == (match_events, (best_score, *best_cell))

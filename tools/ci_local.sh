@@ -106,7 +106,9 @@ if [ "${1:-}" = "--pool" ]; then
         tests/core/test_executor_determinism.py \
         tests/core/test_executor_interrupt.py \
         tests/spark/test_executor_backends.py \
-        tests/mapreduce/test_executor_backend.py
+        tests/mapreduce/test_executor_backend.py \
+        tests/kmeans/test_parallel_kmeans.py \
+        tests/kmeans/test_cluster_sums.py
     echo "== executor pool speedup gates (skip-with-record < 4 cores) =="
     python -m pytest -q -rs benchmarks/test_executor_backends.py
 fi
