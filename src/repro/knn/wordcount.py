@@ -26,7 +26,17 @@ _WORD_RE = re.compile(r"[A-Za-z0-9']+")
 
 
 def tokenize(line: str) -> list[str]:
-    """Lowercased word tokens of one text line."""
+    """Lowercased word tokens of one text line.
+
+    An ASCII line is lowercased before the match: ``str.lower`` maps only
+    ``A-Z`` there, so the tokens are the same and one call replaces one
+    per word. Other lines lowercase each token after the match, because
+    lowercasing first can change the tokens: ``'\u0130'.lower()`` (capital
+    I with dot) adds a combining dot, and the Kelvin sign ``'\u212a'``
+    becomes ``'k'``, which joins the word next to it.
+    """
+    if line.isascii():
+        return _WORD_RE.findall(line.lower())
     return [w.lower() for w in _WORD_RE.findall(line)]
 
 

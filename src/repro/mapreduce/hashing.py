@@ -9,9 +9,13 @@ with BLAKE2b.
 
 The digest is the dominant per-record cost of a shuffle's map side, yet
 a map task sees far fewer distinct keys than records (a word count
-repeats a few hundred words tens of thousands of times).
-:func:`task_router` therefore routes each distinct key once per map task
-and looks every repeat up in a memo that dies with the task.
+repeats a few hundred words tens of thousands of times). So a map task
+routes each distinct key of a :data:`ROUTE_ONCE_TYPES` type once.
+``ShuffledRDD._map_one`` combines such keys in one dict before routing
+them. :func:`task_router` memoizes the answer for one task's records.
+It serves the routed paths: Spark's map side without combine, or after
+a key of another type turned up, and ``MapReduce.aggregate``'s default
+hash placement.
 """
 
 from __future__ import annotations
@@ -20,13 +24,14 @@ import hashlib
 import pickle
 from typing import Any, Callable
 
-__all__ = ["stable_hash", "partition_for", "task_router"]
+__all__ = ["stable_hash", "partition_for", "task_router", "ROUTE_ONCE_TYPES"]
 
-#: Key types whose ``==`` implies an identical canonical encoding, so a
-#: memo hit returns exactly what routing the key afresh would. Exact
-#: types only: ``1 == True == 1.0`` and ``0.0 == -0.0`` encode
-#: differently, as can an equal ``str`` subclass or mixed-type tuple.
-_MEMO_TYPES = frozenset((str, int, bytes))
+#: Key types whose ``==`` implies an identical canonical encoding, so
+#: equal keys route alike and one answer per distinct key is exactly
+#: what routing every record afresh gives. Exact types only:
+#: ``1 == True == 1.0`` and ``0.0 == -0.0`` encode differently, as can
+#: an equal ``str`` subclass or mixed-type tuple.
+ROUTE_ONCE_TYPES = frozenset((str, int, bytes))
 
 
 def _encode(key: Any, out: list[bytes]) -> None:
@@ -89,7 +94,7 @@ def task_router(route: Callable[[Any], int]) -> Callable[[Any], int]:
     memo: dict[Any, int] = {}
 
     def dest(key: Any) -> int:
-        if type(key) in _MEMO_TYPES:
+        if type(key) in ROUTE_ONCE_TYPES:
             try:
                 return memo[key]
             except KeyError:

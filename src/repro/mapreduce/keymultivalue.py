@@ -22,10 +22,16 @@ class KeyMultiValue:
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[Any, Any]]) -> "KeyMultiValue":
-        """Group a pair stream by key."""
+        """Group a pair stream by key: the same groups, in the same order,
+        as one :meth:`add` per pair, written inline."""
         kmv = cls()
+        groups = kmv._groups
         for key, value in pairs:
-            kmv.add(key, value)
+            group = groups.get(key)
+            if group is None:
+                groups[key] = [value]
+            else:
+                group.append(value)
         return kmv
 
     def add(self, key: Any, value: Any) -> None:

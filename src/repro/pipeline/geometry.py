@@ -4,7 +4,10 @@ The Figure 2 pipeline "identifies the spatial positions of all arrests"
 — i.e. assigns each arrest point to the Neighborhood Tabulation Area
 polygon containing it. Point-in-polygon is the classic even–odd ray
 cast, with a bounding-box pre-check that rejects far points before the
-ray cast. The join does not scan every polygon per point: it is indexed
+ray cast. Each polygon derives its non-horizontal edges once, at
+construction, in the form the ray cast reads; a horizontal edge can
+never straddle the ray, so dropping it changes no answer. The join does
+not scan every polygon per point: it is indexed
 by :class:`repro.pipeline.nyc.NTAIndex`, a uniform grid over the
 polygons' bounding boxes, and runs :meth:`Polygon.contains` only on the
 few polygons listed in the point's cell.
@@ -42,6 +45,13 @@ class Polygon:
         xs = [x for x, _ in self.vertices]
         ys = [y for _, y in self.vertices]
         self.bbox = BoundingBox(min(xs), min(ys), max(xs), max(ys))
+        # Edge (i, j) as (yi, yj, xi, xj - xi, yj - yi), ring order kept.
+        ring = self.vertices
+        self._edges = [
+            (yi, yj, xi, xj - xi, yj - yi)
+            for (xi, yi), (xj, yj) in zip(ring, ring[-1:] + ring[:-1])
+            if yi != yj
+        ]
 
     @classmethod
     def rectangle(cls, min_x: float, min_y: float, max_x: float, max_y: float) -> "Polygon":
@@ -52,20 +62,20 @@ class Polygon:
 
     def contains(self, x: float, y: float) -> bool:
         """Even–odd ray-cast membership (boundary points count as inside
-        on the lower/left edges, so tiles partition the plane cleanly)."""
-        if not self.bbox.contains(x, y):
+        on the lower/left edges, so tiles partition the plane cleanly).
+
+        Reads the edges derived at construction: the crossing is
+        ``dx * (y - yi) / dy + xi``, the same IEEE operations in the
+        same order as ``(xj - xi) * (y - yi) / (yj - yi) + xi`` over
+        the vertex ring, so every answer is the plain ray cast's.
+        """
+        box = self.bbox
+        if not (box.min_x <= x <= box.max_x and box.min_y <= y <= box.max_y):
             return False
         inside = False
-        verts = self.vertices
-        j = len(verts) - 1
-        for i in range(len(verts)):
-            xi, yi = verts[i]
-            xj, yj = verts[j]
-            if (yi > y) != (yj > y):
-                x_cross = (xj - xi) * (y - yi) / (yj - yi) + xi
-                if x < x_cross:
-                    inside = not inside
-            j = i
+        for yi, yj, xi, dx, dy in self._edges:
+            if (yi > y) != (yj > y) and x < dx * (y - yi) / dy + xi:
+                inside = not inside
         return inside
 
     def area(self) -> float:

@@ -157,9 +157,10 @@ class NTAIndex:
     :meth:`locate` tests only that list — so the first match, and with
     it the owner of a shared edge or corner, is the one
     :func:`locate_nta`'s linear scan finds. A polygon's cell range comes
-    from the same monotone :meth:`_cell` that maps points, so a point in
-    a polygon's closed bounding box always lands in a cell listing that
-    polygon, with no epsilon. The grid has ``2 * (isqrt(n) + 1)`` cells
+    from the monotone :meth:`_cell`, and :meth:`candidates` maps points
+    with the same expression written inline, so a point in a polygon's
+    closed bounding box always lands in a cell listing that polygon,
+    with no epsilon. The grid has ``2 * (isqrt(n) + 1)`` cells
     per side for ``n`` NTAs: about two ``contains`` calls per arrest on
     the 6 × 8 exemplar grid, against about 24 for the scan.
     """
@@ -202,10 +203,15 @@ class NTAIndex:
 
     def candidates(self, x: float, y: float) -> tuple[NTA, ...]:
         """The NTAs, in list order, whose bounding box spans the cell of
-        (x, y); empty outside the union bounding box."""
+        (x, y); empty outside the union bounding box. The row and column
+        are :meth:`_cell`'s expression written inline, since this runs
+        once per arrest."""
         if not (self.min_x <= x <= self.max_x and self.min_y <= y <= self.max_y):
             return ()
-        return self._cells[self._row(y) * self.side + self._col(x)]
+        last = self.side - 1
+        row = min(int((y - self.min_y) * self._scale_y), last)
+        col = min(int((x - self.min_x) * self._scale_x), last)
+        return self._cells[row * self.side + col]
 
     def locate(self, x: float, y: float) -> str | None:
         """Code of the NTA containing (x, y), or None — always the answer

@@ -412,6 +412,8 @@ class JobService:
         self._submissions = itertools.count()
         self._dequeues = itertools.count()
         self._records: dict[int, _JobRecord] = {}
+        # Running jobs with a wall timeout: all the watchdog scans.
+        self._bounded: dict[int, _JobRecord] = {}
         self._records_lock = threading.Lock()
         self._outstanding = 0
         self._drained = threading.Condition(self._records_lock)
@@ -630,7 +632,10 @@ class JobService:
             self.breaker(record.tenant).record_failure()
             self._finish(record)
             return
-        self._watchdog_wake.set()
+        if record.timeout is not None:
+            with self._records_lock:
+                self._bounded[record.submission] = record
+            self._watchdog_wake.set()
         tracer = get_tracer()
         ctx = JobContext(record.tenant, record.name, record.submission, record.cancel_event)
         try:
@@ -711,6 +716,7 @@ class JobService:
             if record.done.is_set():
                 return
             record.done.set()
+            self._bounded.pop(record.submission, None)
             self._outstanding -= 1
             if self._outstanding == 0:
                 self._drained.notify_all()
@@ -726,7 +732,10 @@ class JobService:
     # deadlines / cancellation
     # ------------------------------------------------------------------
     def _watchdog_loop(self) -> None:
-        """Set cancel tokens on running jobs past their wall timeout."""
+        """Set cancel tokens on running jobs past their wall timeout.
+
+        Scans only the running jobs that have a timeout, so a scan costs
+        the same however many jobs the service has finished."""
         while not self._shutdown_done:
             self._watchdog_wake.wait(timeout=self._watchdog_interval * 25)
             self._watchdog_wake.clear()
@@ -735,11 +744,9 @@ class JobService:
             deadline_pending = False
             now = self._clock()
             with self._records_lock:
-                running = [
-                    r for r in self._records.values() if r.state == "running"
-                ]
-            for record in running:
-                if record.timeout is None or record.started_at is None:
+                bounded = list(self._bounded.values())
+            for record in bounded:
+                if record.state != "running":
                     continue
                 deadline_pending = True
                 if now - record.started_at > record.timeout:

@@ -10,10 +10,11 @@ teaches (paper §4).
 from __future__ import annotations
 
 import heapq
+import itertools
 import threading
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
-from repro.mapreduce.hashing import task_router
+from repro.mapreduce.hashing import ROUTE_ONCE_TYPES, task_router
 from repro.rng.counter import CounterRNG
 from repro.spark.partitioner import HashPartitioner, RangePartitioner
 from repro.spark.shuffle import CorruptShuffleBlockError, LostSpillFileError
@@ -890,22 +891,52 @@ class ShuffledRDD(RDD):
         """The map-task body: route (and optionally pre-combine) one parent
         partition's pairs into one bucket per reduce partition. Also the
         unit of lineage recovery — a lost map output is rebuilt by
-        re-running this on the recomputed parent partition. Each distinct
-        key is routed once per task (:func:`task_router`)."""
+        re-running this on the recomputed parent partition.
+
+        With map-side combine, records whose key's exact type is in
+        :data:`~repro.mapreduce.hashing.ROUTE_ONCE_TYPES` combine into one
+        dict, and each distinct key is routed once, when the dict is split
+        into buckets in first-seen order. Equal keys of those types route
+        alike, so every bucket gets the keys, order and accumulators that
+        per-record routing gives. From the first key of any other type
+        on, records are routed one by one through :func:`task_router`.
+        Either way ``create`` or ``merge_value`` runs once per record, in
+        record order. Without combine, every record goes through
+        :func:`task_router`."""
         nparts = self.num_partitions
-        route = task_router(self._partitioner.partition)
         if self._map_side_combine:
+            partition = self._partitioner.partition
             create, merge_value = self._create, self._merge_value
             # Dicts keep first-insertion order: each bucket lists its keys
             # in the order the partition first produced them.
-            combined: list[dict[Any, Any]] = [{} for _ in range(nparts)]
-            for key, value in part:
-                dest_map = combined[route(key)]
+            merged: dict[Any, Any] = {}
+            records = iter(part)
+            for key, value in records:
+                if type(key) not in ROUTE_ONCE_TYPES:
+                    break
+                if key in merged:
+                    merged[key] = merge_value(merged[key], value)
+                else:
+                    merged[key] = create(value)
+            else:
+                combined: list[list[tuple[Any, Any]]] = [[] for _ in range(nparts)]
+                for item in merged.items():
+                    combined[partition(item[0])].append(item)
+                return combined
+            # ``key`` is the first that may equal a differently routed
+            # key: split what is combined so far, then route per record.
+            split: list[dict[Any, Any]] = [{} for _ in range(nparts)]
+            for done_key, acc in merged.items():
+                split[partition(done_key)][done_key] = acc
+            route = task_router(partition)
+            for key, value in itertools.chain([(key, value)], records):
+                dest_map = split[route(key)]
                 if key in dest_map:
                     dest_map[key] = merge_value(dest_map[key], value)
                 else:
                     dest_map[key] = create(value)
-            return [list(dest_map.items()) for dest_map in combined]
+            return [list(dest_map.items()) for dest_map in split]
+        route = task_router(self._partitioner.partition)
         buckets: list[list[tuple[Any, Any]]] = [[] for _ in range(nparts)]
         for key, value in part:
             buckets[route(key)].append((key, value))

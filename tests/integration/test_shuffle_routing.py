@@ -1,13 +1,16 @@
-"""Memoized shuffle routing places every record exactly where per-record
-routing does.
+"""Routing each distinct shuffle key once places every record exactly
+where per-record routing does.
 
-Both engines route each distinct key once per map task
-(:func:`repro.mapreduce.hashing.task_router`). The reference below swaps
-that memo for the bare route, so every record goes through
-``partitioner.partition`` / ``partition_for`` again — the per-record
-routing the memo replaced. Keys are drawn from a pool of values that
-compare equal across types but encode (and so hash) differently, which
-is where a memo keyed on ``==`` alone would misroute.
+Both engines route each distinct key once per map task. Spark's
+``ShuffledRDD._map_one`` does it by combining keys in one dict before
+routing them, or through :func:`repro.mapreduce.hashing.task_router`;
+``MapReduce.aggregate`` does it through ``task_router``. The Spark
+reference below is an explicit per-record map side,
+:func:`per_record_map_one`, patched in for ``_map_one``. The MapReduce
+reference swaps the memo for the bare route, so every record goes
+through ``partition_for`` again. Keys are drawn from a pool of values
+that compare equal across types but encode (and so hash) differently,
+which is where a memo keyed on ``==`` alone would misroute.
 """
 
 from __future__ import annotations
@@ -51,6 +54,26 @@ PAIRS = st.lists(st.tuples(st.sampled_from(POOL), st.integers(0, 9)), max_size=4
 
 def _per_record(route):
     return route
+
+
+def per_record_map_one(self, _i, part):
+    """``ShuffledRDD._map_one`` routing every record: each pair goes to its
+    bucket first, then combines into that bucket's dict."""
+    nparts = self.num_partitions
+    route = self._partitioner.partition
+    if self._map_side_combine:
+        combined = [{} for _ in range(nparts)]
+        for key, value in part:
+            dest_map = combined[route(key)]
+            if key in dest_map:
+                dest_map[key] = self._merge_value(dest_map[key], value)
+            else:
+                dest_map[key] = self._create(value)
+        return [list(dest_map.items()) for dest_map in combined]
+    buckets = [[] for _ in range(nparts)]
+    for key, value in part:
+        buckets[route(key)].append((key, value))
+    return buckets
 
 
 def _unmemoized(module: str):
@@ -100,10 +123,10 @@ def _spark_layout(pairs, map_parts, reduce_parts):
 @given(PAIRS, st.integers(1, 3), st.integers(1, 4))
 @settings(max_examples=60, deadline=None)
 def test_spark_routing_matches_per_record_reference(pairs, map_parts, reduce_parts):
-    memoized = _spark_layout(pairs, map_parts, reduce_parts)
-    with _unmemoized("repro.spark.rdd"):
+    routed_once = _spark_layout(pairs, map_parts, reduce_parts)
+    with patch("repro.spark.rdd.ShuffledRDD._map_one", per_record_map_one):
         reference = _spark_layout(pairs, map_parts, reduce_parts)
-    assert memoized == reference
+    assert routed_once == reference
 
 
 def _collate_layout(size, pairs):

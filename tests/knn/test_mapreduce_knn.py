@@ -1,7 +1,11 @@
 """Tests for the MapReduce-MPI kNN and the Word Counting warm-up."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.knn import knn_predict_vectorized, make_blobs, run_knn_mapreduce, run_wordcount
 from repro.knn.wordcount import tokenize
@@ -28,6 +32,30 @@ class TestWordcount:
 
     def test_tokenize_lowercases_and_strips_punctuation(self):
         assert tokenize("Hello, World! don't") == ["hello", "world", "don't"]
+
+    @staticmethod
+    def reference_tokenize(line):
+        """Match first, then lowercase each token."""
+        return [w.lower() for w in re.findall(r"[A-Za-z0-9']+", line)]
+
+    @given(st.text() | st.text(st.sampled_from("aZ9' .,-\u0130\u212a\u00df\u03a3\u0391\u00e9")))
+    @settings(max_examples=300, deadline=None)
+    def test_tokenize_matches_reference(self, line):
+        assert tokenize(line) == self.reference_tokenize(line)
+
+    @pytest.mark.parametrize(
+        "line, tokens",
+        [
+            # Lowercased first, U+0130 would add "i" plus a combining dot.
+            ("\u0130stanbul", ["stanbul"]),
+            # Lowercased first, the Kelvin sign would become "k" and join.
+            ("\u212aelvin scale", ["elvin", "scale"]),
+            ("Stra\u00dfe", ["stra", "e"]),
+            ("\u03a3\u0391\u03a3 ABC", ["abc"]),
+        ],
+    )
+    def test_tokenize_non_ascii_examples(self, line, tokens):
+        assert tokenize(line) == tokens == self.reference_tokenize(line)
 
 
 class TestMapReduceKnn:

@@ -131,6 +131,74 @@ def test_grid_prunes_to_neighbouring_tiles(rows, cols):
     assert all(index.locate(x, y) == locate_nta(x, y, ntas) for x, y in samples)
 
 
+def reference_contains(polygon: Polygon, x: float, y: float) -> bool:
+    """The even–odd ray cast over the vertex ring, every edge per call."""
+    if not polygon.bbox.contains(x, y):
+        return False
+    inside = False
+    verts = polygon.vertices
+    j = len(verts) - 1
+    for i in range(len(verts)):
+        xi, yi = verts[i]
+        xj, yj = verts[j]
+        if (yi > y) != (yj > y):
+            x_cross = (xj - xi) * (y - yi) / (yj - yi) + xi
+            if x < x_cross:
+                inside = not inside
+        j = i
+    return inside
+
+
+def outcome(f, *args):
+    """``f(*args)``, or the type of what it raised."""
+    try:
+        return f(*args)
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        return type(exc)
+
+
+EXTREMES = (math.nan, math.inf, -math.inf, 1e308, -1e308, 5e-324, -0.0)
+extreme_coords = coords | st.sampled_from(EXTREMES)
+
+
+@st.composite
+def extreme_polygons(draw, vertex_coords=extreme_coords) -> Polygon:
+    """Rings with infinite, NaN, huge or subnormal vertices."""
+    ring = st.lists(st.tuples(vertex_coords, vertex_coords), min_size=3, max_size=6)
+    return Polygon(draw(ring))
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_contains_matches_reference_ray_cast(data):
+    shape = data.draw(polygons() | extreme_polygons())
+    points = data.draw(
+        st.lists(probes([shape]) | st.tuples(extreme_coords, extreme_coords), min_size=1, max_size=40)
+    )
+    for x, y in points:
+        assert outcome(shape.contains, x, y) == outcome(reference_contains, shape, x, y), (x, y)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_candidates_cell_is_the_build_cell(data):
+    # Vertices stay finite, with extents that fit a float: a NaN or
+    # infinite extent cannot be gridded, at any revision.
+    gridded = coords | st.sampled_from((1e300, -1e300, 5e-324, -0.0))
+    shapes = data.draw(st.lists(polygons() | extreme_polygons(gridded), min_size=1, max_size=4))
+    index = NTAIndex(as_ntas(shapes))
+    points = data.draw(
+        st.lists(probes(shapes) | st.tuples(extreme_coords, extreme_coords), min_size=1, max_size=40)
+    )
+    for x, y in points:
+        inside = index.min_x <= x <= index.max_x and index.min_y <= y <= index.max_y
+
+        def built_cell():
+            return index._cells[index._row(y) * index.side + index._col(x)] if inside else ()
+
+        assert outcome(index.candidates, x, y) == outcome(built_cell), (x, y)
+
+
 def test_empty_list_rejected():
     with pytest.raises(ValueError):
         NTAIndex([])

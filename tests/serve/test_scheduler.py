@@ -168,6 +168,45 @@ class TestDeadlinesAndCancellation:
         # Engine state left clean: every spill dir reclaimed.
         assert list(tmp_path.iterdir()) == []
 
+    def test_watchdog_scans_only_running_bounded_jobs(self):
+        class Watched(dict):
+            """``_records``, counting the watchdog thread's scans of it."""
+
+            scans = 0
+
+            def values(self):
+                if threading.current_thread().name == "serve-watchdog":
+                    Watched.scans += 1
+                return super().values()
+
+        seen = []
+
+        def bounded(ctx):
+            while True:
+                with svc._records_lock:
+                    seen.append(len(svc._bounded))
+                ctx.check_cancelled()
+                time.sleep(0.002)
+
+        with JobService(2, capacity=512, watchdog_interval=0.002) as svc:
+            finished = [svc.submit("t", lambda ctx: 1) for _ in range(300)]
+            assert svc.drain(10.0)
+            with svc._records_lock:
+                svc._records = Watched(svc._records)
+            assert svc._bounded == {}
+            start = time.monotonic()
+            h = svc.submit("t", bounded, timeout=0.05, name="bounded")
+            assert h.wait(5.0)
+            elapsed = time.monotonic() - start
+            assert h.state == "timeout"
+            assert svc.metrics.timeouts == 1
+            assert elapsed < 2.0
+            assert set(seen) == {1}
+            assert svc._bounded == {}
+            assert Watched.scans == 0
+            assert len(svc.job_records()) == len(finished) + 1
+            assert svc.tenant_completions() == {"t": 300}
+
     def test_cancel_queued_job(self):
         svc = JobService(1)
         gate = threading.Event()

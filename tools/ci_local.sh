@@ -77,7 +77,8 @@ if [ "${1:-}" = "--perf" ]; then
         benchmarks/test_serve_throughput.py \
         benchmarks/test_align.py \
         benchmarks/test_kmeans_models.py \
-        benchmarks/test_fig2_nyc_pipeline.py
+        benchmarks/test_fig2_nyc_pipeline.py \
+        benchmarks/test_wordcount.py
 fi
 
 if [ "${1:-}" = "--sanitizer" ]; then
@@ -106,7 +107,9 @@ if [ "${1:-}" = "--pool" ]; then
         tests/core/test_executor_determinism.py \
         tests/core/test_executor_interrupt.py \
         tests/spark/test_executor_backends.py \
+        tests/spark/test_map_side_combine.py \
         tests/mapreduce/test_executor_backend.py \
+        tests/mapreduce/test_keymultivalue.py \
         tests/kmeans/test_parallel_kmeans.py \
         tests/kmeans/test_cluster_sums.py
     echo "== executor pool speedup gates (skip-with-record < 4 cores) =="
