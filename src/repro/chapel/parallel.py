@@ -13,35 +13,24 @@ The distinction is the whole point of the assignment:
 
 from __future__ import annotations
 
-import threading
 from typing import Any, Callable, Iterable, Sequence
 
 from repro.chapel.domains import BlockDomain, Domain
 from repro.chapel.locales import on
 from repro.util.partition import block_bounds
+from repro.util.team import run_team
 
 __all__ = ["forall", "coforall", "foreach"]
 
 
 def _run_tasks(bodies: Sequence[Callable[[], Any]]) -> list[Any]:
-    """Spawn one thread per body, join all, propagate the first error."""
+    """Run each body as one task of a warm team; propagate the first error."""
     results: list[Any] = [None] * len(bodies)
-    errors: list[BaseException | None] = [None] * len(bodies)
 
-    def runner(i: int) -> None:
-        try:
-            results[i] = bodies[i]()
-        except BaseException as exc:  # noqa: BLE001 - reported below
-            errors[i] = exc
+    def task(i: int) -> None:
+        results[i] = bodies[i]()
 
-    threads = [threading.Thread(target=runner, args=(i,), daemon=True) for i in range(len(bodies))]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
+    run_team(len(bodies), task).raise_first()
     return results
 
 
@@ -60,6 +49,8 @@ def forall(
 
     Tasks are created for *every call*, which is precisely the overhead
     part 2 of the assignment eliminates; the heat benchmarks measure it.
+    (As in Chapel's runtime, a task is not an OS thread: the tasks run
+    on parked helper threads, :func:`repro.util.team.run_team`.)
     """
     if isinstance(space, BlockDomain):
         def locale_task(locale_index: int) -> Callable[[], None]:

@@ -8,9 +8,10 @@ three interchangeable backends:
 
 - :class:`SerialExecutor` — a plain loop on the calling thread.
   Zero concurrency, zero overhead; the determinism baseline.
-- :class:`ThreadExecutor` — a fresh ``ThreadPoolExecutor`` per map
-  (fresh pools keep nested maps deadlock-free). Real concurrency for
-  GIL-releasing kernels (numpy, IO); serialized for pure-Python loops.
+- :class:`ThreadExecutor` — a team of parked helper threads per map
+  (a launch never waits for a busy helper, which keeps nested maps
+  deadlock-free). Real concurrency for GIL-releasing kernels (numpy,
+  IO); serialized for pure-Python loops.
 - :class:`ProcessExecutor` — real CPU parallelism on a **persistent
   pool** of ``multiprocessing`` workers: processes spawn once per
   executor lifetime, each talks to the driver over its own private
@@ -66,6 +67,7 @@ Process-backend ground rules (docs/executors.md has the full story):
 from __future__ import annotations
 
 import functools
+import itertools
 import multiprocessing
 import os
 import pickle
@@ -74,13 +76,13 @@ import time
 import traceback
 import weakref
 from abc import ABC, abstractmethod
-from concurrent.futures import ThreadPoolExecutor
 from multiprocessing.connection import wait
 from typing import Any, Callable, Sequence
 
 from repro.sanitizer.runtime import get_sanitizer
 from repro.trace.tracer import get_tracer
 from repro.util.partition import block_partition
+from repro.util.team import run_team
 from repro.util.validation import require_positive_int
 
 __all__ = [
@@ -335,12 +337,15 @@ class SerialExecutor(Executor):
 
 
 class ThreadExecutor(Executor):
-    """Today's engine behaviour: a fresh thread pool per map call.
+    """Thread parallelism: each map runs on a team of parked helper threads.
 
-    A fresh pool keeps nested maps (a task that itself maps — e.g. a
-    Spark shuffle materializing inside a job) deadlock-free, exactly
-    like ``SparkContext``'s fresh pool per job. Exceptions re-raise the
-    original exception object of the lowest failing index.
+    A map takes ``min(num_workers, len(items))`` helpers from the warm
+    team pool (:func:`repro.util.team.run_team`); the team members pull
+    item indices from a shared counter, as pool workers would. A launch
+    never waits for a busy helper, so nested maps (a task that itself
+    maps — e.g. a Spark shuffle materializing inside a job) stay
+    deadlock-free. Exceptions re-raise the original exception object of
+    the lowest failing index.
     """
 
     name = "thread"
@@ -357,55 +362,48 @@ class ThreadExecutor(Executor):
                 return self._map_sanitized(fn, items, sanitizer)
             if len(items) == 1:
                 return [fn(0, items[0])]
-            with ThreadPoolExecutor(max_workers=self.num_workers) as pool:
-                futures = [pool.submit(fn, i, item) for i, item in enumerate(items)]
-                return [f.result() for f in futures]
+            n = len(items)
+            results: list[Any] = [None] * n
+            errors: list[BaseException | None] = [None] * n
+            next_index = itertools.count().__next__
+
+            def member(_worker: int) -> None:
+                while (i := next_index()) < n:
+                    try:
+                        results[i] = fn(i, items[i])
+                    except BaseException as exc:  # noqa: BLE001 - re-raised below
+                        errors[i] = exc
+
+            run_team(min(self.num_workers, n), member)
+            for exc in errors:
+                if exc is not None:
+                    raise exc
+            return results
 
     def _map_sanitized(
         self, fn: Callable[[int, Any], Any], items: Sequence[Any], sanitizer: Any
     ) -> list[Any]:
-        """The instrumented map: dedicated registered threads, block-partitioned.
+        """The instrumented map: registered team members, block-partitioned.
 
-        Pool threads are anonymous to the race detector (and invisible to
-        the cooperative scheduler), so under an active sanitizer the map
-        runs on one dedicated thread per worker instead: each thread is
-        registered for its lifetime and walks a contiguous block of the
-        item range in index order — the same task->result mapping as the
-        pool path, with the fork/join happens-before edges made explicit.
+        Under an active sanitizer each team member is registered with
+        the race detector (and the cooperative scheduler) for the whole
+        map and walks a contiguous block of the item range in index
+        order — the same task->result mapping as the counter path, with
+        the fork/join happens-before edges made explicit.
         """
         n = len(items)
         num_workers = min(self.num_workers, n)
         blocks = block_partition(n, num_workers)
         results: list[Any] = [None] * n
-        errors: list[BaseException | None] = [None] * n
         team = sanitizer.team_begin(num_workers, kind="exec")
 
-        def runner(worker: int) -> None:
-            try:
-                sanitizer.thread_begin(team, worker)
-                for i in blocks[worker]:
-                    results[i] = fn(i, items[i])
-            except BaseException as exc:  # noqa: BLE001 - reported to caller below
-                errors[blocks[worker].start] = exc
-            finally:
-                try:
-                    sanitizer.thread_end(team, worker)
-                except BaseException as exc:  # noqa: BLE001 - deadlock found at teardown
-                    if errors[blocks[worker].start] is None:
-                        errors[blocks[worker].start] = exc
+        def member(worker: int) -> None:
+            for i in blocks[worker]:
+                results[i] = fn(i, items[i])
 
-        threads = [
-            threading.Thread(target=runner, args=(w,), name=f"exec-{w}", daemon=True)
-            for w in range(num_workers)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        run = run_team(num_workers, functools.partial(sanitizer.run_member, team, member))
         sanitizer.team_end(team)
-        for exc in errors:
-            if exc is not None:
-                raise exc
+        run.raise_first()
         return results
 
 

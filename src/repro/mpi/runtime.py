@@ -1,7 +1,8 @@
 """The SPMD world: rank threads, mailboxes, and the launcher.
 
 :func:`run_spmd` is the moral equivalent of ``mpiexec -n <size>``: it
-starts one thread per rank, hands each a :class:`Communicator`, runs the
+runs one thread per rank (parked helpers reused from run to run, see
+:mod:`repro.util.team`), hands each a :class:`Communicator`, runs the
 user's rank function, and collects per-rank results. If any rank raises,
 the world aborts (waking ranks blocked in ``recv``/collectives) and a
 :class:`RankFailedError` reports every failure.
@@ -24,7 +25,6 @@ the death via ``Communicator.failed_ranks``/``shrink``).
 from __future__ import annotations
 
 import threading
-import time
 from typing import Any, Callable
 
 from repro.mpi.comm import Communicator, _Mailbox
@@ -32,6 +32,7 @@ from repro.mpi.errors import DeadlockError, RankFailedError, SpmdAbort
 from repro.mpi.faults import FaultPlan, FaultReport, _FaultInjector
 from repro.trace.tracer import Tracer, get_tracer
 from repro.util.backoff import BackoffPolicy
+from repro.util.team import run_team
 from repro.util.validation import require_positive_int
 
 __all__ = ["World", "run_spmd", "FAILURE_POLICIES"]
@@ -359,24 +360,13 @@ def run_spmd(
                     world.abort()
                     return
 
-    threads = [
-        threading.Thread(target=rank_main, args=(r,), name=f"spmd-rank-{r}", daemon=True)
-        for r in range(size)
-    ]
     with run_tracer.span("run_spmd", category="runtime", size=size):
-        for t in threads:
-            t.start()
-        deadline = None if wall_timeout is None else time.monotonic() + wall_timeout
-        for t in threads:
-            t.join(None if deadline is None else max(0.0, deadline - time.monotonic()))
-    stuck = [r for r, t in enumerate(threads) if t.is_alive()]
+        run = run_team(size, rank_main, timeout=wall_timeout)
+    stuck = run.running
     if stuck:
         # Wake anything blocked in the runtime; give the unwind a moment.
         world.abort()
-        grace = time.monotonic() + 1.0
-        for t in threads:
-            t.join(max(0.0, grace - time.monotonic()))
-        still = [r for r, t in enumerate(threads) if t.is_alive()]
+        still = run.wait(1.0)
         raise DeadlockError(
             f"run_spmd exceeded wall_timeout={wall_timeout}s: "
             f"rank(s) {stuck} never returned"

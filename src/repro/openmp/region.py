@@ -1,20 +1,25 @@
 """Thread teams: the ``omp parallel`` construct.
 
 :func:`parallel_region` forks a team, runs ``body(ctx, *args)`` on every
-member, joins, and returns per-thread results. The :class:`TeamContext`
-passed to the body exposes the synchronization constructs the
-assignments use; worksharing loops live in :mod:`repro.openmp.loops`
-but are also reachable as :meth:`TeamContext.for_range`.
+member, joins, and returns per-thread results. As in a real OpenMP
+runtime, the team's threads are parked helpers reused from region to
+region (:mod:`repro.util.team`), not fresh threads. The
+:class:`TeamContext` passed to the body exposes the synchronization
+constructs the assignments use; worksharing loops live in
+:mod:`repro.openmp.loops` but are also reachable as
+:meth:`TeamContext.for_range`.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import threading
 from typing import Any, Callable, Iterator
 
 from repro.sanitizer.runtime import get_sanitizer
 from repro.util.partition import block_bounds
+from repro.util.team import TeamBarrier, run_team
 from repro.util.validation import require_positive_int
 
 __all__ = ["TeamContext", "parallel_region"]
@@ -25,7 +30,7 @@ class _Team:
 
     def __init__(self, num_threads: int) -> None:
         self.num_threads = num_threads
-        self.barrier = threading.Barrier(num_threads)
+        self.barrier = TeamBarrier(num_threads)
         #: Sanitizer bindings: set by parallel_region when a sanitizer is
         #: installed, None on the free hot path.
         self.sanitizer = None
@@ -163,6 +168,10 @@ def parallel_region(
 
     Returns per-thread results in thread-id order. If any thread raises,
     the first exception (by thread id) propagates after the team joins.
+    The team runs on parked helper threads (:func:`repro.util.team.run_team`),
+    as a real OpenMP runtime keeps its threads between regions: a
+    repeated region of the same size lands each thread id on the same
+    helper, so :class:`~repro.openmp.ThreadPrivate` values persist.
 
     >>> parallel_region(3, lambda ctx: ctx.thread_id * 2)
     [0, 2, 4]
@@ -170,40 +179,23 @@ def parallel_region(
     require_positive_int("num_threads", num_threads)
     team = _Team(num_threads)
     results: list[Any] = [None] * num_threads
-    errors: list[BaseException | None] = [None] * num_threads
 
     sanitizer = get_sanitizer()
     san_team = sanitizer.team_begin(num_threads, kind="omp") if sanitizer is not None else None
     team.sanitizer = sanitizer if san_team is not None else None
     team.san_team = san_team
 
-    def runner(tid: int) -> None:
+    def member(tid: int) -> None:
         try:
-            if san_team is not None:
-                sanitizer.thread_begin(san_team, tid)
             results[tid] = body(TeamContext(team, tid), *args, **kwargs)
-        except BaseException as exc:  # noqa: BLE001 - reported to caller below
-            errors[tid] = exc
+        except BaseException:
             team.barrier.abort()
-        finally:
-            if san_team is not None:
-                try:
-                    sanitizer.thread_end(san_team, tid)
-                except BaseException as exc:  # noqa: BLE001 - deadlock found at teardown
-                    if errors[tid] is None:
-                        errors[tid] = exc
+            raise
 
-    threads = [
-        threading.Thread(target=runner, args=(t,), name=f"omp-{t}", daemon=True)
-        for t in range(num_threads)
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    if san_team is not None:
+    if san_team is None:
+        run = run_team(num_threads, member)
+    else:
+        run = run_team(num_threads, functools.partial(sanitizer.run_member, san_team, member))
         sanitizer.team_end(san_team)
-    for exc in errors:
-        if exc is not None and not isinstance(exc, threading.BrokenBarrierError):
-            raise exc
+    run.raise_first(ignore=threading.BrokenBarrierError)
     return results

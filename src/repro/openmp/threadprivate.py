@@ -21,6 +21,11 @@ __all__ = ["ThreadPrivate"]
 class ThreadPrivate(Generic[T]):
     """Lazily-initialized per-thread value.
 
+    Team threads are parked helpers reused from region to region, so a
+    thread's copy persists across parallel regions of the same size —
+    the ``threadprivate`` promise — and :meth:`instances` lists one copy
+    per thread that ever touched it.
+
     >>> counter = ThreadPrivate(lambda: [0])
     >>> counter.value[0] += 1
     >>> counter.value
@@ -30,7 +35,7 @@ class ThreadPrivate(Generic[T]):
     def __init__(self, factory: Callable[[], T]) -> None:
         self._factory = factory
         self._store = threading.local()
-        self._instances: list[tuple[str, T]] = []
+        self._instances: list[T] = []
         self._guard = threading.Lock()
 
     @property
@@ -40,9 +45,10 @@ class ThreadPrivate(Generic[T]):
             return self._store.value
         except AttributeError:
             created = self._factory()
-            self._store.value = created
             with self._guard:
-                self._instances.append((threading.current_thread().name, created))
+                self._store.slot = len(self._instances)
+                self._instances.append(created)
+            self._store.value = created
             return created
 
     def set(self, value: T) -> None:
@@ -50,13 +56,9 @@ class ThreadPrivate(Generic[T]):
         _ = self.value  # ensure registration
         self._store.value = value
         with self._guard:
-            name = threading.current_thread().name
-            for i, (n, _) in enumerate(self._instances):
-                if n == name:
-                    self._instances[i] = (name, value)
-                    break
+            self._instances[self._store.slot] = value
 
     def instances(self) -> list[T]:
         """All per-thread copies created so far (for inspection/merging)."""
         with self._guard:
-            return [v for _, v in self._instances]
+            return list(self._instances)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 import threading
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from typing import Any, Callable, Hashable, Iterator
 
 from repro.sanitizer.hb import MAIN_THREAD, HBDetector, RaceReport
@@ -183,6 +183,21 @@ class Sanitizer:
         finally:
             self._local.tid = None
             self._local.scheduled = False
+
+    def run_member(self, team: _SanTeam, fn: Callable[[int], Any], index: int) -> None:
+        """Run ``fn(index)`` as the registered thread ``index`` of ``team``.
+
+        An error from the body wins over one raised at teardown (a
+        schedule deadlock that :meth:`thread_end` finds).
+        """
+        try:
+            self.thread_begin(team, index)
+            fn(index)
+        except BaseException:
+            with suppress(BaseException):
+                self.thread_end(team, index)
+            raise
+        self.thread_end(team, index)
 
     def team_end(self, team: _SanTeam) -> None:
         """Join the team back into its parent (call after the real joins)."""

@@ -2,8 +2,9 @@
 
 A :class:`SparkContext` plays driver *and* cluster: ``run_job`` executes
 one task per partition on a pluggable executor backend
-(:mod:`repro.core.executor`): ``backend="thread"`` (the default — a
-fresh pool per job, so nested jobs — shuffles materializing inside
+(:mod:`repro.core.executor`): ``backend="thread"`` (the default — each
+job runs on a team of parked helper threads, and a launch never waits
+for a busy helper, so nested jobs — shuffles materializing inside
 tasks — can never starve), ``"serial"``, or ``"process"`` (fork-based
 worker processes for real CPU parallelism; see ``docs/executors.md``).
 Results, accumulator values, and fault recovery are bit-identical

@@ -12,6 +12,9 @@ The helpers here are deliberately small and dependency-free:
 - :mod:`repro.util.backoff` — the shared deterministic retry-delay
   schedule (exponential envelope + seeded jitter) used by ``run_spmd``
   respawn, the Spark task-retry path, and the serve tier.
+- :mod:`repro.util.team` — warm thread teams: the parked helper
+  threads every OpenMP region, thread-executor map, SPMD run and
+  Chapel task team runs on, and the lock-gate team barrier.
 - :mod:`repro.util.tabular` — minimal CSV handling for point/label data
   (the kNN assignment's "early programming course" variant parses its
   database and queries from CSV, paper §2).

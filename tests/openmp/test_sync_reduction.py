@@ -1,5 +1,7 @@
 """Tests for atomics, reductions, and threadprivate storage."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -139,3 +141,20 @@ class TestThreadPrivate:
             return tp.value
 
         assert parallel_region(3, body) == [0, 10, 20]
+
+    def test_set_persists_across_regions(self):
+        # Team threads are reused, so region 2 updates region 1's copies
+        # instead of registering new ones.
+        tp = ThreadPrivate(lambda: 0)
+        for r in (1, 2):
+            parallel_region(2, lambda ctx: tp.set(10 * r + ctx.thread_id))
+        assert sorted(tp.instances()) == [20, 21]
+        assert parallel_region(2, lambda ctx: tp.value) == [20, 21]
+
+    def test_set_updates_own_copy_when_thread_names_repeat(self):
+        tp = ThreadPrivate(lambda: -1)
+        for k in range(4):
+            t = threading.Thread(target=tp.set, args=(k,), name="same-name")
+            t.start()
+            t.join()
+        assert tp.instances() == [0, 1, 2, 3]

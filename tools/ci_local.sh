@@ -101,6 +101,8 @@ fi
 if [ "${1:-}" = "--pool" ]; then
     echo "== executor pool (correctness + determinism) =="
     python -m pytest -q \
+        tests/util/test_team.py \
+        tests/openmp/test_sync_reduction.py::TestThreadPrivate \
         tests/core/test_executor.py \
         tests/core/test_executor_pool.py \
         tests/core/test_shm_lifecycle.py \
