@@ -154,9 +154,14 @@ def run_team(n: int, fn: Callable[[int], Any], *, timeout: float | None = None) 
     helpers = reused + [_Helper() for _ in range(n - len(reused))]
     for i, helper in enumerate(helpers):
         helper.start(run, i)
-    running = set(run.wait(timeout))
-    with _idle_lock:
-        _idle.extend(h for i, h in enumerate(helpers) if i not in running)
+    try:
+        running = run.wait(timeout)
+    except BaseException:  # interrupted (Ctrl-C): stop waiting for good
+        running = run.wait(0)
+        raise
+    finally:
+        with _idle_lock:
+            _idle.extend(h for i, h in enumerate(helpers) if i not in running)
     return run
 
 

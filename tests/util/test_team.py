@@ -13,6 +13,7 @@ import os
 import signal
 import sys
 import threading
+import time
 
 import pytest
 
@@ -91,6 +92,32 @@ class TestRunTeam:
         assert helper_threads[0].is_alive()
         # ... and the pool still serves full teams afterwards.
         assert run_team(3, lambda i: None).errors == [None] * 3
+
+    def test_interrupted_wait_abandons_stragglers_and_keeps_the_rest(self):
+        main = threading.main_thread().ident
+        first_done, release = threading.Event(), threading.Event()
+        helper_threads = {}
+
+        def member(i):
+            helper_threads[i] = threading.current_thread()
+            if i == 0:
+                first_done.set()
+            else:
+                first_done.wait(5.0)
+                time.sleep(0.2)  # member 0's helper finishes its bookkeeping
+                signal.pthread_kill(main, signal.SIGINT)  # Ctrl-C in the caller
+                release.wait(10.0)
+
+        with pytest.raises(KeyboardInterrupt):
+            run_team(2, member)
+        release.set()
+        helper_threads[1].join(5.0)
+        assert not helper_threads[1].is_alive()
+        # The finished member's helper went back to the pool: the next
+        # one-member team lands on it instead of starting a thread.
+        reused = []
+        run_team(1, lambda i: reused.append(threading.current_thread()))
+        assert reused == [helper_threads[0]]
 
 
 class TestHelperReuse:
