@@ -471,12 +471,15 @@ def _worker_main(
 
     A fork worker gets its ``(fn, items, chunks)`` job as inherited
     ``Process`` args (never pickled under ``fork``), runs it and exits.
-    A pool worker serves ``(payload, chunks)`` messages — the pickled
-    ``(fn, items)``, tiny when inputs travel as :class:`SharedArrayRef`
-    descriptors, plus its chunk list — until a ``None`` stop message or
-    EOF. Either way the worker sends one message per chunk, in chunk
-    order. Shared-memory attachments are cached across jobs and closed
-    on the way out.
+    A pool worker serves ``(payload, chunks, released)`` messages — the
+    pickled ``(fn, items)``, tiny when inputs travel as
+    :class:`SharedArrayRef` descriptors, its chunk list, and the names
+    of segments unpublished since its last job — until a ``None`` stop
+    message or EOF. Either way the worker sends one message per chunk,
+    in chunk order. Shared-memory attachments are cached across jobs;
+    a pool worker closes those of ``released`` segments before it
+    unpickles the payload (retrying, at later jobs, any still in use),
+    and every worker closes the rest on the way out.
     """
     from repro.core import shm as shm_mod
 
@@ -487,8 +490,11 @@ def _worker_main(
             for _c, lo, hi in chunks:
                 _send_chunk(conn, _run_chunk(fn, items, lo, hi))
             return
+        busy: set[str] = set()
         while (message := conn.recv()) is not None:
-            payload, chunks = message
+            payload, chunks, released = message
+            fn = items = None  # the last job must not pin a released segment
+            busy = shm_mod.release_attachments(busy.union(released))
             try:
                 fn, items = pickle.loads(payload)
             except BaseException as exc:  # noqa: BLE001 - reported per task
@@ -698,6 +704,9 @@ class ProcessExecutor(Executor):
         self._workers: list[Any] = [None] * self.num_workers
         self._conns: list[Any] = [None] * self.num_workers
         self._segments: dict[str, Any] = {}
+        #: Per pool slot, the owned segments live at that worker's last
+        #: job: the only ones it can have attached since it started.
+        self._exposed: list[set[str]] = [set() for _ in range(self.num_workers)]
         self._closed = False
         # GC backstop: an executor dropped without close() still stops
         # its pool and unlinks its segments (cf. multiprocessing.Pool).
@@ -835,6 +844,8 @@ class ProcessExecutor(Executor):
     # dispatch
     # ------------------------------------------------------------------
     def _map_pool(self, payload: bytes, n: int) -> list[Any]:
+        from repro.core.shm import active_segments
+
         with self._pool_lock:
             self._check_open()
             for w, proc in enumerate(self._workers):
@@ -842,12 +853,18 @@ class ProcessExecutor(Executor):
                 if proc is None or not proc.is_alive():
                     _reap(self._workers, self._conns, 0.0, [w])
                     self._workers[w], self._conns[w] = _start_worker(self._ctx, w)
+                    self._exposed[w] = set()
             assignments = self._chunk_assignments(n)
+            live = set(active_segments())
             try:
                 for w, chunks in enumerate(assignments):
                     if chunks:
+                        # Segments unpublished since the worker's last job:
+                        # it closes its attachments of them first.
+                        released = sorted(self._exposed[w] - live)
+                        self._exposed[w] = live
                         try:
-                            self._conns[w].send((payload, chunks))
+                            self._conns[w].send((payload, chunks, released))
                         except OSError:
                             pass  # died since the check: _collect sees its EOF
                 results, errors, crashed = _collect(self._workers, self._conns, assignments)

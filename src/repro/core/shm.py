@@ -18,12 +18,15 @@ Three roles, three surfaces:
   so a crashed driver cannot leak ``/dev/shm`` entries.
 - **Worker (borrower)** — :func:`attach_array` maps a descriptor to a
   numpy view, cached per process so a persistent pool worker attaches
-  once per segment, not once per task. Attached views are read-only
-  unless the caller asks for a writable window (disjoint-range result
-  segments). Workers share the driver's resource tracker
-  (:func:`share_resource_tracker`), whose registry is a *set* of names:
-  an attach re-registers a name the owner already registered (a no-op),
-  and only the owner's ``unlink`` unregisters it. A worker exit
+  once per segment, not once per task; :func:`release_attachments`
+  closes the attachments of segments the driver has since unpublished
+  (the pool sends their names with the worker's next job). Attached
+  views are read-only unless the caller asks for a writable window
+  (disjoint-range result segments). Workers share the driver's
+  resource tracker (:func:`share_resource_tracker`), whose registry is
+  a *set* of names: an attach re-registers a name the owner already
+  registered (a no-op), and only the owner's ``unlink`` unregisters
+  it. A worker exit
   therefore never unlinks a segment the driver still owns, and the
   tracker never sees an unregister for a name it no longer holds.
 - **Tests (auditors)** — :func:`active_segments` lists what this
@@ -40,11 +43,12 @@ from __future__ import annotations
 
 import atexit
 import itertools
+import math
 import os
 import threading
 from dataclasses import dataclass
 from multiprocessing import shared_memory
-from typing import Any
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -169,14 +173,18 @@ def attach_array(descriptor: ArrayDescriptor, *, writable: bool = False) -> np.n
     Read-only by default — published datasets are immutable inputs, and
     an accidental in-place write in one worker would silently diverge
     the replicas. ``writable=True`` is for result segments whose tasks
-    write *disjoint* index ranges (the caller's contract).
+    write *disjoint* index ranges (the caller's contract). The view
+    holds a buffer export on the mapping, so while it (or a view of it)
+    is alive :func:`release_attachments` cannot unmap the segment.
     """
     with _LOCK:
         shm = _ATTACHED.get(descriptor.segment)
         if shm is None:
             shm = shared_memory.SharedMemory(name=descriptor.segment)
             _ATTACHED[descriptor.segment] = shm
-    view = np.ndarray(descriptor.shape, dtype=descriptor.dtype, buffer=shm.buf)
+    count = math.prod(descriptor.shape)
+    view = np.frombuffer(shm.buf, dtype=descriptor.dtype, count=count)
+    view = view.reshape(descriptor.shape)
     view.flags.writeable = writable
     return view
 
@@ -198,16 +206,28 @@ def share_resource_tracker() -> None:
         resource_tracker.ensure_running()
 
 
-def release_attachments() -> None:
-    """Close this process's cached attachments (views become invalid)."""
+def release_attachments(names: Iterable[str] | None = None) -> set[str]:
+    """Close this process's cached attachments: ``names``, or all of them.
+
+    Views of a closed attachment become invalid. A close that raises
+    ``BufferError`` (a view of the segment is still alive) keeps that
+    attachment cached; their names are returned for a later retry.
+    """
+    busy: set[str] = set()
     with _LOCK:
-        attached = list(_ATTACHED.values())
-        _ATTACHED.clear()
-    for shm in attached:
-        try:
-            shm.close()
-        except Exception:
-            pass
+        for name in list(_ATTACHED) if names is None else names:
+            shm = _ATTACHED.get(name)
+            if shm is None:
+                continue
+            try:
+                shm.close()
+            except BufferError:
+                busy.add(name)
+                continue
+            except Exception:
+                pass
+            del _ATTACHED[name]
+    return busy
 
 
 def forget_inherited_state() -> None:

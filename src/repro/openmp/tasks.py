@@ -5,15 +5,21 @@ discovered while running — is expressed with *tasks* rather than loop
 worksharing. :class:`TaskGroup` provides the teaching subset:
 
 - :meth:`TaskGroup.submit` — ``#pragma omp task``: enqueue a deferred
-  unit; any team thread may execute it (including nested submissions
-  from inside a task, the recursion case);
-- :meth:`TaskGroup.taskwait` — block until every submitted task (and
-  their descendants) has finished; returns results in submission order;
-- :func:`task_parallel` — run a generator function on a team where
-  thread 0 produces tasks and all threads (including 0) drain them.
+  unit (including nested submissions from inside a task, the
+  recursion case). Submitting only enqueues: OpenMP lets a deferred
+  task wait for the next task scheduling point;
+- :meth:`TaskGroup.taskwait` — the scheduling point: a team of
+  ``num_threads`` members drains the queue, and the call returns once
+  every submitted task (and its descendants) has finished; results
+  come back in submission order;
+- :func:`task_parallel` — run a producer that submits tasks, then
+  drain them on the team.
 
-Built on a shared deque with a completion counter; work stealing is
-implicit because every thread pops from the same queue.
+The team is :func:`repro.util.team.run_team`'s parked helper threads,
+so a ``taskwait`` starts no thread once the helpers are warm. Members
+share one deque and a completion counter (work stealing is implicit,
+since every member pops from the same queue) and sleep on a condition
+until there is a task to run or nothing is left outstanding.
 """
 
 from __future__ import annotations
@@ -22,19 +28,20 @@ import collections
 import threading
 from typing import Any, Callable
 
-from repro.openmp.region import parallel_region
+from repro.util.team import run_team
 from repro.util.validation import require_positive_int
 
 __all__ = ["TaskGroup", "task_parallel"]
 
 
 class TaskGroup:
-    """A pool of deferred tasks drained by helper threads.
+    """A queue of deferred tasks, drained by a thread team at ``taskwait``.
 
     Create it, submit work (from anywhere, including inside running
-    tasks), and ``taskwait()``. Worker threads are spawned lazily at
-    first submit and shut down when the group is used as a context
-    manager or :meth:`shutdown` is called.
+    tasks), and ``taskwait()``: ``num_threads`` members of a warm
+    :func:`~repro.util.team.run_team` team run the tasks and return
+    when none is left. :meth:`shutdown` (or leaving the group's
+    ``with`` block) runs tasks still queued and refuses new ones.
     """
 
     def __init__(self, num_threads: int = 4) -> None:
@@ -47,38 +54,43 @@ class TaskGroup:
         self._next_id = 0
         self._outstanding = 0
         self._shutdown = False
-        self._workers: list[threading.Thread] = []
 
     # ------------------------------------------------------------------
-    def _ensure_workers(self) -> None:
-        if self._workers:
-            return
-        for i in range(self.num_threads):
-            t = threading.Thread(target=self._worker, name=f"omp-task-{i}", daemon=True)
-            t.start()
-            self._workers.append(t)
+    def _has_work_or_done(self) -> bool:
+        return bool(self._queue) or not self._outstanding
 
-    def _worker(self) -> None:
+    def _member(self, _index: int) -> None:
+        """One team member: run queued tasks until none is outstanding."""
+        cond = self._cond
         while True:
-            with self._cond:
-                while not self._queue and not self._shutdown:
-                    self._cond.wait(timeout=0.1)
-                if self._shutdown and not self._queue:
-                    return
+            with cond:
+                cond.wait_for(self._has_work_or_done)
                 if not self._queue:
-                    continue
+                    return  # nothing outstanding: every task has finished
                 task_id, fn = self._queue.popleft()
             try:
                 result = fn()
-                with self._cond:
-                    self._results[task_id] = result
             except BaseException as exc:  # noqa: BLE001 - surfaced at taskwait
-                with self._cond:
+                with cond:
                     self._errors.append(exc)
-            finally:
-                with self._cond:
-                    self._outstanding -= 1
-                    self._cond.notify_all()
+                    self._task_done()
+            else:
+                with cond:
+                    self._results[task_id] = result
+                    self._task_done()
+
+    def _task_done(self) -> None:
+        self._outstanding -= 1
+        if not self._outstanding:
+            self._cond.notify_all()  # idle members may leave
+
+    def _drain(self, timeout: float | None) -> None:
+        """Run the team until nothing is outstanding (or ``timeout``)."""
+        with self._cond:
+            if not self._outstanding:
+                return
+        if run_team(self.num_threads, self._member, timeout=timeout).running:
+            raise TimeoutError(f"tasks still outstanding after {timeout}s")
 
     # ------------------------------------------------------------------
     def submit(self, fn: Callable[[], Any]) -> int:
@@ -91,24 +103,18 @@ class TaskGroup:
             self._outstanding += 1
             self._queue.append((task_id, fn))
             self._cond.notify()
-        self._ensure_workers()
         return task_id
 
     def taskwait(self, timeout: float = 60.0) -> list[Any]:
-        """Block until all submitted tasks finished; results in submit order.
+        """Run every submitted task to completion; results in submit order.
 
-        Raises the first task error, if any (clearing it, so the group
-        stays usable).
+        Raises :class:`TimeoutError` if tasks are still outstanding after
+        ``timeout`` seconds (the members running them finish them in the
+        background), and otherwise the first task error, if any
+        (clearing it, so the group stays usable).
         """
-        import time
-
-        deadline = time.monotonic() + timeout
+        self._drain(timeout)
         with self._cond:
-            while self._outstanding > 0:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise TimeoutError(f"tasks still outstanding after {timeout}s")
-                self._cond.wait(timeout=min(remaining, 0.1))
             if self._errors:
                 error = self._errors[0]
                 self._errors.clear()
@@ -119,13 +125,10 @@ class TaskGroup:
             return ordered
 
     def shutdown(self) -> None:
-        """Stop the worker threads (after draining the queue)."""
+        """Refuse new tasks and run the ones still queued."""
         with self._cond:
             self._shutdown = True
-            self._cond.notify_all()
-        for t in self._workers:
-            t.join()
-        self._workers.clear()
+        self._drain(None)
 
     def __enter__(self) -> "TaskGroup":
         return self

@@ -22,8 +22,10 @@ of them; :func:`locate_nta` is the linear scan it must agree with.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -110,6 +112,15 @@ def generate_arrests(
     factor, so rates per 100k genuinely differ across neighborhoods.
     ``dirty_fraction`` of rows get out-of-range coordinates, which the
     cleaning stage must drop.
+
+    The stream is ``default_rng(seed + year)``: the crime factors and
+    the NTA choices are drawn through the Generator, then the raw PCG64
+    words for every arrest in one ``random_raw`` call. Arrest ``i``
+    reads, in order, one word each for x, y and the dirty test, then
+    one 32-bit half for the offense (see :func:`_arrests_from_words`).
+    The output is bit-identical, Python types included, to calling
+    ``uniform``, ``uniform``, ``random`` and ``integers(6)`` per
+    arrest, which is what this function did before.
     """
     require_positive_int("n", n)
     if not ntas:
@@ -121,22 +132,68 @@ def generate_arrests(
     weights = np.array([nta.population for nta in ntas]) * crime_factor
     weights = weights / weights.sum()
     choices = rng.choice(len(ntas), size=n, p=weights)
+    # Three words and half a word per arrest; a rejected offense draw
+    # (probability 4 / 2**32) reads on, one word at a time.
+    bit_generator = rng.bit_generator
+    words = itertools.chain(
+        bit_generator.random_raw(3 * n + (n + 1) // 2).tolist(),
+        iter(bit_generator.random_raw, None),
+    )
+    boxes = [
+        (box.min_x, box.max_x - box.min_x, box.min_y, box.max_y - box.min_y)
+        for box in (nta.polygon.bbox for nta in ntas)
+    ]
+    return _arrests_from_words(choices.tolist(), boxes, year, dirty_fraction, words)
+
+
+#: numpy's ``next_double``: the top 53 bits of a word, scaled to [0, 1).
+_DOUBLE_UNIT = 2.0**-53
+#: Lemire's rejection threshold for ``integers(len(_OFFENSES))``.
+_OFFENSE_THRESHOLD = (2**32 - len(_OFFENSES)) % len(_OFFENSES)
+
+
+def _arrests_from_words(
+    choices: list[int],
+    boxes: list[tuple[float, float, float, float]],
+    year: int,
+    dirty_fraction: float,
+    words: Iterable[int],
+) -> list[Arrest]:
+    """The arrests numpy's Generator would draw from the raw words ``words``.
+
+    ``boxes[i]`` is NTA ``i``'s ``(min_x, width, min_y, height)``. Per
+    arrest, in stream order:
+
+    - ``uniform(lo, hi)`` is ``lo + (hi - lo) * next_double``, for x
+      then y, and ``random() < dirty_fraction`` reads one more double;
+    - ``integers(6)`` is Lemire's bounded draw on PCG64's buffered
+      ``next_uint32``: a fresh word yields its low half now and keeps
+      its high half for the next draw. A half ``h`` is rejected while
+      ``(h * 6) & 0xFFFFFFFF < (2**32 - 6) % 6``; otherwise the draw is
+      ``(h * 6) >> 32``.
+    """
+    next_word = iter(words).__next__
+    bound = len(_OFFENSES)
+    high = None  # the buffered high half of the last word split for a draw
     arrests: list[Arrest] = []
-    for i, nta_idx in enumerate(choices):
-        box = ntas[nta_idx].polygon.bbox
-        x = rng.uniform(box.min_x, box.max_x)
-        y = rng.uniform(box.min_y, box.max_y)
-        dirty = rng.random() < dirty_fraction
+    for idx in choices:
+        min_x, width, min_y, height = boxes[idx]
+        x = min_x + width * ((next_word() >> 11) * _DOUBLE_UNIT)
+        y = min_y + height * ((next_word() >> 11) * _DOUBLE_UNIT)
+        dirty = (next_word() >> 11) * _DOUBLE_UNIT < dirty_fraction
+        while True:
+            if high is None:
+                word = next_word()
+                half, high = word & 0xFFFFFFFF, word >> 32
+            else:
+                half, high = high, None
+            product = half * bound
+            if product & 0xFFFFFFFF >= _OFFENSE_THRESHOLD:
+                break
         if dirty:
             x, y = -999.0, -999.0
         arrests.append(
-            Arrest(
-                x=x,
-                y=y,
-                year=year,
-                offense=_OFFENSES[int(rng.integers(len(_OFFENSES)))],
-                valid=not dirty,
-            )
+            Arrest(x=x, y=y, year=year, offense=_OFFENSES[product >> 32], valid=not dirty)
         )
     return arrests
 

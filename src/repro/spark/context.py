@@ -21,7 +21,8 @@ model:
   bounded deterministic backoff (``max_task_retries``), each retry on
   the next virtual worker;
 - injected stragglers trigger a speculative copy on another worker,
-  which deterministically wins (the abandoned original is parked);
+  which deterministically wins (the abandoned original is recorded,
+  never run, and holds no thread);
 - corrupted shuffle/broadcast payloads are caught by checksums in
   :mod:`repro.spark.shuffle` / :mod:`repro.spark.broadcast` and healed
   by lineage recomputation / master-copy refetch.
@@ -40,7 +41,6 @@ import os
 import shutil
 import tempfile
 import threading
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
@@ -391,10 +391,11 @@ class SparkContext:
             worker = self._pick_worker(partition, attempt)
             if event is not None and attempt < event.attempts:
                 if event.kind == "straggle" and attempt == 0:
-                    # The attempt is an injected slow node: park it on a
-                    # background thread and launch a speculative copy, which
-                    # runs the real body immediately on the next worker — so
-                    # the copy always wins, deterministically.
+                    # The attempt is an injected slow node: record its
+                    # straggle (it never runs, so no thread waits out its
+                    # seconds) and launch a speculative copy, which runs the
+                    # real body immediately on the next worker — so the copy
+                    # always wins, deterministically.
                     report.fire(
                         SparkInjectionRecord(
                             "straggle", job_id, partition, attempt, worker, seconds=event.seconds
@@ -408,9 +409,6 @@ class SparkContext:
                         "speculative_launch", category="spark.fault", scope=lane,
                         job=job_id, partition=partition,
                     )
-                    threading.Thread(
-                        target=time.sleep, args=(event.seconds,), daemon=True
-                    ).start()
                     self.metrics.bump("spark.speculative_wins")
                     attempt += 1
                     continue

@@ -209,6 +209,52 @@ def _flag_writeable(ref, _i, _item):
     return bool(ref.array().flags.writeable)
 
 
+def _attached_names(refs, _i, pin):
+    """Attach every ref and report the worker's cached attachments;
+    ``pin`` keeps a view of the first ref alive past the task, None
+    drops the pinned views."""
+    from repro.core import shm
+
+    views = [ref.array() for ref in refs]
+    if pin is None:
+        _PINNED.clear()
+    elif pin:
+        _PINNED.append(views[0])
+    return sorted(shm._ATTACHED)
+
+
+#: Views a task keeps alive in its worker after it returns.
+_PINNED: list = []
+
+
+class TestAttachmentRelease:
+    def test_warm_workers_release_unpublished_segments(self):
+        """50 publish -> map -> unpublish rounds: each worker's cache
+        holds at most the segments live at its job, not one per round."""
+        with ProcessExecutor(2) as ex:
+            kept = ex.publish(np.ones(4))
+            for _ in range(50):
+                ref = ex.publish(np.arange(8.0))
+                for names in ex.map(functools.partial(_attached_names, [kept, ref]), [0, 0]):
+                    assert names == sorted([kept.segment_name, ref.segment_name])
+                ex.unpublish(ref)
+
+    def test_attachment_in_use_is_retried_at_a_later_job(self):
+        with ProcessExecutor(1) as ex:
+            first = ex.publish(np.ones(4))
+            [names] = ex.map(functools.partial(_attached_names, [first]), [True])
+            ex.unpublish(first)
+            # The pinned view makes the worker's close raise BufferError:
+            # the attachment stays until this job drops the view.
+            second = ex.publish(np.ones(4))
+            [names] = ex.map(functools.partial(_attached_names, [second]), [None])
+            assert names == sorted([first.segment_name, second.segment_name])
+            ex.unpublish(second)
+            third = ex.publish(np.ones(4))
+            [names] = ex.map(functools.partial(_attached_names, [third]), [False])
+            assert names == [third.segment_name]
+
+
 class TestSpawnPool:
     @pytest.mark.skipif(
         "spawn" not in __import__("multiprocessing").get_all_start_methods(),

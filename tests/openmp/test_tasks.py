@@ -94,3 +94,30 @@ class TestTaskParallel:
 
     def test_empty_producer(self):
         assert task_parallel(2, lambda submit: None) == []
+
+    def test_warm_groups_start_no_thread(self, monkeypatch):
+        def producer(submit):
+            for i in range(8):
+                submit(lambda i=i: i)
+
+        task_parallel(4, producer)  # warm the team's helpers
+        starts = []
+        start = threading.Thread.start
+
+        def counting_start(thread):
+            starts.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        for _ in range(20):
+            assert task_parallel(4, producer) == list(range(8))
+        assert starts == []
+
+    def test_taskwait_timeout_then_group_recovers(self):
+        release = threading.Event()
+        with TaskGroup(2) as group:
+            group.submit(lambda: release.wait(10.0))
+            with pytest.raises(TimeoutError):
+                group.taskwait(timeout=0.05)
+            release.set()
+            assert group.taskwait() == [True]

@@ -8,6 +8,8 @@ fault-free run. Unrecoverable plans must fail *structurally* (a
 never hang or return wrong data.
 """
 
+import threading
+
 import pytest
 
 from repro.spark import (
@@ -184,6 +186,23 @@ class TestSpeculativeExecution:
             assert sc.metrics.extra["spark.speculative_tasks"] == 1
             assert sc.metrics.extra["spark.speculative_wins"] == 1
             assert sc.fault_report.speculative == [(1, 0)]
+
+    def test_straggler_starts_no_thread(self, baseline, monkeypatch):
+        starts = []
+        start = threading.Thread.start
+
+        def counting_start(thread):
+            starts.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        plan = SparkFaultPlan.straggler(1, 0, 1.0)
+        with SparkContext(4, backend="serial", fault_plan=plan) as sc:
+            assert sum_by_mod7(sc) == baseline
+            assert sc.metrics.extra["spark.speculative_tasks"] == 1
+            assert sc.metrics.extra["spark.speculative_wins"] == 1
+            assert sc.fault_report.speculative == [(1, 0)]
+        assert starts == []
 
 
 class TestShuffleCorruption:

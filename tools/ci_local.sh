@@ -103,6 +103,7 @@ if [ "${1:-}" = "--pool" ]; then
     python -m pytest -q \
         tests/util/test_team.py \
         tests/openmp/test_sync_reduction.py::TestThreadPrivate \
+        tests/openmp/test_tasks.py \
         tests/core/test_executor.py \
         tests/core/test_executor_pool.py \
         tests/core/test_shm_lifecycle.py \
