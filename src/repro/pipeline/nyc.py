@@ -118,9 +118,9 @@ def generate_arrests(
     words for every arrest in one ``random_raw`` call. Arrest ``i``
     reads, in order, one word each for x, y and the dirty test, then
     one 32-bit half for the offense (see :func:`_arrests_from_words`).
-    The output is bit-identical, Python types included, to calling
-    ``uniform``, ``uniform``, ``random`` and ``integers(6)`` per
-    arrest, which is what this function did before.
+    The output is bit-identical, Python types included, to calling the
+    Generator's ``uniform``, ``uniform``, ``random`` and ``integers(6)``
+    per arrest.
     """
     require_positive_int("n", n)
     if not ntas:
