@@ -15,7 +15,10 @@ Three roles, three surfaces:
   fresh segment and returns a :class:`SharedSegment` whose lifecycle is
   explicit: ``unlink()`` is idempotent, every live segment is tracked
   in a process-wide registry, and an ``atexit`` hook unlinks leftovers
-  so a crashed driver cannot leak ``/dev/shm`` entries.
+  so a crashed driver cannot leak ``/dev/shm`` entries. The owner's
+  views hold a buffer export on the mapping, like workers' views: an
+  ``unlink()`` while one of them is alive defers the close and the
+  unlink until the last view is gone, so no view outlives its mapping.
 - **Worker (borrower)** — :func:`attach_array` maps a descriptor to a
   numpy view, cached per process so a persistent pool worker attaches
   once per segment, not once per task; :func:`release_attachments`
@@ -46,6 +49,7 @@ import itertools
 import math
 import os
 import threading
+import weakref
 from dataclasses import dataclass
 from multiprocessing import shared_memory
 from typing import Any, Iterable
@@ -106,14 +110,23 @@ class SharedSegment:
     versa) and must :meth:`unlink` it exactly once, though the call is
     idempotent and the registry's ``atexit`` sweep backstops forgotten
     ones.
+
+    Every view :meth:`array` returns, and every view of those, keeps one
+    flat array alive, and that array holds the buffer export on the
+    mapping. The segment is closed and unlinked when that array dies:
+    at :meth:`unlink` if the owner holds no view, otherwise when its
+    last view is dropped. It stays in :func:`active_segments` until
+    then.
     """
 
     def __init__(self, descriptor: ArrayDescriptor, shm: shared_memory.SharedMemory) -> None:
         self.descriptor = descriptor
         self._shm: shared_memory.SharedMemory | None = shm
-        self._view: np.ndarray | None = np.ndarray(
-            descriptor.shape, dtype=descriptor.dtype, buffer=shm.buf
-        )
+        flat = np.frombuffer(shm.buf, dtype=descriptor.dtype, count=math.prod(descriptor.shape))
+        self._view: np.ndarray | None = flat.reshape(descriptor.shape)
+        # flat.base is the memoryview numpy took the export through.
+        release = weakref.finalize(flat, _release, shm, flat.base, os.getpid())
+        release.atexit = False  # at exit, _unlink_leftovers only unlinks names
 
     @property
     def name(self) -> str:
@@ -126,25 +139,35 @@ class SharedSegment:
         return self._view
 
     def unlink(self) -> None:
-        """Release and remove the segment (idempotent)."""
-        with _LOCK:
-            _OWNED.pop(self.name, None)
-        shm, self._shm = self._shm, None
-        self._view = None
-        if shm is None:
-            return
-        try:
-            shm.close()
-        except Exception:
-            pass
-        try:
-            shm.unlink()
-        except FileNotFoundError:
-            pass
+        """Release and remove the segment once no view of it is left (idempotent)."""
+        self._view = None  # the last view's death closes and unlinks
 
     def __repr__(self) -> str:
-        state = "unlinked" if self._shm is None else "live"
+        state = "unlinked" if self._shm is None or self._view is None else "live"
         return f"SharedSegment({self.descriptor!r}, {state})"
+
+
+def _release(shm: shared_memory.SharedMemory, export: memoryview, owner: int) -> None:
+    """Close and unlink a segment once its last owner-side view is gone.
+
+    Runs while the flat array holding ``export`` is being freed, before
+    it drops ``export``; nothing reads the mapping any more, so the
+    export is released here and the mapping can close. A forked child
+    that inherited the segment only lets go of its copy.
+    """
+    export.release()
+    if os.getpid() != owner:
+        return
+    with _LOCK:
+        _OWNED.pop(shm.name, None)
+    try:
+        shm.close()
+    except Exception:
+        pass
+    try:
+        shm.unlink()
+    except FileNotFoundError:
+        pass
 
 
 def publish_array(array: Any) -> SharedSegment:
@@ -152,9 +175,12 @@ def publish_array(array: Any) -> SharedSegment:
 
     The copy happens exactly once, here; afterwards any number of
     workers attach zero-copy. Non-contiguous inputs are made contiguous
-    first (the descriptor describes C order).
+    first (the descriptor describes C order); 0-d arrays keep shape
+    ``()``.
     """
-    src = np.ascontiguousarray(array)
+    src = np.asarray(array)
+    if not src.flags.c_contiguous:
+        src = np.ascontiguousarray(src)
     name = f"{SEGMENT_PREFIX}-{os.getpid()}-{next(_SEQ)}"
     # Zero-size arrays still need a 1-byte file backing the mapping.
     shm = shared_memory.SharedMemory(create=True, name=name, size=max(1, src.nbytes))
@@ -250,8 +276,18 @@ def active_segments() -> list[str]:
 
 @atexit.register
 def _unlink_leftovers() -> None:  # pragma: no cover - exit-path safety net
-    """Last-resort sweep: a driver must never leak /dev/shm entries."""
+    """Last-resort sweep: a driver must never leak /dev/shm entries.
+
+    A segment that a live view still maps loses only its name here; the
+    mapping goes with the process.
+    """
     with _LOCK:
         leftovers = list(_OWNED.values())
     for segment in leftovers:
         segment.unlink()
+        shm, segment._shm = segment._shm, None
+        if shm is not None and segment.name in _OWNED:
+            try:
+                shm.unlink()
+            except FileNotFoundError:
+                pass
