@@ -7,13 +7,17 @@ don't: the **anti-diagonal wavefront**. Four models, one integer
 answer:
 
 - :func:`align_sequential` — the oracle (numpy + pure-Python kernels);
-- :func:`align_openmp` — threads sweep anti-diagonals behind a
-  per-diagonal barrier, with the racy→critical→atomic→reduction
-  statistics ladder;
-- :func:`align_mpi` — block-row ranks exchanging one halo cell per
-  diagonal, checkpoint-restartable under fault plans;
+- :func:`align_openmp` — threads share each tile diagonal's tiles
+  behind one barrier per tile diagonal, with the
+  racy→critical→atomic→reduction statistics ladder;
+- :func:`align_mpi` — block-row ranks sweeping column blocks and
+  passing one halo strip per block downstream, checkpoint-restartable
+  under fault plans;
 - :func:`align_executor` — tiled wavefront over the executor pool with
   published shared-memory segments.
+
+The three parallel models share one tile plan (:func:`tile_diagonals`),
+one tile sweep and one default tile side (:data:`DEFAULT_TILE`).
 
 Inputs come from :func:`generate_pair` (block-split ``repro.rng``
 streams); everything downstream is a pure function of the seed, which
@@ -30,7 +34,7 @@ from repro.align.data import (
     generate_sequence,
     mutate_sequence,
 )
-from repro.align.executor_align import align_executor, tile_diagonals
+from repro.align.executor_align import DEFAULT_TILE, align_executor, tile_diagonals
 from repro.align.mpi_align import AlignCheckpoint, align_mpi, run_align_mpi
 from repro.align.openmp_align import ALL_VARIANTS, VARIANTS, align_openmp
 from repro.align.scoring import (
@@ -40,7 +44,6 @@ from repro.align.scoring import (
     AlignResult,
     ScoringScheme,
     cell_score,
-    diagonal_row_range,
     encode_sequence,
     in_band,
     init_matrix,
@@ -63,7 +66,6 @@ __all__ = [
     "AlignCheckpoint",
     "encode_sequence",
     "in_band",
-    "diagonal_row_range",
     "cell_score",
     "sweep_cells",
     "init_matrix",
@@ -78,5 +80,6 @@ __all__ = [
     "align_mpi",
     "run_align_mpi",
     "align_executor",
+    "DEFAULT_TILE",
     "tile_diagonals",
 ]

@@ -1,12 +1,16 @@
-"""Executor-backend alignment: a tiled wavefront over the PR-9 pool.
+"""The tile plan every parallel align model shares, and the executor model.
 
-The accelerator-flavoured rung of the assignment: the DP matrix is cut
-into square tiles, and tiles on the same **tile anti-diagonal** are
-independent — each tile's dependencies (its up, left, and up-left
-neighbour tiles) live on earlier tile diagonals. So the driver sweeps
-tile diagonals in order, farming each one's tiles over
+The DP matrix is cut into square tiles of side ``tile``, and tiles on
+the same **tile anti-diagonal** are independent — each tile's
+dependencies (its up, left, and up-left neighbour tiles) live on
+earlier tile diagonals. :func:`tile_diagonals` is that plan,
+:func:`tile_bounds` a tile's cells and :func:`sweep_tiles` the one tile
+sweep. The OpenMP model splits each tile diagonal's tiles across its
+team, the MPI model sweeps its row block by column blocks of the same
+width, and the executor model below farms each tile diagonal over
 :mod:`repro.core.executor` workers with one ``map`` per diagonal (the
-map return is the wavefront barrier).
+map return is the wavefront barrier). All three default to
+:data:`DEFAULT_TILE`.
 
 The data plane is communication-avoiding, exactly like the k-means
 executor model: both sequence code arrays are *published* once through
@@ -14,7 +18,7 @@ executor model: both sequence code arrays are *published* once through
 process backend), and the score matrix is a single ``writable=True``
 published segment that every tile task updates in place over disjoint
 cell ranges. What crosses the process boundary per task is a tile
-coordinate out and a cell count back — ``O(1)`` bytes however large the
+coordinate out and a match count back — ``O(1)`` bytes however large the
 matrix is.
 
 Because each cell is a pure integer function of its predecessors, the
@@ -27,6 +31,8 @@ finished matrix is independent of tile size, worker count, and backend
 from __future__ import annotations
 
 import functools
+from itertools import chain
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -44,7 +50,10 @@ from repro.core.executor import BACKENDS, DataRef, Executor, get_executor
 from repro.trace.tracer import get_tracer
 from repro.util.validation import require_positive_int
 
-__all__ = ["align_executor", "tile_diagonals"]
+__all__ = ["DEFAULT_TILE", "align_executor", "sweep_tiles", "tile_bounds", "tile_diagonals"]
+
+#: Tile side of every parallel align model unless the caller picks one.
+DEFAULT_TILE = 32
 
 
 def tile_diagonals(
@@ -60,31 +69,43 @@ def tile_diagonals(
     """
     nt_i = -(-n // tile)
     nt_j = -(-m // tile)
-    diagonals: list[list[tuple[int, int]]] = []
-    for td in range(nt_i + nt_j - 1):
-        wave: list[tuple[int, int]] = []
-        for ti in range(max(0, td - nt_j + 1), min(nt_i - 1, td) + 1):
-            tj = td - ti
-            i0 = 1 + ti * tile
-            i1 = min(n, i0 + tile - 1)
-            j0 = 1 + tj * tile
-            j1 = min(m, j0 + tile - 1)
-            if any(band_cells(i0, i1, j0, j1, band)):  # the tile meets the band
-                wave.append((ti, tj))
-        diagonals.append(wave)
-    return diagonals
+    return [
+        [
+            (ti, td - ti)
+            for ti in range(max(0, td - nt_j + 1), min(nt_i - 1, td) + 1)
+            if any(band_cells(*tile_bounds(ti, td - ti, tile, n, m), band))  # meets the band
+        ]
+        for td in range(nt_i + nt_j - 1)
+    ]
+
+
+def tile_bounds(ti: int, tj: int, tile: int, n: int, m: int) -> tuple[int, int, int, int]:
+    """Tile ``(ti, tj)``'s interior rows ``i0..i1`` and columns ``j0..j1``, inclusive."""
+    i0 = 1 + ti * tile
+    j0 = 1 + tj * tile
+    return i0, min(n, i0 + tile - 1), j0, min(m, j0 + tile - 1)
+
+
+def sweep_tiles(
+    rows: list[list[int]], a: Sequence[int], b: Sequence[int],
+    blocks: Iterable[tuple[int, int, int, int]], band: int | None, scheme: ScoringScheme,
+    san=None, origin: tuple[int, int] = (0, 0),
+) -> tuple[int, tuple[int, int, int]]:
+    """Sweep the in-band cells of each block ``(i0, i1, j0, j1)`` in turn, row-major.
+
+    Bounds are matrix coordinates; ``rows``, ``a`` and ``b`` may be a
+    block copied out at ``origin``, which the sweep then addresses in
+    local coordinates. Every predecessor outside the current block must
+    already be final. Returns :func:`~repro.align.scoring.sweep_cells`'
+    ``(match_events, best)`` over all the blocks.
+    """
+    cells = chain.from_iterable(band_cells(*bounds, band, origin=origin) for bounds in blocks)
+    return sweep_cells(rows, a, b, cells, scheme, san)
 
 
 def _tile_task(
-    a_ref: DataRef,
-    b_ref: DataRef,
-    h_ref: DataRef,
-    scheme: ScoringScheme,
-    band: int | None,
-    tile: int,
-    shape: tuple[int, int],
-    _index: int,
-    coord: tuple[int, int],
+    a_ref: DataRef, b_ref: DataRef, h_ref: DataRef, scheme: ScoringScheme, band: int | None,
+    tile: int, shape: tuple[int, int], _index: int, coord: tuple[int, int],
 ) -> int:
     """One pooled tile: read shared predecessors, write shared scores.
 
@@ -93,23 +114,18 @@ def _tile_task(
     and its halo row and column are copied out in one ``tolist()``,
     swept row-major in local coordinates (the per-diagonal map barrier
     finished every inter-tile dependency), and written back in one
-    slice. Returns the number of in-band cells it computed.
+    slice. Returns the tile's match events.
     """
     n, m = shape
-    ti, tj = coord
+    i0, i1, j0, j1 = bounds = tile_bounds(*coord, tile, n, m)
     H = h_ref.array()
-    i0 = 1 + ti * tile
-    i1 = min(n, i0 + tile - 1)
-    j0 = 1 + tj * tile
-    j1 = min(m, j0 + tile - 1)
     rows = H[i0 - 1 : i1 + 1, j0 - 1 : j1 + 1].tolist()
-    cells = list(band_cells(i0, i1, j0, j1, band, origin=(i0 - 1, j0 - 1)))
-    sweep_cells(
+    events, _ = sweep_tiles(
         rows, a_ref.array()[i0 - 1 : i1].tolist(), b_ref.array()[j0 - 1 : j1].tolist(),
-        cells, scheme,
+        [bounds], band, scheme, origin=(i0 - 1, j0 - 1),
     )
     H[i0 : i1 + 1, j0 : j1 + 1] = np.asarray(rows, dtype=np.int64)[1:, 1:]
-    return len(cells)
+    return events
 
 
 def align_executor(
@@ -120,7 +136,7 @@ def align_executor(
     band: int | None = None,
     num_workers: int = 4,
     backend: "str | Executor" = "thread",
-    tile: int = 32,
+    tile: int = DEFAULT_TILE,
 ) -> AlignResult:
     """Tiled wavefront alignment over an executor backend.
 
@@ -154,9 +170,7 @@ def align_executor(
         a_ref = executor.publish(a_codes)
         b_ref = executor.publish(b_codes)
         h_ref = executor.publish(init_matrix(n, m, scheme, band), writable=True)
-        task = functools.partial(
-            _tile_task, a_ref, b_ref, h_ref, scheme, band, tile, (n, m)
-        )
+        task = functools.partial(_tile_task, a_ref, b_ref, h_ref, scheme, band, tile, (n, m))
         tiles_done = 0
         with tracer.span(
             "align.score", category="align", model="executor",
@@ -165,12 +179,12 @@ def align_executor(
             for td, wave in enumerate(waves):
                 if not wave:
                     continue
-                cell_counts = executor.map(task, wave)  # the wavefront barrier
+                events = executor.map(task, wave)  # the wavefront barrier
                 tiles_done += len(wave)
                 if tracer.enabled and td % stride == 0:
                     tracer.instant(
                         "align.diagonal", category="align", model="executor",
-                        d=td, tiles=len(wave), cells=int(sum(cell_counts)),
+                        d=td, tiles=len(wave), match_events=int(sum(events)),
                     )
         H = np.array(h_ref.array())  # outlive the segment
         if tracer.enabled:

@@ -35,8 +35,9 @@ def rungs(
     """Every correct model, labelled, as a runner over the pair ``(a, b)``.
 
     ``workers`` is the thread, rank and pool-worker count, ``tile`` the
-    executor wavefront's tile side; ``model_kwargs`` (``scheme``,
-    ``band``) go to every model.
+    tile side of every parallel model (the OpenMP and executor tiles,
+    the MPI column blocks); ``model_kwargs`` (``scheme``, ``band``) go
+    to every model.
     """
     a, b = problem
     ladder = {
@@ -45,9 +46,9 @@ def rungs(
     }
     for variant in VARIANTS:
         ladder[f"openmp-{variant}"] = lambda v=variant: align_openmp(
-            a, b, num_threads=workers, variant=v, **model_kwargs
+            a, b, num_threads=workers, variant=v, tile=tile, **model_kwargs
         )
-    ladder["mpi"] = lambda: run_align_mpi(workers, a, b, **model_kwargs)
+    ladder["mpi"] = lambda: run_align_mpi(workers, a, b, tile=tile, **model_kwargs)
     for backend in BACKENDS:
         ladder[f"executor-{backend}"] = lambda bk=backend: align_executor(
             a, b, num_workers=workers, backend=bk, tile=tile, **model_kwargs

@@ -1,63 +1,64 @@
-"""MPI-model wavefront alignment: block rows, per-diagonal halo exchange.
+"""MPI-model wavefront alignment: block rows, a pipelined strip exchange.
 
-The distributed-memory step of the alignment assignment. Rows of the DP
-matrix are block-distributed: rank ``r`` owns interior rows
-``lo+1 .. hi`` (from :func:`~repro.util.partition.block_bounds` over the
-``n`` interior rows) and computes their cells diagonal by diagonal. The
-only cross-rank dependency is the **last owned row**: rank ``r``'s rows
-read row ``lo`` — rank ``r-1``'s last row — as their up/diagonal
-predecessors. So after computing anti-diagonal ``d`` each rank sends the
-single cell ``(hi, d - hi)`` downstream and receives its halo cell
-``(lo, d - lo)`` from upstream, tagged with ``d``.
+The distributed-memory step of the alignment assignment. Rank ``r``
+owns interior rows ``lo+1 .. hi`` (:func:`~repro.util.partition.block_bounds`
+over the ``n`` rows) and sweeps them in **column blocks** ``j0 .. j1``
+of width ``tile`` with :func:`~repro.align.executor_align.sweep_tiles`.
+The only cross-rank dependency is row ``lo``, rank ``r-1``'s last row,
+which rank ``r``'s first row reads. So before a block a rank receives
+row ``lo``'s strip over the block's columns from upstream (up to
+``tile`` cells, tagged with the block index), and after it sends its
+last row's strip downstream. Rank ``r`` sweeps block ``c`` while rank
+``r+1`` sweeps block ``c-1``: a pipelined wavefront with one message
+per column block and rank pair, not one per cell anti-diagonal.
 
-Send and receive are governed by the *same* deterministic predicate —
-"row ``hi`` (resp. ``lo``) has a cell on diagonal ``d`` with
-``0 <= j <= m``, inside the band" — evaluated from values every rank
-already knows (``n``, ``m``, ``band``, the row partition), so the
-pairing can never mismatch and, because sends are buffered, the
-send-then-receive step is deadlock-free by construction.
+Sender and receiver decide with the *same* predicate — "row ``hi``
+(resp. ``lo``) has in-band cells in columns ``j0 .. j1``", the strip
+being exactly those cells — on values every rank knows (``m``,
+``band``, ``tile``, the row partition). The pairing can never mismatch
+and, sends being buffered, the receive-sweep-send step is
+deadlock-free by construction.
 
 Fault tolerance mirrors the k-means design (docs/fault_tolerance.md):
-pass an :class:`AlignCheckpoint` and rank 0 periodically gathers the
-completed row blocks and records ``(diagonal, matrix)``; a relaunched
-world restores the matrix, fast-forwards to the first unfinished
-diagonal, and — the arithmetic being integer — finishes bit-identical
-to a fault-free run. ``tests/align/test_align_faults.py`` holds it to
-that under crash and straggler plans.
+with an :class:`AlignCheckpoint`, rank 0 gathers the matrix every
+``checkpoint_every`` column blocks and records ``(block, matrix)``; a
+relaunched world restores it, skips the completed blocks and — the
+arithmetic being integer — finishes bit-identical to a fault-free run.
+``tests/align/test_align_faults.py`` holds it to that under crash and
+straggler plans.
 """
 
 from __future__ import annotations
 
+import functools
 import threading
 from contextlib import nullcontext
 
 import numpy as np
 
+from repro.align.executor_align import DEFAULT_TILE, sweep_tiles
 from repro.align.scoring import (
     AlignResult,
     ScoringScheme,
     build_result,
     check_band,
-    diagonal_cells,
-    diagonal_row_range,
     encode_sequence,
-    in_band,
     init_matrix,
-    sweep_cells,
 )
 from repro.mpi import Communicator, run_spmd
 from repro.util.partition import block_bounds
+from repro.util.validation import require_positive_int
 
 __all__ = ["align_mpi", "run_align_mpi", "AlignCheckpoint"]
 
-#: User tag space for halo messages: tag = _TAG_HALO_BASE + diagonal.
+#: User tag space for halo messages: tag = _TAG_HALO_BASE + column block.
 _TAG_HALO_BASE = 0
 
 
 class AlignCheckpoint:
-    """Diagonal checkpoint for :func:`align_mpi` (in-memory stand-in for a file).
+    """Column-block checkpoint for :func:`align_mpi` (in-memory stand-in for a file).
 
-    Holds the matrix as of the last *checkpointed* diagonal. ``save``
+    Holds the matrix as of the last *checkpointed* column block. ``save``
     replaces the whole state atomically under a lock — a world dying
     mid-save at worst leaves the previous checkpoint, never a torn one
     (the write-temp-then-rename discipline of real checkpoint files).
@@ -68,19 +69,19 @@ class AlignCheckpoint:
         self._state: tuple[int, np.ndarray] | None = None
 
     @property
-    def diagonal(self) -> int:
-        """Last checkpointed anti-diagonal (0 = nothing recorded)."""
+    def block(self) -> int:
+        """Column blocks completed at the last checkpoint (0 = nothing recorded)."""
         with self._lock:
             return 0 if self._state is None else self._state[0]
 
     def has_state(self) -> bool:
-        """True once at least one diagonal has been recorded."""
+        """True once at least one column block has been recorded."""
         with self._lock:
             return self._state is not None
 
-    def save(self, diagonal: int, matrix: np.ndarray) -> None:
-        """Atomically record the matrix after completing ``diagonal``."""
-        state = (diagonal, np.array(matrix, copy=True))
+    def save(self, block: int, matrix: np.ndarray) -> None:
+        """Atomically record the matrix after completing ``block`` column blocks."""
+        state = (block, np.array(matrix, copy=True))
         with self._lock:
             self._state = state
 
@@ -89,19 +90,20 @@ class AlignCheckpoint:
         with self._lock:
             if self._state is None:
                 raise ValueError("checkpoint is empty — nothing to restore")
-            diagonal, matrix = self._state
-            return diagonal, matrix.copy()
+            block, matrix = self._state
+            return block, matrix.copy()
 
 
-def _halo_exists(row: int, d: int, m: int, band: int | None) -> bool:
-    """The shared send/recv predicate: does row ``row`` have a cell on ``d``?
+def _strip(row: int, j0: int, j1: int, band: int | None) -> slice | None:
+    """The shared send/recv predicate: row ``row``'s in-band columns in ``j0..j1``.
 
-    True when ``(row, d - row)`` is a real matrix cell inside the band.
-    Sender (last owned row) and receiver (halo row) evaluate it on the
-    same ``row`` value, so every send has exactly one matching receive.
+    None when there are none. Sender (last owned row) and receiver (halo
+    row) evaluate it on the same ``row``, so every send has exactly one
+    matching receive of the same length.
     """
-    j = d - row
-    return 0 <= j <= m and in_band(row, j, band)
+    if band is not None:
+        j0, j1 = max(j0, row - band), min(j1, row + band)
+    return slice(j0, j1 + 1) if j0 <= j1 else None
 
 
 def align_mpi(
@@ -111,17 +113,20 @@ def align_mpi(
     *,
     scheme: ScoringScheme | None = None,
     band: int | None = None,
+    tile: int = DEFAULT_TILE,
     checkpoint: AlignCheckpoint | None = None,
     checkpoint_every: int = 8,
 ) -> AlignResult | None:
     """SPMD wavefront alignment: call from every rank; sequences on root only.
 
     Returns the full :class:`AlignResult` on rank 0, None elsewhere.
-    With a ``checkpoint``, rank 0 gathers and records the matrix every
-    ``checkpoint_every`` completed diagonals; a world started with a
-    non-empty checkpoint resumes from the recorded diagonal instead of
-    recomputing — the restart path for a run killed by a fault.
+    ``tile`` is the column-block width. With a ``checkpoint``, rank 0
+    gathers and records the matrix every ``checkpoint_every`` completed
+    column blocks; a world started with a non-empty checkpoint resumes
+    after the recorded block instead of recomputing — the restart path
+    for a run killed by a fault.
     """
+    require_positive_int("tile", tile)
     scheme = scheme or ScoringScheme()
     rank, size = comm.rank, comm.size
     tracer = comm.tracer
@@ -167,9 +172,9 @@ def align_mpi(
         else:
             state = None
         # Bundled for the same delay-reordering reason as the input bcast.
-        start_d, H = comm.bcast(state, root=0)
+        start_block, H = comm.bcast(state, root=0)
     else:
-        start_d = 1  # diagonal 1 is pure boundary; the loop starts past it
+        start_block = 0
         H = init_matrix(n, m, scheme, band)
     rows = H.tolist()
 
@@ -185,41 +190,39 @@ def align_mpi(
         return np.asarray(full, dtype=np.int64)
 
     enabled = tracer.enabled
-    stride = max(1, (n + m) // 32)
+    num_blocks = -(-m // tile)
+    stride = max(1, num_blocks // 32)
     exchanges = 0
-    with tracer.span("align.score", category="align", model="mpi", rank=rank, size=size):
-        for d in range(start_d + 1, n + m + 1):
-            # Compute this rank's share of anti-diagonal d.
-            ilo, ihi = diagonal_row_range(d, n, m, band)
-            sweep_cells(
-                rows, a_list, b_list,
-                diagonal_cells(d, max(ilo, first_row), min(ihi, last_row)), scheme,
-            )
-
-            # Halo exchange: push the last owned row's cell downstream,
-            # pull the halo row's cell from upstream (send first —
-            # buffered sends make the step deadlock-free).
-            with tracer.span(
-                "align.exchange", category="align", model="mpi", rank=rank, d=d
-            ) if enabled and d % stride == 0 else nullcontext():
-                if rank + 1 < size and _halo_exists(last_row, d, m, band):
-                    comm.send(rows[last_row][d - last_row], dest=rank + 1,
-                              tag=_TAG_HALO_BASE + d)
-                    exchanges += 1
-                if rank > 0 and _halo_exists(halo_row, d, m, band):
-                    rows[halo_row][d - halo_row] = comm.recv(
-                        source=rank - 1, tag=_TAG_HALO_BASE + d
-                    )
-                    exchanges += 1
-            if enabled and rank == 0 and d % stride == 0:
-                tracer.instant("align.diagonal", category="align", model="mpi", d=d)
+    with tracer.span(
+        "align.score", category="align", model="mpi", rank=rank, size=size, tile=tile
+    ):
+        for c in range(start_block, num_blocks):
+            j0 = 1 + c * tile
+            j1 = min(m, j0 + tile - 1)
+            # Pull the halo row's strip from upstream, sweep the block,
+            # push the last owned row's strip downstream.
+            halo = _strip(halo_row, j0, j1, band) if rank > 0 else None
+            out = _strip(last_row, j0, j1, band) if rank + 1 < size else None
+            traced = enabled and c % stride == 0
+            exchange = functools.partial(
+                tracer.span, "align.exchange", category="align", model="mpi", rank=rank, block=c
+            ) if traced else nullcontext
+            if halo:
+                with exchange():
+                    rows[halo_row][halo] = comm.recv(source=rank - 1, tag=_TAG_HALO_BASE + c)
+            sweep_tiles(rows, a_list, b_list, [(first_row, last_row, j0, j1)], band, scheme)
+            if out:
+                with exchange():
+                    comm.send(rows[last_row][out], dest=rank + 1, tag=_TAG_HALO_BASE + c)
+            exchanges += (halo is not None) + (out is not None)
 
             # Periodic checkpoint: the completed rows land on rank 0
-            # before anyone can die on a later diagonal.
-            if checkpoint is not None and (d % checkpoint_every == 0 or d == n + m):
+            # before anyone can die on a later block.
+            done = c + 1
+            if checkpoint is not None and (done % checkpoint_every == 0 or done == num_blocks):
                 full = gathered()
                 if rank == 0:
-                    checkpoint.save(d, full)
+                    checkpoint.save(done, full)
 
     if enabled:
         tracer.metrics.counter("align.exchanges", model="mpi", rank=rank).inc(exchanges)
@@ -238,20 +241,22 @@ def run_align_mpi(
     a: str | np.ndarray,
     b: str | np.ndarray,
     *,
+    tile: int = DEFAULT_TILE,
     faults=None,
     timeout: float = 60.0,
     **kwargs,
 ) -> AlignResult:
     """Launcher: run :func:`align_mpi` on ``num_ranks`` ranks, return root's result.
 
-    ``faults``/``timeout`` go to the runtime (fault-injection runs);
-    remaining keyword arguments go to :func:`align_mpi` — including
-    ``checkpoint``, which is how a relaunch after a fault resumes.
+    ``tile`` is every rank's column-block width; ``faults``/``timeout``
+    go to the runtime (fault-injection runs); remaining keyword
+    arguments go to :func:`align_mpi` — including ``checkpoint``, which
+    is how a relaunch after a fault resumes.
     """
 
     def program(comm: Communicator) -> AlignResult | None:
         if comm.rank == 0:
-            return align_mpi(comm, a, b, **kwargs)
-        return align_mpi(comm, None, None, **kwargs)
+            return align_mpi(comm, a, b, tile=tile, **kwargs)
+        return align_mpi(comm, None, None, tile=tile, **kwargs)
 
     return run_spmd(num_ranks, program, faults=faults, timeout=timeout)[0]

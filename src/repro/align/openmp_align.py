@@ -2,13 +2,16 @@
 
 K-means taught the ladder on a *reduction* dependency (every thread
 updates the same accumulators each iteration). Alignment teaches it on a
-**wavefront**: anti-diagonal ``d`` of the DP matrix depends on diagonals
-``d-1`` and ``d-2``, so the team sweeps diagonals in order — rows of
-each diagonal split statically across threads, one ``ctx.barrier()``
-per diagonal making the cross-diagonal reads race-free. The matrix
-itself is therefore correct on *every* rung; what the ladder guards are
-the shared wavefront statistics (the match-event counter and the
-best-cell box) each thread flushes per diagonal:
+**wavefront**: a tile of the DP matrix depends on its up, left and
+up-left neighbours, so the team sweeps the tile diagonals of
+:func:`~repro.align.executor_align.tile_diagonals` in order, each
+diagonal's tiles split across threads by
+:func:`~repro.util.partition.block_bounds`, with one ``ctx.barrier()``
+per tile diagonal making the cross-tile reads race-free (7 barriers for
+a 120 x 120 pair at the default tile, against 239 cell anti-diagonals).
+The matrix is therefore correct on *every* rung; what the ladder guards
+are the shared wavefront statistics (the match-event counter and the
+best-cell box) each thread flushes once per tile diagonal:
 
 - ``"racy"`` — rung zero: a :class:`~repro.openmp.RacyCell` counter and
   a bare read-compare-write on the best box. The sanitizer flags both
@@ -19,9 +22,9 @@ best-cell box) each thread flushes per diagonal:
 - ``"reduction"`` — thread-private statistics merged in thread order
   after the join (contention-free and deterministic).
 
-Each thread hands its block of diagonal ``d`` of a list-of-rows matrix
-to :func:`~repro.align.scoring.sweep_cells` with the sanitizer it read
-once, so each cell carries ``align.H[i,j]`` annotations when one is
+Each thread sweeps its tiles row-major on the shared list-of-rows matrix
+with :func:`~repro.align.executor_align.sweep_tiles` and the sanitizer it
+read once, so each cell carries ``align.H[i,j]`` annotations when one is
 installed, which is what lets ``tests/sanitizer/test_align_certification.py``
 certify the barrier structure itself, not just the statistics.
 """
@@ -30,17 +33,15 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.align.executor_align import DEFAULT_TILE, sweep_tiles, tile_bounds, tile_diagonals
 from repro.align.scoring import (
     OUT_OF_BAND,
     AlignResult,
     ScoringScheme,
     build_result,
     check_band,
-    diagonal_cells,
-    diagonal_row_range,
     encode_sequence,
     init_matrix,
-    sweep_cells,
 )
 from repro.openmp import Atomic, RacyCell, parallel_region
 from repro.sanitizer.runtime import annotate_read, annotate_write, get_sanitizer, preemption_point
@@ -75,9 +76,11 @@ def align_openmp(
     variant: str = "reduction",
     scheme: ScoringScheme | None = None,
     band: int | None = None,
+    tile: int = DEFAULT_TILE,
 ) -> AlignResult:
-    """Shared-memory wavefront alignment with the chosen race-repair rung."""
+    """Shared-memory tiled wavefront alignment with the chosen race-repair rung."""
     require_positive_int("num_threads", num_threads)
+    require_positive_int("tile", tile)
     if variant not in ALL_VARIANTS:
         raise ValueError(f"variant must be one of {ALL_VARIANTS}, got {variant!r}")
     scheme = scheme or ScoringScheme()
@@ -87,75 +90,69 @@ def align_openmp(
     m = b_codes.shape[0]
     check_band(n, m, band, scheme.mode)
     rows = init_matrix(n, m, scheme, band).tolist()
+    waves = [wave for wave in tile_diagonals(n, m, tile, band) if wave]
     a_list = a_codes.tolist()
     b_list = b_codes.tolist()
 
     # Shared wavefront statistics — the cells the ladder is about.
-    if variant == "racy":
-        matches_cell = RacyCell(0, name="align.matches")
-    else:
-        matches_cell = Atomic(0, name="align.matches")
+    matches_cell = (RacyCell if variant == "racy" else Atomic)(0, name="align.matches")
     best_box: list = [OUT_OF_BAND, 0, 0]  # (score, i, j) under _better's order
     best_cell_atomic = (
         Atomic((OUT_OF_BAND, 0, 0), name="align.best") if variant == "atomic" else None
     )
     thread_matches = [0] * num_threads if variant == "reduction" else None
-    thread_best = (
-        [(OUT_OF_BAND, 0, 0)] * num_threads if variant == "reduction" else None
-    )
+    thread_best = [(OUT_OF_BAND, 0, 0)] * num_threads if variant == "reduction" else None
 
     def body(ctx) -> None:
         san = get_sanitizer()
         tid = ctx.thread_id
-        for d in range(2, n + m + 1):
-            ilo, ihi = diagonal_row_range(d, n, m, band)
-            count = ihi - ilo + 1
-            if count > 0:
-                lo, hi = block_bounds(count, ctx.num_threads, tid)
-                diag_matches, diag_best = sweep_cells(
-                    rows, a_list, b_list, diagonal_cells(d, ilo + lo, ilo + hi - 1),
-                    scheme, san,
+        for wave in waves:
+            lo, hi = block_bounds(len(wave), ctx.num_threads, tid)
+            if hi > lo:  # this thread owns tiles on the diagonal: sweep, then flush
+                wave_matches, wave_best = sweep_tiles(
+                    rows, a_list, b_list,
+                    (tile_bounds(ti, tj, tile, n, m) for ti, tj in wave[lo:hi]),
+                    band, scheme, san,
                 )
-                if hi > lo:  # this thread owned cells on the diagonal: flush
-                    if variant == "racy":
-                        # Rung zero: the counter loses updates in RacyCell's
-                        # read→write window; the best box in ours.
-                        matches_cell.add(diag_matches)
-                        annotate_read("align.best", "align.racy:best:read")
-                        incumbent = (best_box[0], best_box[1], best_box[2])
-                        if _better(diag_best, incumbent):
-                            preemption_point()
-                            annotate_write("align.best", "align.racy:best:write")
-                            best_box[0], best_box[1], best_box[2] = diag_best
-                    elif variant == "critical":
-                        with ctx.critical("align.stats"):
-                            annotate_read("align.best", "align.critical:best")
-                            if _better(diag_best, tuple(best_box)):
-                                annotate_write("align.best", "align.critical:best")
-                                best_box[0], best_box[1], best_box[2] = diag_best
-                            matches_cell.add(diag_matches)
-                    elif variant == "atomic":
-                        matches_cell.add(diag_matches)
-                        best_cell_atomic.update(
-                            lambda old, cand=diag_best: cand if _better(cand, old) else old
-                        )
-                    else:
-                        # Reduction: thread-private partials, merged post-join.
-                        annotate_write(f"align.stats:t{tid}", "align.reduction:partial")
-                        thread_matches[tid] += diag_matches
-                        if _better(diag_best, thread_best[tid]):
-                            thread_best[tid] = diag_best
+                if variant == "racy":
+                    # Rung zero: the counter loses updates in RacyCell's
+                    # read→write window; the best box in ours.
+                    matches_cell.add(wave_matches)
+                    annotate_read("align.best", "align.racy:best:read")
+                    incumbent = (best_box[0], best_box[1], best_box[2])
+                    if _better(wave_best, incumbent):
+                        preemption_point()
+                        annotate_write("align.best", "align.racy:best:write")
+                        best_box[0], best_box[1], best_box[2] = wave_best
+                elif variant == "critical":
+                    with ctx.critical("align.stats"):
+                        annotate_read("align.best", "align.critical:best")
+                        if _better(wave_best, tuple(best_box)):
+                            annotate_write("align.best", "align.critical:best")
+                            best_box[0], best_box[1], best_box[2] = wave_best
+                        matches_cell.add(wave_matches)
+                elif variant == "atomic":
+                    matches_cell.add(wave_matches)
+                    best_cell_atomic.update(
+                        lambda old, cand=wave_best: cand if _better(cand, old) else old
+                    )
+                else:
+                    # Reduction: thread-private partials, merged post-join.
+                    annotate_write(f"align.stats:t{tid}", "align.reduction:partial")
+                    thread_matches[tid] += wave_matches
+                    if _better(wave_best, thread_best[tid]):
+                        thread_best[tid] = wave_best
             ctx.barrier()
 
     tracer = get_tracer()
     with tracer.span(
         "align.score", category="align", model="openmp",
-        variant=variant, num_threads=num_threads,
+        variant=variant, num_threads=num_threads, tile=tile,
     ):
         parallel_region(num_threads, body)
     H = np.asarray(rows, dtype=np.int64)
     if tracer.enabled:
-        tracer.metrics.counter("align.diagonals", model="openmp").inc(n + m - 1)
+        tracer.metrics.counter("align.tile_diagonals", model="openmp").inc(len(waves))
         tracer.metrics.counter("align.alignments", model="openmp").inc()
 
     if variant == "reduction":

@@ -8,14 +8,15 @@ score-related is integer arithmetic defined **once**, here:
 - :class:`ScoringScheme` — match / mismatch / gap scores plus the
   ``"global"`` (Needleman–Wunsch) vs ``"local"`` (Smith–Waterman) mode;
 - :func:`sweep_cells` — the one per-cell loop, and the one place the
-  scalar recurrence is written (the numpy kernel in
+  scalar recurrence is written (the row-scan numpy kernel in
   :mod:`repro.align.sequential` is its vectorized twin, asserted equal
-  in ``tests/align``); the python oracle, the OpenMP, MPI and executor
-  walkers differ only in which cells they hand it;
+  in ``tests/align``); the python oracle and the tile sweep that the
+  OpenMP, MPI and executor models share differ only in which cells
+  they hand it;
 - :func:`cell_score` — the recurrence for one cell, as a one-cell
   :func:`sweep_cells`;
-- :func:`in_band` / :func:`diagonal_row_range` / :func:`diagonal_cells`
-  / :func:`band_cells` — banded-DP geometry, shared by the walkers;
+- :func:`in_band` / :func:`band_cells` — banded-DP geometry: the
+  in-band cells of a row range by a column range, row-major;
 - :func:`summarize_matrix` — the derived statistics (best cell, match
   events) that the OpenMP rung ladder recomputes cooperatively;
 - :func:`traceback_path` / :func:`build_result` — the deterministic
@@ -42,7 +43,6 @@ __all__ = [
     "AlignResult",
     "encode_sequence",
     "in_band",
-    "diagonal_row_range",
     "cell_score",
     "sweep_cells",
     "init_matrix",
@@ -153,27 +153,6 @@ def check_band(n: int, m: int, band: int | None, mode: str) -> None:
             f"band {band} cannot reach the corner: global alignment of lengths "
             f"{n} x {m} needs band >= {abs(n - m)}"
         )
-
-
-def diagonal_row_range(d: int, n: int, m: int, band: int | None) -> tuple[int, int]:
-    """Interior rows of anti-diagonal ``d``: ``(ilo, ihi)`` inclusive.
-
-    Cell ``(i, d - i)`` is interior when ``1 <= i <= n`` and
-    ``1 <= d - i <= m``; the band clips further to ``|2i - d| <= band``.
-    Returns an empty range (``ilo > ihi``) when the diagonal has no
-    interior cells.
-    """
-    ilo = max(1, d - m)
-    ihi = min(n, d - 1)
-    if band is not None:
-        ilo = max(ilo, (d - band + 1) // 2)
-        ihi = min(ihi, (d + band) // 2)
-    return ilo, ihi
-
-
-def diagonal_cells(d: int, ilo: int, ihi: int) -> Iterable[tuple[int, int]]:
-    """Cells ``(i, d - i)`` of anti-diagonal ``d`` for rows ``ilo..ihi``, ``i`` ascending."""
-    return zip(range(ilo, ihi + 1), range(d - ilo, d - ihi - 1, -1))
 
 
 def band_cells(

@@ -3,14 +3,19 @@
 The reference implementation every parallel model is certified against.
 Two kernels compute the same banded dynamic-programming matrix:
 
-- ``"numpy"`` — vectorized over **anti-diagonals**: every cell on
-  diagonal ``d`` depends only on diagonals ``d-1`` and ``d-2``, so one
-  fancy-indexed ``maximum`` fills the whole wavefront at once. This is
-  the exact dependency structure the parallel models exploit, expressed
-  serially.
+- ``"numpy"`` — vectorized over **rows**. For row ``i`` over its in-band
+  columns ``j0..j1``, the diagonal and up moves read only row ``i-1``,
+  so ``T = max(H[i-1, j-1] + s_ij, H[i-1, j] + gap)`` (floored at 0 in
+  local mode) is one vector expression. The left move chains along the
+  row: ``H[i, j] = max(T[j], H[i, j-1] + gap)`` unrolls to
+  ``H[i, j] = max over k <= j of (seg[k] + (j - k) * gap)``, where
+  ``seg`` is ``T`` with the left neighbour ``H[i, j0-1]`` prepended. So
+  ``H[i, j0-1..j1] = maximum.accumulate(seg - k * gap) + k * gap`` over
+  positions ``k``: one prefix maximum per row. The arithmetic is int64
+  additions and maxima, exact for either sign of a linear gap.
 - ``"python"`` — the per-cell scalar loop: one row-major
   :func:`repro.align.scoring.sweep_cells` over the in-band cells, the
-  same loop the OpenMP, MPI, and executor walkers hand their own cells
+  same loop the OpenMP, MPI, and executor tile sweeps hand their cells
   to. The GIL-bound stand-in for the C starter code.
 
 Both kernels produce bit-identical int64 matrices (integer arithmetic
@@ -18,9 +23,9 @@ has no rounding, and ``max`` is order-independent), which is what makes
 the cross-model conformance suite a pure ``assert_array_equal``.
 
 Tracing: one ``align.score`` span around the sweep and strided
-``align.diagonal`` instants, all behind the off-by-default tracer gate
-— the idle overhead is bounded under 5% by the ``align_overhead`` gate
-in ``benchmarks/gates.py``.
+``align.row`` instants, all behind the off-by-default tracer gate — the
+idle overhead is bounded under 5% by the ``align_overhead`` gate in
+``benchmarks/gates.py``.
 """
 
 from __future__ import annotations
@@ -33,7 +38,6 @@ from repro.align.scoring import (
     band_cells,
     build_result,
     check_band,
-    diagonal_row_range,
     encode_sequence,
     init_matrix,
     sweep_cells,
@@ -49,36 +53,32 @@ KERNELS = ("numpy", "python")
 def _score_matrix_numpy(
     a_codes: np.ndarray, b_codes: np.ndarray, scheme: ScoringScheme, band: int | None
 ) -> np.ndarray:
-    """Anti-diagonal vectorized sweep (the serial wavefront)."""
+    """Row-scan vectorized sweep: one prefix maximum per row."""
     n = a_codes.shape[0]
     m = b_codes.shape[0]
     H = init_matrix(n, m, scheme, band)
     tracer = get_tracer()
     enabled = tracer.enabled
-    stride = max(1, (n + m) // 32)
-    local = scheme.mode == "local"
+    stride = max(1, n // 32)
+    steps = np.arange(m + 1, dtype=np.int64) * scheme.gap  # k * gap at segment position k
     with tracer.span("align.score", category="align", model="sequential", kernel="numpy"):
-        for d in range(2, n + m + 1):
-            ilo, ihi = diagonal_row_range(d, n, m, band)
-            if ilo > ihi:
+        for i in range(1, n + 1):
+            j0, j1 = (1, m) if band is None else (max(1, i - band), min(m, i + band))
+            if j0 > j1:
                 continue
-            ii = np.arange(ilo, ihi + 1)
-            jj = d - ii
-            sub = np.where(a_codes[ii - 1] == b_codes[jj - 1], scheme.match, scheme.mismatch)
-            best = np.maximum(
-                H[ii - 1, jj - 1] + sub,
-                np.maximum(H[ii - 1, jj] + scheme.gap, H[ii, jj - 1] + scheme.gap),
-            )
-            if local:
-                np.maximum(best, 0, out=best)
-            H[ii, jj] = best
-            if enabled and d % stride == 0:
-                tracer.instant(
-                    "align.diagonal", category="align", model="sequential",
-                    d=d, cells=int(ihi - ilo + 1),
-                )
+            above = H[i - 1]
+            sub = np.where(b_codes[j0 - 1 : j1] == a_codes[i - 1], scheme.match, scheme.mismatch)
+            seg = np.empty(j1 - j0 + 2, dtype=np.int64)
+            seg[0] = H[i, j0 - 1]
+            np.maximum(above[j0 - 1 : j1] + sub, above[j0 : j1 + 1] + scheme.gap, out=seg[1:])
+            if scheme.mode == "local":
+                np.maximum(seg[1:], 0, out=seg[1:])
+            k = steps[: seg.shape[0]]
+            H[i, j0 : j1 + 1] = (np.maximum.accumulate(seg - k) + k)[1:]
+            if enabled and i % stride == 0:
+                tracer.instant("align.row", category="align", model="sequential", i=i)
         if enabled:
-            tracer.metrics.counter("align.diagonals", model="sequential").inc(n + m - 1)
+            tracer.metrics.counter("align.rows", model="sequential").inc(n)
     return H
 
 

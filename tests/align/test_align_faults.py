@@ -1,4 +1,4 @@
-"""Fault plans against the MPI wavefront: diagonal-checkpoint restart.
+"""Fault plans against the MPI wavefront: column-block checkpoint restart.
 
 The contract under test (docs/fault_tolerance.md, extended to the align
 family): a world killed mid-sweep by an injected crash, relaunched with
@@ -20,6 +20,16 @@ from repro.mpi import FaultPlan, InjectedCrash, RankFailedError
 from repro.mpi.faults import FaultEvent
 
 RANKS = 4
+#: Column-block width: 35 blocks on the 72 x 70 pair, so the crash
+#: points below (rank 1 at op 25, rank 2 at op 60) land mid-sweep,
+#: after at least one checkpoint. Each block costs a rank one receive
+#: and one send, so at the default tile (3 blocks) neither rank would
+#: reach those ops.
+TILE = 2
+
+
+def blocks(b):
+    return -(-len(b) // TILE)
 
 
 @pytest.fixture(scope="module")
@@ -48,7 +58,7 @@ class TestAlignCheckpoint:
     def test_empty_checkpoint_restore_raises(self):
         ckpt = AlignCheckpoint()
         assert not ckpt.has_state()
-        assert ckpt.diagonal == 0
+        assert ckpt.block == 0
         with pytest.raises(ValueError, match="empty"):
             ckpt.restore()
 
@@ -57,49 +67,50 @@ class TestAlignCheckpoint:
         matrix = np.ones((3, 3), dtype=np.int64)
         ckpt.save(4, matrix)
         matrix[:] = -1  # caller mutation must not reach the checkpoint
-        diagonal, restored = ckpt.restore()
-        assert diagonal == 4 and ckpt.diagonal == 4
+        block, restored = ckpt.restore()
+        assert block == 4 and ckpt.block == 4
         np.testing.assert_array_equal(restored, np.ones((3, 3), dtype=np.int64))
 
     def test_checkpointed_run_matches_plain_run(self, pair, baseline):
         a, b = pair
         ckpt = AlignCheckpoint()
-        result = run_align_mpi(RANKS, a, b, checkpoint=ckpt)
+        result = run_align_mpi(RANKS, a, b, tile=TILE, checkpoint=ckpt)
         assert_results_bit_identical(result, baseline)
-        assert ckpt.diagonal == len(a) + len(b)
+        assert ckpt.block == blocks(b)
 
 
 class TestCrashRecovery:
     def test_crash_then_resume_is_bit_identical(self, pair, baseline):
         # The restart story end to end: a fresh world killed mid-sweep
         # by an injected crash, then a second world resuming from the
-        # diagonal checkpoint, finishing exactly where an uninterrupted
+        # column-block checkpoint, finishing exactly where an uninterrupted
         # run does.
         a, b = pair
         ckpt = AlignCheckpoint()
         with pytest.raises(RankFailedError) as excinfo:
             run_align_mpi(
-                RANKS, a, b, checkpoint=ckpt,
+                RANKS, a, b, tile=TILE, checkpoint=ckpt,
                 faults=FaultPlan.crash(1, 25), timeout=10.0,
             )
         assert isinstance(excinfo.value.failures[1], InjectedCrash)
-        assert 0 < ckpt.diagonal < len(a) + len(b)
+        assert 0 < ckpt.block < blocks(b)
 
-        resumed = run_align_mpi(RANKS, a, b, checkpoint=ckpt)
+        resumed = run_align_mpi(RANKS, a, b, tile=TILE, checkpoint=ckpt)
         assert_results_bit_identical(resumed, baseline)
 
-    def test_late_crash_resumes_from_late_diagonal(self, pair, baseline):
+    def test_late_crash_resumes_from_late_block(self, pair, baseline):
         a, b = pair
         ckpt = AlignCheckpoint()
         with pytest.raises(RankFailedError):
             run_align_mpi(
-                RANKS, a, b, checkpoint=ckpt, checkpoint_every=4,
+                RANKS, a, b, tile=TILE, checkpoint=ckpt, checkpoint_every=4,
                 faults=FaultPlan.crash(2, 60), timeout=10.0,
             )
-        first_stop = ckpt.diagonal
-        resumed = run_align_mpi(RANKS, a, b, checkpoint=ckpt, checkpoint_every=4)
+        first_stop = ckpt.block
+        assert 0 < first_stop < blocks(b)
+        resumed = run_align_mpi(RANKS, a, b, tile=TILE, checkpoint=ckpt, checkpoint_every=4)
         assert_results_bit_identical(resumed, baseline)
-        assert ckpt.diagonal == len(a) + len(b) > first_stop
+        assert ckpt.block == blocks(b) > first_stop
 
     def test_restore_rejects_mismatched_shape(self, pair):
         a, b = pair
@@ -119,7 +130,7 @@ class TestStragglers:
                 FaultEvent("straggle", 3, 30, 0.002),
             ]
         )
-        result = run_align_mpi(RANKS, a, b, faults=plan)
+        result = run_align_mpi(RANKS, a, b, tile=TILE, faults=plan)
         assert_results_bit_identical(result, baseline)
 
     def test_sampled_nonfatal_plan_is_bit_identical(self, pair, baseline):
@@ -128,7 +139,7 @@ class TestStragglers:
             17, RANKS, 80, straggle_prob=0.05, delay_prob=0.05, seconds=0.001
         )
         assert len(plan) > 0
-        result = run_align_mpi(RANKS, a, b, faults=plan)
+        result = run_align_mpi(RANKS, a, b, tile=TILE, faults=plan)
         assert_results_bit_identical(result, baseline)
 
 

@@ -124,6 +124,22 @@ class TestAlignConformance:
             align_ladder, (a, b), tile=16, scheme=ScoringScheme(mode=mode), band=band
         )
 
+    @pytest.mark.parametrize("tile", [1, 7, 200])
+    @pytest.mark.parametrize("mode,band", [("global", None), ("local", 4)])
+    def test_tile_sweep_agrees_bitwise(self, tile, mode, band):
+        # tile=1 is one cell per tile (the OpenMP team barriers per cell
+        # anti-diagonal, MPI sends one cell per column); tile > n is a
+        # single tile (one thread does all the work, MPI sends one strip).
+        a, b = generate_pair(9, 30)
+        if mode == "global" and band is not None:
+            band = max(band, abs(len(a) - len(b)))
+        scheme = ScoringScheme(mode=mode)
+        rungs = align_ladder.rungs((a, b), workers=3, tile=tile, scheme=scheme, band=band)
+        reference = rungs.pop("sequential")()
+        for name, run in rungs.items():
+            if name.startswith(("openmp-", "mpi")):
+                assert not align_ladder.mismatches(run(), reference), name
+
 
 class TestTrafficConformance:
     @pytest.mark.parametrize("seed", SEEDS)

@@ -6,8 +6,13 @@ shape: the sanitizer must *find* the intentional races in the
 box — with lost updates that physically manifest, and certify
 ``"critical"``/``"atomic"``/``"reduction"`` race-free across at least
 50 explored schedules each. The per-cell ``align.H[i,j]`` annotations
-mean a clean certificate also covers the per-diagonal barrier structure
-itself: remove a barrier and every rung lights up.
+mean a clean certificate also covers the per-tile-diagonal barrier
+structure itself: remove a barrier and every rung lights up.
+
+The 8 x 8 pair runs with ``tile=2``: 16 tiles on 7 tile diagonals, so
+both threads own tiles on most diagonals and flush the statistics
+concurrently. At the default tile the pair is a single tile, one thread
+does all the work, and there would be no race left to find.
 """
 
 import pytest
@@ -17,6 +22,7 @@ from repro.align.openmp_align import ALL_VARIANTS, VARIANTS
 from repro.sanitizer import explore, explore_dfs, run_schedule
 
 SCHEDULES = 50
+TILE = 2
 
 
 @pytest.fixture(scope="module")
@@ -28,7 +34,7 @@ def instance():
 
 def make_body(a, b, variant):
     def body():
-        result = align_openmp(a, b, num_threads=2, variant=variant)
+        result = align_openmp(a, b, num_threads=2, variant=variant, tile=TILE)
         return (result.match_events, result.best_score, result.best_cell)
 
     return body
@@ -79,7 +85,7 @@ class TestRacyRungIsFlagged:
         a, b, oracle = instance
 
         def body():
-            result = align_openmp(a, b, num_threads=2, variant="racy")
+            result = align_openmp(a, b, num_threads=2, variant="racy", tile=TILE)
             return (result.score, result.matrix.tobytes())
 
         result = explore(body, schedules=10, seed=3)

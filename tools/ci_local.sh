@@ -86,6 +86,9 @@ if [ "${1:-}" = "--sanitizer" ]; then
     python -m pytest -q tests/sanitizer -m 'slow or not slow'
     echo "== align and k-means conformance (cross-model same answer) =="
     python -m pytest -q tests/integration/test_model_conformance.py -k "Align or KMeans"
+    echo "== golden digests + owner-view crash reproducer (child interpreter) =="
+    python -m pytest -q tests/golden/test_golden.py \
+        tests/core/test_shm_views.py::TestViewOutlivesUnpublish
     echo "== ladder certification campaign (k-means + align, seed matrix) =="
     for seed in 0 7 123; do
         python tools/sanitizer_campaign.py --seed "$seed" --schedules 50 \
@@ -107,6 +110,8 @@ if [ "${1:-}" = "--pool" ]; then
         tests/core/test_executor.py \
         tests/core/test_executor_pool.py \
         tests/core/test_shm_lifecycle.py \
+        tests/core/test_shm_views.py \
+        tests/golden/test_golden.py \
         tests/core/test_executor_determinism.py \
         tests/core/test_executor_interrupt.py \
         tests/spark/test_executor_backends.py \

@@ -44,7 +44,9 @@ def make_body(points, init, variant):
 
 def make_align_body(a, b, variant):
     def body():
-        result = align_openmp(a, b, num_threads=2, variant=variant)
+        # tile=2: 16 tiles on the 8 x 8 pair, so both threads flush the
+        # statistics on most tile diagonals (one tile would leave one).
+        result = align_openmp(a, b, num_threads=2, variant=variant, tile=2)
         return (result.match_events, result.best_score, result.best_cell)
 
     return body
