@@ -171,7 +171,6 @@ def align_executor(
         b_ref = executor.publish(b_codes)
         h_ref = executor.publish(init_matrix(n, m, scheme, band), writable=True)
         task = functools.partial(_tile_task, a_ref, b_ref, h_ref, scheme, band, tile, (n, m))
-        tiles_done = 0
         with tracer.span(
             "align.score", category="align", model="executor",
             backend=backend_name, tile=tile, num_workers=num_workers,
@@ -180,7 +179,6 @@ def align_executor(
                 if not wave:
                     continue
                 events = executor.map(task, wave)  # the wavefront barrier
-                tiles_done += len(wave)
                 if tracer.enabled and td % stride == 0:
                     tracer.instant(
                         "align.diagonal", category="align", model="executor",
@@ -188,7 +186,7 @@ def align_executor(
                     )
         H = np.array(h_ref.array())  # outlive the segment
         if tracer.enabled:
-            tracer.metrics.counter("align.tiles", model="executor").inc(tiles_done)
+            tracer.metrics.counter("align.tiles", model="executor").inc(sum(map(len, waves)))
             tracer.metrics.counter("align.alignments", model="executor").inc()
     finally:
         for ref in (h_ref, b_ref, a_ref):

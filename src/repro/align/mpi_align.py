@@ -67,6 +67,8 @@ class AlignCheckpoint:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._state: tuple[int, np.ndarray] | None = None
+        #: Column-block width of the run that saved the state (None: not given).
+        self.tile: int | None = None
 
     @property
     def block(self) -> int:
@@ -79,11 +81,12 @@ class AlignCheckpoint:
         with self._lock:
             return self._state is not None
 
-    def save(self, block: int, matrix: np.ndarray) -> None:
-        """Atomically record the matrix after completing ``block`` column blocks."""
+    def save(self, block: int, matrix: np.ndarray, tile: int | None = None) -> None:
+        """Atomically record the matrix after ``block`` column blocks of width ``tile``."""
         state = (block, np.array(matrix, copy=True))
         with self._lock:
             self._state = state
+            self.tile = tile
 
     def restore(self) -> tuple[int, np.ndarray]:
         """A copy of the recorded state; raises if nothing was saved."""
@@ -169,6 +172,8 @@ def align_mpi(
                 raise ValueError(
                     f"checkpoint matrix must be {(n + 1, m + 1)}, got {state[1].shape}"
                 )
+            if checkpoint.tile not in (None, tile):  # block counts are in tile widths
+                raise ValueError(f"checkpoint saved at tile={checkpoint.tile}, not {tile}")
         else:
             state = None
         # Bundled for the same delay-reordering reason as the input bcast.
@@ -222,7 +227,7 @@ def align_mpi(
             if checkpoint is not None and (done % checkpoint_every == 0 or done == num_blocks):
                 full = gathered()
                 if rank == 0:
-                    checkpoint.save(done, full)
+                    checkpoint.save(done, full, tile)
 
     if enabled:
         tracer.metrics.counter("align.exchanges", model="mpi", rank=rank).inc(exchanges)

@@ -163,10 +163,7 @@ def align_openmp(
             match_events += thread_matches[t]
             if _better(thread_best[t], best):
                 best = thread_best[t]
-    elif variant == "atomic":
-        match_events = matches_cell.value
-        best = best_cell_atomic.value
     else:
         match_events = matches_cell.value
-        best = tuple(best_box)
+        best = best_cell_atomic.value if variant == "atomic" else tuple(best_box)
     return build_result(H, a_codes, b_codes, scheme, band, stats=(best[0], best[1:], match_events))

@@ -73,7 +73,9 @@ __all__ = [
 SEGMENT_PREFIX = "repro-shm"
 
 _SEQ = itertools.count(1)
-_LOCK = threading.Lock()
+#: Reentrant: a view freed by garbage collection while this thread holds
+#: the lock runs :func:`_release`, which takes it again.
+_LOCK = threading.RLock()
 #: Segments created (and not yet unlinked) by *this* process.
 _OWNED: dict[str, "SharedSegment"] = {}
 #: Worker-side attachment cache: segment name -> SharedMemory handle.

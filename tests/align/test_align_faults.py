@@ -112,6 +112,16 @@ class TestCrashRecovery:
         assert_results_bit_identical(resumed, baseline)
         assert ckpt.block == blocks(b) > first_stop
 
+    def test_resume_rejects_another_tile(self, pair):
+        # Completed blocks are counted in tile widths, so a relaunch
+        # must sweep the same column blocks as the run that saved them.
+        a, b = pair
+        ckpt = AlignCheckpoint()
+        run_align_mpi(RANKS, a, b, tile=TILE, checkpoint=ckpt)
+        assert ckpt.tile == TILE
+        with pytest.raises(RankFailedError, match="tile"):
+            run_align_mpi(RANKS, a, b, tile=TILE + 1, checkpoint=ckpt)
+
     def test_restore_rejects_mismatched_shape(self, pair):
         a, b = pair
         ckpt = AlignCheckpoint()
