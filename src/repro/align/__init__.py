@@ -43,12 +43,13 @@ from repro.align.scoring import (
     OUT_OF_BAND,
     AlignResult,
     ScoringScheme,
+    band_rows,
     cell_score,
     encode_sequence,
     in_band,
     init_matrix,
     summarize_matrix,
-    sweep_cells,
+    sweep_rows,
     traceback_path,
 )
 from repro.align.sequential import KERNELS, align_sequential, score_matrix
@@ -66,8 +67,9 @@ __all__ = [
     "AlignCheckpoint",
     "encode_sequence",
     "in_band",
+    "band_rows",
     "cell_score",
-    "sweep_cells",
+    "sweep_rows",
     "init_matrix",
     "summarize_matrix",
     "traceback_path",

@@ -31,7 +31,6 @@ finished matrix is independent of tile size, worker count, and backend
 from __future__ import annotations
 
 import functools
-from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -39,12 +38,12 @@ import numpy as np
 from repro.align.scoring import (
     AlignResult,
     ScoringScheme,
-    band_cells,
+    band_rows,
     build_result,
     check_band,
     encode_sequence,
     init_matrix,
-    sweep_cells,
+    sweep_rows,
 )
 from repro.core.executor import BACKENDS, DataRef, Executor, get_executor
 from repro.trace.tracer import get_tracer
@@ -73,7 +72,7 @@ def tile_diagonals(
         [
             (ti, td - ti)
             for ti in range(max(0, td - nt_j + 1), min(nt_i - 1, td) + 1)
-            if any(band_cells(*tile_bounds(ti, td - ti, tile, n, m), band))  # meets the band
+            if band_rows(*tile_bounds(ti, td - ti, tile, n, m), band)  # meets the band
         ]
         for td in range(nt_i + nt_j - 1)
     ]
@@ -91,16 +90,16 @@ def sweep_tiles(
     blocks: Iterable[tuple[int, int, int, int]], band: int | None, scheme: ScoringScheme,
     san=None, origin: tuple[int, int] = (0, 0),
 ) -> tuple[int, tuple[int, int, int]]:
-    """Sweep the in-band cells of each block ``(i0, i1, j0, j1)`` in turn, row-major.
+    """Sweep the in-band row spans of each block ``(i0, i1, j0, j1)`` in turn, row-major.
 
     Bounds are matrix coordinates; ``rows``, ``a`` and ``b`` may be a
     block copied out at ``origin``, which the sweep then addresses in
     local coordinates. Every predecessor outside the current block must
-    already be final. Returns :func:`~repro.align.scoring.sweep_cells`'
+    already be final. Returns :func:`~repro.align.scoring.sweep_rows`'
     ``(match_events, best)`` over all the blocks.
     """
-    cells = chain.from_iterable(band_cells(*bounds, band, origin=origin) for bounds in blocks)
-    return sweep_cells(rows, a, b, cells, scheme, san)
+    spans = [span for bounds in blocks for span in band_rows(*bounds, band, origin)]
+    return sweep_rows(rows, a, b, spans, scheme, san)
 
 
 def _tile_task(

@@ -7,16 +7,16 @@ score-related is integer arithmetic defined **once**, here:
 
 - :class:`ScoringScheme` — match / mismatch / gap scores plus the
   ``"global"`` (Needleman–Wunsch) vs ``"local"`` (Smith–Waterman) mode;
-- :func:`sweep_cells` — the one per-cell loop, and the one place the
-  scalar recurrence is written (the row-scan numpy kernel in
+- :func:`sweep_rows` — the one scalar loop, and the one place the
+  recurrence is written (the row-scan numpy kernel in
   :mod:`repro.align.sequential` is its vectorized twin, asserted equal
-  in ``tests/align``); the python oracle and the tile sweep that the
-  OpenMP, MPI and executor models share differ only in which cells
-  they hand it;
+  in ``tests/align``): it fills row spans ``(i, lo, hi)`` in order;
+  the python oracle and the tile sweep that the OpenMP, MPI and
+  executor models share differ only in which spans they hand it;
 - :func:`cell_score` — the recurrence for one cell, as a one-cell
-  :func:`sweep_cells`;
-- :func:`in_band` / :func:`band_cells` — banded-DP geometry: the
-  in-band cells of a row range by a column range, row-major;
+  :func:`sweep_rows`;
+- :func:`in_band` / :func:`band_rows` — banded-DP geometry: the
+  in-band span of each row of a row range by a column range;
 - :func:`summarize_matrix` — the derived statistics (best cell, match
   events) that the OpenMP rung ladder recomputes cooperatively;
 - :func:`traceback_path` / :func:`build_result` — the deterministic
@@ -31,7 +31,6 @@ certifies that no model computed cells it was not supposed to.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -43,8 +42,9 @@ __all__ = [
     "AlignResult",
     "encode_sequence",
     "in_band",
+    "band_rows",
     "cell_score",
-    "sweep_cells",
+    "sweep_rows",
     "init_matrix",
     "summarize_matrix",
     "traceback_path",
@@ -155,20 +155,25 @@ def check_band(n: int, m: int, band: int | None, mode: str) -> None:
         )
 
 
-def band_cells(
+def band_rows(
     i0: int, i1: int, j0: int, j1: int, band: int | None, origin: tuple[int, int] = (0, 0)
-) -> Iterable[tuple[int, int]]:
-    """In-band cells of rows ``i0..i1`` x columns ``j0..j1``, row-major, less ``origin``.
+) -> list[tuple[int, int, int]]:
+    """In-band spans ``(i, lo, hi)`` of rows ``i0..i1`` x columns ``j0..j1``, less ``origin``.
 
-    The shift lets a walker sweep a copied block in local coordinates.
+    One span per row that meets the band, in row order; ``lo..hi`` is
+    inclusive. The shift lets a walker sweep a copied block in local
+    coordinates.
     """
     oi, oj = origin
     if band is None:
         band = i1 + j1  # wide enough that the clip below never bites
-    return chain.from_iterable(
-        zip(repeat(i - oi), range(max(j0, i - band) - oj, min(j1, i + band) - oj + 1))
-        for i in range(i0, i1 + 1)
-    )
+    spans = []
+    for i in range(i0, i1 + 1):
+        lo = max(j0, i - band)
+        hi = min(j1, i + band)
+        if lo <= hi:
+            spans.append((i - oi, lo - oj, hi - oj))
+    return spans
 
 
 def cell_score(diag: int, up: int, left: int, equal: bool, scheme: ScoringScheme) -> tuple[int, bool]:
@@ -178,27 +183,29 @@ def cell_score(diag: int, up: int, left: int, equal: bool, scheme: ScoringScheme
     the characters are equal **and** the cell's value equals the
     diagonal-match candidate — the statistic the rung ladder counts.
     Out-of-band predecessors arrive as :data:`OUT_OF_BAND` and lose
-    every ``max`` on their own. A one-cell :func:`sweep_cells`, which
+    every ``max`` on their own. A one-cell :func:`sweep_rows`, which
     holds the recurrence.
     """
     rows = [[diag, up], [left, 0]]
-    events, _ = sweep_cells(rows, (0,), (0 if equal else 1,), ((1, 1),), scheme)
+    events, _ = sweep_rows(rows, (0,), (0 if equal else 1,), ((1, 1, 1),), scheme)
     return rows[1][1], events == 1
 
 
-def sweep_cells(
+def sweep_rows(
     rows: list[list[int]], a: Sequence[int], b: Sequence[int],
-    cells: Iterable[tuple[int, int]], scheme: ScoringScheme, san=None,
+    spans: Iterable[tuple[int, int, int]], scheme: ScoringScheme, san=None,
 ) -> tuple[int, tuple[int, int, int]]:
-    """Fill ``cells`` of ``rows`` in order; ``(match_events, best)`` over them.
+    """Fill each row span ``(i, lo, hi)`` of ``rows`` in order; ``(match_events, best)``.
 
     ``rows`` is the DP matrix (or a block of it) as lists of plain ints;
     cell ``(i, j)`` reads ``rows[i-1][j-1]``, ``rows[i-1][j]`` and
     ``rows[i][j-1]`` and compares codes ``a[i-1]`` and ``b[j-1]``, so
-    the caller's order must put every predecessor first. Each cell takes
-    the best of the diagonal move (``match`` or ``mismatch``) and the
-    two ``gap`` moves, floored at zero in local mode; it is a match
-    event when the codes are equal and the value is the diagonal-match
+    the caller's order must put every predecessor first. A span fetches
+    its two rows and its code once and sweeps ``j = lo..hi``, carrying
+    the left neighbour from one cell to the next. Each cell takes the
+    best of the diagonal move (``match`` or ``mismatch``) and the two
+    ``gap`` moves, floored at zero in local mode; it is a match event
+    when the codes are equal and the value is the diagonal-match
     candidate. ``best`` is the ``(value, i, j)`` maximizing ``(value,
     -i, -j)`` over the swept cells (``(OUT_OF_BAND, 0, 0)`` for none):
     the order :func:`summarize_matrix` uses, so a full row-major sweep
@@ -210,35 +217,34 @@ def sweep_cells(
     local = scheme.mode == "local"
     events = 0
     best_value, best_i, best_j = OUT_OF_BAND, 0, 0
-    row_i = -1
-    for i, j in cells:
-        if i != row_i:  # row-major runs fetch their rows once per row
-            row_i = i
-            above = rows[i - 1]
-            row = rows[i]
-            ai = a[i - 1]
-        if san is not None:
-            san.mem_read(f"align.H[{i - 1},{j - 1}]", "align.wavefront:diag")
-            san.mem_read(f"align.H[{i - 1},{j}]", "align.wavefront:up")
-            san.mem_read(f"align.H[{i},{j - 1}]", "align.wavefront:left")
-        diag = above[j - 1]
-        equal = ai == b[j - 1]
-        value = diag + match if equal else diag + mismatch
-        up = above[j] + gap
-        if up > value:
-            value = up
-        left = row[j - 1] + gap
-        if left > value:
-            value = left
-        if local and value < 0:
-            value = 0
-        if san is not None:
-            san.mem_write(f"align.H[{i},{j}]", "align.wavefront:write")
-        row[j] = value
-        if equal and value == diag + match:
-            events += 1
-        if value >= best_value and (value > best_value or (i, j) < (best_i, best_j)):
-            best_value, best_i, best_j = value, i, j
+    for i, lo, hi in spans:
+        above = rows[i - 1]
+        row = rows[i]
+        ai = a[i - 1]
+        left = row[lo - 1]
+        for j in range(lo, hi + 1):
+            if san is not None:
+                san.mem_read(f"align.H[{i - 1},{j - 1}]", "align.wavefront:diag")
+                san.mem_read(f"align.H[{i - 1},{j}]", "align.wavefront:up")
+                san.mem_read(f"align.H[{i},{j - 1}]", "align.wavefront:left")
+            diag = above[j - 1]
+            equal = ai == b[j - 1]
+            value = diag + match if equal else diag + mismatch
+            up = above[j] + gap
+            if up > value:
+                value = up
+            left += gap
+            if left > value:
+                value = left
+            if local and value < 0:
+                value = 0
+            if san is not None:
+                san.mem_write(f"align.H[{i},{j}]", "align.wavefront:write")
+            row[j] = left = value
+            if equal and value == diag + match:
+                events += 1
+            if value >= best_value and (value > best_value or (i, j) < (best_i, best_j)):
+                best_value, best_i, best_j = value, i, j
     return events, (best_value, best_i, best_j)
 
 

@@ -14,9 +14,9 @@ Two kernels compute the same banded dynamic-programming matrix:
   positions ``k``: one prefix maximum per row. The arithmetic is int64
   additions and maxima, exact for either sign of a linear gap.
 - ``"python"`` — the per-cell scalar loop: one row-major
-  :func:`repro.align.scoring.sweep_cells` over the in-band cells, the
-  same loop the OpenMP, MPI, and executor tile sweeps hand their cells
-  to. The GIL-bound stand-in for the C starter code.
+  :func:`repro.align.scoring.sweep_rows` over the in-band row spans,
+  the same loop the OpenMP, MPI, and executor tile sweeps hand their
+  spans to. The GIL-bound stand-in for the C starter code.
 
 Both kernels produce bit-identical int64 matrices (integer arithmetic
 has no rounding, and ``max`` is order-independent), which is what makes
@@ -35,12 +35,12 @@ import numpy as np
 from repro.align.scoring import (
     AlignResult,
     ScoringScheme,
-    band_cells,
+    band_rows,
     build_result,
     check_band,
     encode_sequence,
     init_matrix,
-    sweep_cells,
+    sweep_rows,
 )
 from repro.trace.tracer import get_tracer
 
@@ -85,13 +85,13 @@ def _score_matrix_numpy(
 def _score_matrix_python(
     a_codes: np.ndarray, b_codes: np.ndarray, scheme: ScoringScheme, band: int | None
 ) -> np.ndarray:
-    """Row-major :func:`sweep_cells` over the in-band cells (the teaching kernel)."""
+    """Row-major :func:`sweep_rows` over the in-band row spans (the teaching kernel)."""
     n = a_codes.shape[0]
     m = b_codes.shape[0]
     rows = init_matrix(n, m, scheme, band).tolist()
     with get_tracer().span("align.score", category="align", model="sequential", kernel="python"):
-        sweep_cells(
-            rows, a_codes.tolist(), b_codes.tolist(), band_cells(1, n, 1, m, band), scheme
+        sweep_rows(
+            rows, a_codes.tolist(), b_codes.tolist(), band_rows(1, n, 1, m, band), scheme
         )
     return np.asarray(rows, dtype=np.int64)
 

@@ -49,6 +49,11 @@ Process-backend ground rules (docs/executors.md has the full story):
 - Task *results* (and task exceptions) always travel back by pickle,
   under either path — keep them plain data, or write them into a
   ``writable=True`` published segment over disjoint index ranges.
+  Payloads, results and errors are pickled with
+  ``pickle.HIGHEST_PROTOCOL``, as the MPI transport does: the default
+  protocol 4 drops the byte order of a 0-d non-native numpy array
+  (``>i4`` comes back as native ``int32``), so results would differ in
+  dtype from the serial and thread backends.
 - A worker that dies before it has fully written a chunk's results
   (segfault, ``os._exit``, OOM kill — even halfway through the write)
   loses that chunk and every later one; the driver sees the death as
@@ -77,6 +82,7 @@ import traceback
 import weakref
 from abc import ABC, abstractmethod
 from multiprocessing.connection import wait
+from multiprocessing.reduction import ForkingPickler
 from typing import Any, Callable, Sequence
 
 from repro.sanitizer.runtime import get_sanitizer
@@ -429,10 +435,19 @@ _WAKE_S = 0.1
 def _encode_error(exc: BaseException) -> tuple[bytes | None, str, str]:
     """(pickled exception or None, message, traceback) for the trip home."""
     try:
-        payload = pickle.dumps(exc)
+        payload = pickle.dumps(exc, protocol=pickle.HIGHEST_PROTOCOL)
     except Exception:
         payload = None
     return payload, f"{type(exc).__name__}: {exc}", traceback.format_exc()
+
+
+def _send(conn: Any, message: Any) -> None:
+    """Pickle ``message`` whole, then write it as one framed message.
+
+    ``Connection.send`` would pickle with the default protocol; the
+    driver reads the frame with ``recv_bytes`` (:func:`_collect`).
+    """
+    conn.send_bytes(ForkingPickler.dumps(message, pickle.HIGHEST_PROTOCOL))
 
 
 def _run_chunk(
@@ -450,13 +465,13 @@ def _run_chunk(
 def _send_chunk(conn: Any, results: list[tuple[int, bool, Any]]) -> None:
     """Ship one chunk's results home; unpicklable results degrade to errors.
 
-    ``send`` pickles the whole message before writing a byte, so a
+    :func:`_send` pickles the whole message before writing a byte, so a
     pickling failure leaves the pipe clean for the substitute.
     """
     try:
-        conn.send(results)
+        _send(conn, results)
     except Exception as exc:  # unpicklable result: report, don't die
-        conn.send([
+        _send(conn, [
             (i, False, (None, f"result of task {i} could not be pickled: {exc}", ""))
             for i, _ok, _val in results
         ])
@@ -500,7 +515,7 @@ def _worker_main(
             except BaseException as exc:  # noqa: BLE001 - reported per task
                 encoded = _encode_error(exc)
                 for _c, lo, hi in chunks:
-                    conn.send([(i, False, encoded) for i in range(lo, hi)])
+                    _send(conn, [(i, False, encoded) for i in range(lo, hi)])
                 continue
             for _c, lo, hi in chunks:
                 _send_chunk(conn, _run_chunk(fn, items, lo, hi))
@@ -560,7 +575,7 @@ def _collect(
             try:
                 if not conn.poll():
                     raise EOFError  # exited with nothing left in the pipe
-                chunk = conn.recv()
+                chunk = pickle.loads(conn.recv_bytes())  # EOFError when cut short
             except (EOFError, OSError):
                 del owed[w]
                 proc.join(1.0)  # it is exiting; wait for the exit code
@@ -631,7 +646,7 @@ def _shutdown_pool(
 
 def _dumps_payload(fn: Callable[[int, Any], Any], items: Sequence[Any]) -> bytes:
     try:
-        return pickle.dumps((fn, items))
+        return pickle.dumps((fn, items), protocol=pickle.HIGHEST_PROTOCOL)
     except Exception:
         try:
             import cloudpickle
@@ -641,7 +656,7 @@ def _dumps_payload(fn: Callable[[int, Any], Any], items: Sequence[Any]) -> bytes
                 "(fn, items) payload (and cloudpickle is not installed to widen "
                 "that); use start_method='fork' or module-level functions"
             ) from None
-        return cloudpickle.dumps((fn, items))
+        return cloudpickle.dumps((fn, items), protocol=pickle.HIGHEST_PROTOCOL)
 
 
 class ProcessExecutor(Executor):
@@ -786,7 +801,7 @@ class ProcessExecutor(Executor):
         if self.start_method != "fork":
             return _dumps_payload(fn, items)
         try:
-            payload = pickle.dumps((fn, items))
+            payload = pickle.dumps((fn, items), protocol=pickle.HIGHEST_PROTOCOL)
         except Exception:
             return None
         if len(payload) > _POOL_PAYLOAD_LIMIT:

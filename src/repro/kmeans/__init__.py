@@ -11,8 +11,10 @@ merge; the driver around that exists once.
 - :mod:`repro.kmeans.sequential` — the starter code: static data
   structures, two-phase loop, three termination thresholds — and the
   pieces every model calls: input validation and starting centroids
-  (``start_centroids``), the distance kernel (``assign_points``), the
-  per-cluster partials (``cluster_sums``) and the one Lloyd loop
+  (``start_centroids``), the prepared point blocks (``point_block``:
+  points, squared norms and contiguous coordinate columns in one
+  buffer, built once per run), the distance kernel (``assign_points``),
+  the per-cluster partials (``cluster_sums``) and the one Lloyd loop
   (``lloyd``) around a model's merged step;
 - :mod:`repro.kmeans.openmp_kmeans` — the four-stage strategy: races
   guarded by ``critical``, upgraded to ``atomic``, then restructured as
@@ -35,7 +37,15 @@ merge; the driver around that exists once.
 
 from repro.kmeans.initialization import init_random_points, init_kmeans_plus_plus
 from repro.kmeans.termination import TerminationCriteria
-from repro.kmeans.sequential import KMeansResult, kmeans_sequential, assign_points, update_centroids
+from repro.kmeans.sequential import (
+    KMeansResult,
+    PointBlock,
+    assign_points,
+    cluster_sums,
+    kmeans_sequential,
+    point_block,
+    update_centroids,
+)
 from repro.kmeans.openmp_kmeans import kmeans_openmp
 from repro.kmeans.mpi_kmeans import kmeans_mpi, run_kmeans_mpi
 from repro.kmeans.device_kmeans import kmeans_device
@@ -46,7 +56,10 @@ __all__ = [
     "KMeansResult",
     "TerminationCriteria",
     "kmeans_sequential",
+    "PointBlock",
+    "point_block",
     "assign_points",
+    "cluster_sums",
     "update_centroids",
     "kmeans_openmp",
     "kmeans_parallel",

@@ -15,8 +15,10 @@ The simulator keeps the GPU *structure* while executing on numpy:
 so the profitability question the assignment poses — per-update atomics
 vs block-level reduction — is measurable by flipping ``update_mode``.
 The assign kernel is the shared
-:func:`~repro.kmeans.sequential.assign_points`; the host loop around the
-grid launches is :func:`~repro.kmeans.sequential.lloyd`.
+:func:`~repro.kmeans.sequential.assign_points`, on one
+:class:`~repro.kmeans.sequential.PointBlock` per grid block prepared
+before the first launch; the host loop around the grid launches is
+:func:`~repro.kmeans.sequential.lloyd`.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.kmeans.sequential import (
-    KMeansResult, assign_points, cluster_sums, lloyd, start_centroids,
+    KMeansResult, assign_points, cluster_sums, lloyd, point_block, start_centroids,
 )
 from repro.kmeans.termination import TerminationCriteria
 from repro.trace.tracer import get_tracer
@@ -59,14 +61,14 @@ def kmeans_device(
     points, centroids = start_centroids(points, k, seed=seed, initial_centroids=initial_centroids)
     n, d = points.shape
     assignments = np.full(n, -1, dtype=np.int64)
+    grid = [(lo, min(lo + block_size, n)) for lo in range(0, n, block_size)]
+    blocks = [point_block(points[lo:hi]) for lo, hi in grid]  # contiguous = coalesced
 
     def step(centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
         changes = 0
         sums = np.zeros((k, d))
         counts = np.zeros(k, dtype=np.int64)
-        for lo in range(0, n, block_size):  # the kernel grid
-            hi = min(lo + block_size, n)
-            block = points[lo:hi]  # contiguous = coalesced
+        for (lo, hi), block in zip(grid, blocks):  # the kernel grid
 
             # assign kernel
             new_local, block_changes = assign_points(block, centroids, assignments[lo:hi])
@@ -80,9 +82,9 @@ def kmeans_device(
                 sums += block_sums
                 counts += block_counts
             else:
-                for row in range(block.shape[0]):  # global atomics
+                for row in range(hi - lo):  # global atomics
                     c = new_local[row]
-                    sums[c] += block[row]
+                    sums[c] += block.points[row]
                     counts[c] += 1
         return sums, counts, changes
 

@@ -10,7 +10,9 @@ Phase structure per iteration:
 
 1. root broadcasts the current centroids (``bcast``);
 2. each rank assigns its own block of points (scattered once, up
-   front) and accumulates local sums / counts / change count;
+   front, and prepared once as a
+   :class:`~repro.kmeans.sequential.PointBlock`) and accumulates local
+   sums / counts / change count;
 3. one ``allreduce`` folds the partials — in rank order, so the result
    is deterministic and equal to the OpenMP reduction variant's.
 
@@ -35,7 +37,7 @@ import threading
 import numpy as np
 
 from repro.kmeans.sequential import (
-    KMeansResult, Lloyd, assign_points, cluster_sums, lloyd, start_centroids,
+    KMeansResult, Lloyd, assign_points, cluster_sums, lloyd, point_block, start_centroids,
 )
 from repro.kmeans.termination import TerminationCriteria
 from repro.mpi import Communicator, run_spmd
@@ -144,20 +146,20 @@ def kmeans_mpi(
                 assignments_g[slice(*block_bounds(n, size, r))] for r in range(size)
             ]
 
-    my_points = comm.scatter(chunks, root=0)
+    my_block = point_block(comm.scatter(chunks, root=0))
     centroids = comm.bcast(centroids, root=0)
     if restored:
         my_assignments = comm.scatter(assignment_chunks, root=0)
         iteration = comm.bcast(iteration, root=0)
     else:
-        my_assignments = np.full(my_points.shape[0], -1, dtype=np.int64)
+        my_assignments = np.full(my_block.points.shape[0], -1, dtype=np.int64)
 
     def step(centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
         nonlocal my_assignments
         # Phase 1 and the phase-2 partials on this rank's block, then ONE
         # distributed reduction.
-        my_assignments, local_changes = assign_points(my_points, centroids, my_assignments)
-        local_sums, local_counts = cluster_sums(my_points, my_assignments, k)
+        my_assignments, local_changes = assign_points(my_block, centroids, my_assignments)
+        local_sums, local_counts = cluster_sums(my_block, my_assignments, k)
         return comm.allreduce(
             (local_sums, local_counts, local_changes),
             op=lambda a, b: (a[0] + b[0], a[1] + b[1], a[2] + b[2]),

@@ -24,8 +24,9 @@ selectable ``variant`` so correctness and cost can be compared:
 Only the body of one iteration is OpenMP: each thread runs the shared
 :func:`~repro.kmeans.sequential.assign_points` and
 :func:`~repro.kmeans.sequential.cluster_sums` kernels on its static
-block, and the rungs differ only in how the block partials meet. The
-means, histories, tracing and stop test are
+block (a :class:`~repro.kmeans.sequential.PointBlock` prepared once per
+thread id before the loop), and the rungs differ only in how the
+block partials meet. The means, histories, tracing and stop test are
 :func:`~repro.kmeans.sequential.lloyd`'s. So all variants produce
 identical assignments; centroid coordinates may differ across variants
 by float-addition order only. Shared cells carry
@@ -39,7 +40,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.kmeans.sequential import (
-    KMeansResult, assign_points, cluster_sums, lloyd, start_centroids,
+    KMeansResult, assign_points, cluster_sums, lloyd, point_block, start_centroids,
 )
 from repro.kmeans.termination import TerminationCriteria
 from repro.openmp import Atomic, RacyCell, parallel_region
@@ -73,6 +74,8 @@ def kmeans_openmp(
     points, centroids = start_centroids(points, k, seed=seed, initial_centroids=initial_centroids)
     n, d = points.shape
     assignments = np.full(n, -1, dtype=np.int64)
+    bounds = [block_bounds(n, num_threads, t) for t in range(num_threads)]
+    blocks = [point_block(points[lo:hi]) for lo, hi in bounds]
 
     def step(centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
         if variant == "racy":
@@ -89,10 +92,10 @@ def kmeans_openmp(
         thread_partials = [None] * num_threads  # the "reduction" rung's privates
 
         def body(ctx) -> None:
-            lo, hi = block_bounds(n, ctx.num_threads, ctx.thread_id)
-            block = points[lo:hi]
-            if block.shape[0] == 0:
+            lo, hi = bounds[ctx.thread_id]
+            if hi == lo:
                 return
+            block = blocks[ctx.thread_id]
             # Phase 1: vectorized assignment of this thread's block. The
             # per-point writes are disjoint; the shared *counter* is the race.
             annotate_read("kmeans.centroids", "kmeans.assign:centroids")

@@ -13,9 +13,11 @@ merge is this model's ``step``; the loop around it is the shared
 :func:`~repro.kmeans.sequential.lloyd`.
 
 The data plane is communication-avoiding (the arXiv 1608.06347 shape):
-the point array is *published* once per call through
-:meth:`Executor.publish` — a shared-memory segment on the process
-backend, the array itself elsewhere — and the assignment vector is a
+the points are prepared once per call as a
+:class:`~repro.kmeans.sequential.PointBlock` whose one buffer is
+*published* through :meth:`Executor.publish` — a shared-memory segment
+on the process backend, the buffer itself elsewhere — and each task
+slices its own rows of it. The assignment vector is a
 *writable* published segment whose disjoint blocks each task writes in
 place. What crosses the process boundary per task per iteration is a
 ``(start, stop)`` pair out and ``(changes, sums, counts)`` back —
@@ -42,7 +44,7 @@ import numpy as np
 
 from repro.core.executor import BACKENDS, DataRef, Executor, get_executor
 from repro.kmeans.sequential import (
-    KMeansResult, assign_points, cluster_sums, lloyd, start_centroids,
+    KMeansResult, PointBlock, assign_points, cluster_sums, lloyd, point_block, start_centroids,
 )
 from repro.kmeans.termination import TerminationCriteria
 from repro.trace.tracer import get_tracer
@@ -55,7 +57,7 @@ KERNELS = ("numpy", "python")
 
 
 def _assign_block_numpy(
-    block: np.ndarray, centroids: np.ndarray, old: np.ndarray
+    block: PointBlock, centroids: np.ndarray, old: np.ndarray
 ) -> tuple[np.ndarray, int, np.ndarray, np.ndarray]:
     """One task: vectorized assignment + private sums/counts for a block."""
     new_local, changes = assign_points(block, centroids, old)
@@ -63,7 +65,7 @@ def _assign_block_numpy(
 
 
 def _assign_block_python(
-    block: np.ndarray, centroids: np.ndarray, old: np.ndarray
+    block: PointBlock, centroids: np.ndarray, old: np.ndarray
 ) -> tuple[np.ndarray, int, np.ndarray, np.ndarray]:
     """The GIL-bound task: pure-Python distance scan per point.
 
@@ -78,7 +80,7 @@ def _assign_block_python(
     counts = [0] * k
     new_local = []
     changes = 0
-    for row_index, row in enumerate(block.tolist()):
+    for row_index, row in enumerate(block.points.tolist()):
         best, best_d2 = 0, float("inf")
         for c in range(k):
             cc = cent[c]
@@ -107,26 +109,29 @@ _KERNEL_FNS = {"numpy": _assign_block_numpy, "python": _assign_block_python}
 
 
 def _assign_task(
-    points_ref: DataRef,
+    block_ref: DataRef,
+    layout: tuple[tuple[int, int], str],
     assign_ref: DataRef,
     kernel: str,
     centroids: np.ndarray,
     _index: int,
-    block: tuple[int, int],
+    rows: tuple[int, int],
 ) -> tuple[int, np.ndarray, np.ndarray]:
     """One pooled assignment task: read shared points, write shared labels.
 
     Module-level (bound with :func:`functools.partial`) so the payload
     pickles and the process backend keeps its persistent pool; only the
     centroid snapshot travels with the job, only ``(changes, sums,
-    counts)`` travel back. The block writes are disjoint by
-    construction, which is the writable-ref contract.
+    counts)`` travel back. ``layout`` is the published block's
+    ``(shape, order)``, from which the task rebuilds its views. The
+    row writes are disjoint by construction, which is the writable-ref
+    contract.
     """
-    lo, hi = block
-    points = points_ref.array()
+    lo, hi = rows
+    block = PointBlock.from_buffer(block_ref.array(), *layout)[lo:hi]
     assignments = assign_ref.array()
     old = np.array(assignments[lo:hi])  # snapshot before the in-place write
-    new_local, changes, sums, counts = _KERNEL_FNS[kernel](points[lo:hi], centroids, old)
+    new_local, changes, sums, counts = _KERNEL_FNS[kernel](block, centroids, old)
     assignments[lo:hi] = new_local
     return changes, sums, counts
 
@@ -158,21 +163,25 @@ def kmeans_parallel(
         raise ValueError(f"kernel must be one of {KERNELS}, got {kernel!r}")
     points, centroids = start_centroids(points, k, seed=seed, initial_centroids=initial_centroids)
     n, d = points.shape
-    blocks = [
+    ranges = [
         (r.start, r.stop) for r in block_partition(n, num_workers) if r.stop > r.start
     ]
     owns_executor = not isinstance(backend, Executor)
     executor = get_executor(backend, num_workers)
 
-    points_ref = assign_ref = None
+    block = point_block(points)
+    layout = ((n, d), block.order)
+    block_ref = assign_ref = None
     try:
-        points_ref = executor.publish(points)
+        block_ref = executor.publish(block.buffer)
         assign_ref = executor.publish(np.full(n, -1, dtype=np.int64), writable=True)
 
         def step(centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
             partials = executor.map(
-                functools.partial(_assign_task, points_ref, assign_ref, kernel, centroids),
-                blocks,
+                functools.partial(
+                    _assign_task, block_ref, layout, assign_ref, kernel, centroids
+                ),
+                ranges,
             )
             sums = np.zeros((k, d))
             counts = np.zeros(k, dtype=np.int64)
@@ -188,8 +197,8 @@ def kmeans_parallel(
     finally:
         if assign_ref is not None:
             executor.unpublish(assign_ref)
-        if points_ref is not None:
-            executor.unpublish(points_ref)
+        if block_ref is not None:
+            executor.unpublish(block_ref)
         if owns_executor:
             executor.close()
 

@@ -14,11 +14,25 @@ only *who* does phase 1 and the phase-2 partials and *how* the partials
 merge, so everything else lives here once and they all call it:
 
 - :func:`start_centroids` — input validation and the starting centroids;
+- :func:`point_block` — a :class:`PointBlock`, the points of a block
+  with the per-point terms both kernels need, prepared once per run;
 - :func:`assign_points` — the distance/argmin kernel, on any block;
 - :func:`cluster_sums` — the per-cluster sums and counts of a block;
 - :func:`lloyd` — the iterate/update/stop loop around a model's merged
   ``step``, with the histories and the ``kmeans.iteration`` trace; its
   :class:`Lloyd` state builds the :class:`KMeansResult`.
+
+A :class:`PointBlock` holds what never changes between iterations: the
+points, their squared norms (the ``||x||²`` term of every distance) and
+the coordinate columns as contiguous rows (the ``np.bincount`` weights
+of phase 2). A model builds its blocks once per run — one per thread,
+rank, grid block or call — and every iteration reuses them. The kernels
+run the same operations on the same values in the same order as the
+inline expressions they replace, so no output moves by a bit: the norms
+are computed on the caller's array as given (``einsum``'s summation
+order follows the memory layout), the block keeps that array's row or
+column order for the product with the centroids (BLAS rounds the two
+differently), and a bin's sum still adds its points in point order.
 """
 
 from __future__ import annotations
@@ -36,6 +50,8 @@ from repro.util.validation import require_positive_int
 __all__ = [
     "KMeansResult",
     "Lloyd",
+    "PointBlock",
+    "point_block",
     "assign_points",
     "cluster_sums",
     "update_centroids",
@@ -58,17 +74,82 @@ class KMeansResult:
     shift_history: list[float] = field(default_factory=list)
 
 
-def assign_points(
-    points: np.ndarray, centroids: np.ndarray, assignments: np.ndarray
-) -> tuple[np.ndarray, int]:
-    """Phase 1 on a (sub)array: new assignments and the change count.
+@dataclass(frozen=True)
+class PointBlock:
+    """A block of points with the per-point terms of both kernels.
 
-    Vectorized distance argmin; ties go to the lowest cluster index
-    (numpy argmin convention), matching a naive ``<`` scan in C.
+    ``points`` is ``(n, d)``, ``norms`` the ``(n, 1)`` squared norms and
+    ``columns`` the ``(d, n)`` coordinates, one contiguous row per
+    dimension. All three are views into one float64 ``buffer`` —
+    points, then norms, then columns — so a block publishes as one
+    shared-memory segment and :meth:`from_buffer` rebuilds it on the
+    other side. ``block[lo:hi]`` is rows ``lo..hi`` (``columns[:,
+    lo:hi]``), still views into the same buffer.
+    """
+
+    points: np.ndarray
+    norms: np.ndarray
+    columns: np.ndarray
+    buffer: np.ndarray
+
+    @classmethod
+    def from_buffer(
+        cls, buffer: np.ndarray, shape: tuple[int, int], order: str = "C"
+    ) -> "PointBlock":
+        """The views of an ``(n, d)`` block laid out in ``buffer``.
+
+        ``order`` is the memory order of the points region (``"F"``
+        when the block was made from a Fortran-ordered array).
+        """
+        n, d = shape
+        return cls(
+            buffer[: n * d].reshape(shape, order=order),
+            buffer[n * d : n * (d + 1)].reshape(n, 1),
+            buffer[n * (d + 1) :].reshape(d, n),
+            buffer,
+        )
+
+    @property
+    def order(self) -> str:
+        """The memory order of the points region, for :meth:`from_buffer`."""
+        return _order(self.points)
+
+    def __getitem__(self, rows: slice) -> "PointBlock":
+        return PointBlock(self.points[rows], self.norms[rows], self.columns[:, rows], self.buffer)
+
+
+def _order(points: np.ndarray) -> str:
+    return "F" if points.flags.f_contiguous and not points.flags.c_contiguous else "C"
+
+
+def point_block(points: np.ndarray) -> PointBlock:
+    """Prepare ``points`` for the kernels: copy them once, with their norms.
+
+    The norms are computed on ``points`` as given. A Fortran-ordered
+    array stays column-major in the block; any other is copied in row
+    order.
+    """
+    points = np.asarray(points, dtype=float)
+    n, d = points.shape
+    block = PointBlock.from_buffer(np.empty(n * (2 * d + 1)), (n, d), _order(points))
+    block.points[...] = points
+    block.norms[:, 0] = np.einsum("ij,ij->i", points, points)
+    block.columns[...] = points.T
+    return block
+
+
+def assign_points(
+    block: PointBlock, centroids: np.ndarray, assignments: np.ndarray
+) -> tuple[np.ndarray, int]:
+    """Phase 1 on a block: new assignments and the change count.
+
+    Vectorized distance argmin over ``||x||² - 2 x·c + ||c||²``; ties go
+    to the lowest cluster index (numpy argmin convention), matching a
+    naive ``<`` scan in C.
     """
     d2 = (
-        np.einsum("ij,ij->i", points, points)[:, None]
-        - 2.0 * points @ centroids.T
+        block.norms
+        - 2.0 * block.points @ centroids.T
         + np.einsum("ij,ij->i", centroids, centroids)[None, :]
     )
     new_assignments = np.argmin(d2, axis=1)
@@ -77,21 +158,23 @@ def assign_points(
 
 
 def cluster_sums(
-    points: np.ndarray, labels: np.ndarray, k: int
+    block: PointBlock, labels: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Phase 2 partials on a (sub)array: per-cluster sums and member counts.
+    """Phase 2 partials on a block: per-cluster sums and member counts.
 
-    One ``np.bincount`` per dimension gives the sums and one more the
-    counts. Each bin starts at zero and adds its points in point order,
-    so a fixed blocking merged in a fixed order gives a fixed float
-    result — the same bytes as ``np.add.at``. ``add.at`` is 3-4x
-    slower on a 2000 x 8 block, and over 10x slower on one unpickled
-    from an MPI rank or a pool worker, whose non-canonical ``float64``
-    dtype sends it down a slow path.
+    One ``np.bincount`` per dimension, over that dimension's contiguous
+    row of ``block.columns``, gives the sums and one more the counts.
+    Each bin starts at zero and adds its points in point order, so a
+    fixed blocking merged in a fixed order gives a fixed float result —
+    the same bytes as ``np.add.at``. ``add.at`` is 3-4x slower on a
+    2000 x 8 block, and over 10x slower on one unpickled from an MPI
+    rank or a pool worker, whose non-canonical ``float64`` dtype sends
+    it down a slow path.
     """
-    sums = np.empty((k, points.shape[1]))
-    for j in range(points.shape[1]):
-        sums[:, j] = np.bincount(labels, weights=points[:, j], minlength=k)
+    columns = block.columns
+    sums = np.empty((k, columns.shape[0]))
+    for j, column in enumerate(columns):
+        sums[:, j] = np.bincount(labels, weights=column, minlength=k)
     return sums, np.bincount(labels, minlength=k)
 
 
@@ -114,7 +197,7 @@ def update_centroids(
     Returns (new_centroids, sums, counts). Empty clusters keep their old
     centroid (the conventional fix; the starter code's behaviour).
     """
-    sums, counts = cluster_sums(points, assignments, k)
+    sums, counts = cluster_sums(point_block(points), assignments, k)
     return _means(sums, counts, old_centroids), sums, counts
 
 
@@ -234,12 +317,13 @@ def kmeans_sequential(
 ) -> KMeansResult:
     """The reference clustering run: both phases over the whole array."""
     points, centroids = start_centroids(points, k, seed=seed, initial_centroids=initial_centroids)
+    block = point_block(points)
     assignments = np.full(points.shape[0], -1, dtype=np.int64)
 
     def step(centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
         nonlocal assignments
-        assignments, changes = assign_points(points, centroids, assignments)
-        return (*cluster_sums(points, assignments, k), changes)
+        assignments, changes = assign_points(block, centroids, assignments)
+        return (*cluster_sums(block, assignments, k), changes)
 
     run = lloyd(step, centroids, criteria, model="sequential", tracer=get_tracer())
     return run.result(points, assignments)

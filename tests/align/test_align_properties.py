@@ -9,7 +9,10 @@ a statement about *every* instance, not a pinned example:
   (every alignment's value is, so the max over alignments is);
 - a sequence aligned against itself scores the perfect-match value;
 - the numpy and python kernels build the same matrix for any integer
-  scheme and band, and a row-major sweep yields its statistics.
+  scheme and band, and a row-major sweep yields its statistics;
+- ``sweep_rows`` over ``band_rows`` spans fills any block, at any
+  origin, exactly as a plain per-cell loop written here does: values,
+  match events, best cell and sanitizer accesses.
 """
 
 import numpy as np
@@ -18,7 +21,8 @@ from hypothesis import strategies as st
 
 from repro.align import ScoringScheme, align_sequential, score_matrix
 from repro.align.scoring import (
-    band_cells, encode_sequence, init_matrix, summarize_matrix, sweep_cells,
+    OUT_OF_BAND, band_rows, encode_sequence, in_band, init_matrix, summarize_matrix,
+    sweep_rows,
 )
 
 dna = st.text(alphabet="ACGT", min_size=1, max_size=28)
@@ -86,10 +90,96 @@ def test_kernels_agree_on_arbitrary_instances(a, b, mode, match, mismatch, gap, 
     # A full row-major sweep returns summarize_matrix's statistics.
     a_codes, b_codes = encode_sequence(a), encode_sequence(b)
     rows = init_matrix(n, m, scheme, band).tolist()
-    swept = sweep_cells(
-        rows, a_codes.tolist(), b_codes.tolist(), band_cells(1, n, 1, m, band), scheme
+    swept = sweep_rows(
+        rows, a_codes.tolist(), b_codes.tolist(), band_rows(1, n, 1, m, band), scheme
     )
     best_score, best_cell, match_events = summarize_matrix(
         matrix, a_codes, b_codes, scheme, band
     )
     assert swept == (match_events, (best_score, *best_cell))
+
+
+class RecordingSanitizer:
+    """Records every access the sweep declares, in order."""
+
+    def __init__(self):
+        self.accesses = []
+
+    def mem_read(self, name, label):
+        self.accesses.append(("read", name, label))
+
+    def mem_write(self, name, label):
+        self.accesses.append(("write", name, label))
+
+
+def per_cell_reference(H, a, b, bounds, band, scheme, origin):
+    """The recurrence written cell by cell over the block, in local coordinates."""
+    i0, i1, j0, j1 = bounds
+    oi, oj = origin
+    H = [row[:] for row in H]
+    events = 0
+    best = (OUT_OF_BAND, 0, 0)
+    accesses = []
+    for i in range(i0, i1 + 1):
+        for j in range(j0, j1 + 1):
+            if not in_band(i, j, band):
+                continue
+            li, lj = i - oi, j - oj
+            accesses += [
+                ("read", f"align.H[{li - 1},{lj - 1}]", "align.wavefront:diag"),
+                ("read", f"align.H[{li - 1},{lj}]", "align.wavefront:up"),
+                ("read", f"align.H[{li},{lj - 1}]", "align.wavefront:left"),
+                ("write", f"align.H[{li},{lj}]", "align.wavefront:write"),
+            ]
+            equal = a[i - 1] == b[j - 1]
+            diag = H[i - 1][j - 1] + (scheme.match if equal else scheme.mismatch)
+            value = max(diag, H[i - 1][j] + scheme.gap, H[i][j - 1] + scheme.gap)
+            if scheme.mode == "local":
+                value = max(value, 0)
+            H[i][j] = value
+            if equal and value == H[i - 1][j - 1] + scheme.match:
+                events += 1
+            if (value, -li, -lj) > (best[0], -best[1], -best[2]):
+                best = (value, li, lj)
+    return H, events, best, accesses
+
+
+@st.composite
+def block_sweeps(draw):
+    """A matrix of arbitrary predecessors, a block of it, an origin and a band."""
+    n = draw(st.integers(1, 24))
+    m = draw(st.integers(1, 24))
+    a = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    b = draw(st.lists(st.integers(0, 3), min_size=m, max_size=m))
+    scheme = ScoringScheme(
+        match=draw(scores), mismatch=draw(scores), gap=draw(scores), mode=draw(modes)
+    )
+    band = draw(st.sampled_from([None, 0, abs(n - m), abs(n - m) + 3]))
+    # Arbitrary predecessors, a few of them the sentinel: drawn from one
+    # seed, since hundreds of separate draws per example make the test slow.
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    H = rng.integers(-60, 61, size=(n + 1, m + 1))
+    H[rng.random(H.shape) < 0.1] = OUT_OF_BAND
+    H = H.tolist()
+    i0 = draw(st.integers(1, n))
+    i1 = draw(st.integers(i0, n))
+    j0 = draw(st.integers(1, m))
+    j1 = draw(st.integers(j0, m))
+    origin = (draw(st.integers(0, i0 - 1)), draw(st.integers(0, j0 - 1)))
+    return H, a, b, (i0, i1, j0, j1), band, scheme, origin
+
+
+@given(case=block_sweeps())
+@settings(max_examples=150, deadline=None)
+def test_row_sweep_matches_per_cell_loop(case):
+    H, a, b, bounds, band, scheme, origin = case
+    i0, i1, j0, j1 = bounds
+    oi, oj = origin
+    expected, events, best, accesses = per_cell_reference(H, a, b, bounds, band, scheme, origin)
+    # The block and its predecessors, copied out at the origin as a tile task does.
+    rows = [row[oj : j1 + 1] for row in H[oi : i1 + 1]]
+    san = RecordingSanitizer()
+    swept = sweep_rows(rows, a[oi:], b[oj:], band_rows(*bounds, band, origin), scheme, san)
+    assert rows == [row[oj : j1 + 1] for row in expected[oi : i1 + 1]]
+    assert swept == (events, best)
+    assert san.accesses == accesses

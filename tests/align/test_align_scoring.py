@@ -8,6 +8,7 @@ from repro.align import (
     OUT_OF_BAND,
     ScoringScheme,
     align_sequential,
+    band_rows,
     cell_score,
     encode_sequence,
     generate_pair,
@@ -17,10 +18,9 @@ from repro.align import (
     mutate_sequence,
     score_matrix,
     summarize_matrix,
-    sweep_cells,
+    sweep_rows,
     tile_diagonals,
 )
-from repro.align.scoring import band_cells
 
 
 class TestScoringScheme:
@@ -55,7 +55,7 @@ class TestEncodeAndBand:
         with pytest.raises(ValueError, match="band"):
             score_matrix("ACGTACGT", "AC", band=2)
 
-    def test_band_cells_enumerate_exactly_in_band_cells(self):
+    def test_band_rows_enumerate_exactly_in_band_cells(self):
         n, m, band = 7, 5, 2
         expected = {
             (i, j)
@@ -63,9 +63,17 @@ class TestEncodeAndBand:
             for j in range(1, m + 1)
             if in_band(i, j, band)
         }
-        assert list(band_cells(1, n, 1, m, band)) == sorted(expected)
+
+        def cells(spans):
+            return [(i, j) for i, lo, hi in spans for j in range(lo, hi + 1)]
+
+        spans = band_rows(1, n, 1, m, band)
+        assert cells(spans) == sorted(expected)
+        assert all(lo <= hi for _, lo, hi in spans)  # rows that miss the band are left out
+        assert band_rows(1, 2, 5, 5, 1) == []  # row 2 reaches column 3 at most
+        assert band_rows(1, 4, 5, 5, 1) == [(4, 5, 5)]
         # Shifted by an origin: the same cells in a copied block's coordinates.
-        assert list(band_cells(3, 5, 2, 4, band, origin=(2, 1))) == [
+        assert cells(band_rows(3, 5, 2, 4, band, origin=(2, 1))) == [
             (i - 2, j - 1) for i, j in sorted(expected) if 3 <= i <= 5 and 2 <= j <= 4
         ]
 
@@ -121,9 +129,9 @@ class TestOracle:
                 # A full row-major sweep yields summarize_matrix's statistics:
                 # the contract the OpenMP reduction rung's merge relies on.
                 rows = init_matrix(n, m, scheme, use_band).tolist()
-                swept = sweep_cells(
+                swept = sweep_rows(
                     rows, a_codes.tolist(), b_codes.tolist(),
-                    band_cells(1, n, 1, m, use_band), scheme,
+                    band_rows(1, n, 1, m, use_band), scheme,
                 )
                 np.testing.assert_array_equal(np.asarray(rows), matrix)
                 best_score, best_cell, match_events = summarize_matrix(

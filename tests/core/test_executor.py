@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 import pickle
 
+import numpy as np
 import pytest
 
 from repro.core.executor import (
@@ -28,6 +29,11 @@ def _executor(backend: str, workers: int = 4, **kwargs) -> Executor:
 
 def square(i, x):
     return x * x
+
+
+def echo_dtype(i, x):
+    """The input's dtype as the task saw it, the input, and a fresh 0-d result."""
+    return x.dtype.str, x, np.array(i, dtype=">i4")
 
 
 class TestMapContract:
@@ -174,3 +180,26 @@ class TestExecutorObjects:
         got = _executor("process", 2).map(lambda i, x: {"i": i, "sq": x * x}, [1, 2, 3])
         assert got == [{"i": 0, "sq": 1}, {"i": 1, "sq": 4}, {"i": 2, "sq": 9}]
         assert pickle.loads(pickle.dumps(got)) == got
+
+
+class TestByteOrder:
+    """A 0-d non-native array keeps its byte order both ways on every path.
+
+    The default pickle protocol 4 turns a 0-d ``>i4`` array into native
+    ``int32``; the pool payload and the results cross with the highest
+    protocol instead.
+    """
+
+    @pytest.mark.parametrize("path", ["serial", "thread", "pool", "fork"])
+    def test_zero_d_big_endian_keeps_dtype(self, path):
+        items = [np.array(5, dtype=">i4"), np.array(-7, dtype=">i4"), np.array(9, dtype=">i4")]
+        backend = "process" if path in ("pool", "fork") else path
+        fn = echo_dtype
+        if path == "fork":
+            fn = lambda i, x: echo_dtype(i, x)  # noqa: E731 - no pickle: the fork path
+        with _executor(backend, 2) as ex:
+            got = ex.map(fn, items)
+        for i, (seen, back, fresh) in enumerate(got):
+            assert seen == ">i4"
+            assert back.dtype.str == ">i4" and back.shape == () and back == items[i]
+            assert fresh.dtype.str == ">i4" and fresh.shape == () and fresh == i

@@ -17,7 +17,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.kmeans.sequential import cluster_sums
+from repro.kmeans.sequential import cluster_sums, point_block
 
 coordinates = st.floats(
     min_value=-1e300, max_value=1e300, allow_nan=False, allow_infinity=False
@@ -51,7 +51,7 @@ def blocks(draw):
 
 
 def assert_same_bytes(points: np.ndarray, labels: np.ndarray, k: int) -> None:
-    sums, counts = cluster_sums(points, labels, k)
+    sums, counts = cluster_sums(point_block(points), labels, k)
     ref_sums, ref_counts = add_at_reference(points, labels, k)
     assert sums.dtype == ref_sums.dtype and sums.shape == ref_sums.shape
     assert counts.dtype == ref_counts.dtype and counts.shape == ref_counts.shape

@@ -86,6 +86,7 @@ if [ "${1:-}" = "--sanitizer" ]; then
     python -m pytest -q tests/sanitizer -m 'slow or not slow'
     echo "== align and k-means conformance (cross-model same answer) =="
     python -m pytest -q tests/integration/test_model_conformance.py -k "Align or KMeans"
+    python -m pytest -q tests/align/test_align_properties.py
     echo "== golden digests + owner-view crash reproducer (child interpreter) =="
     python -m pytest -q tests/golden/test_golden.py \
         tests/core/test_shm_views.py::TestViewOutlivesUnpublish

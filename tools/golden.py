@@ -17,6 +17,11 @@ Covered today:
   ``openmp-critical`` and ``openmp-atomic``, whose float sums follow
   the thread schedule and so vary between runs;
 - :func:`repro.pipeline.generate_arrests` and the Fig. 2 heat map;
+- kNN predictions of every model: brute force (vectorized and heap),
+  kd-tree, quadtree, ``knn_openmp``, ``knn_mpi``, ``knn_device`` and
+  MapReduce (with and without the local combine);
+- the Fig. 3 traffic space-time diagram, from the serial agent and
+  grid simulations and the threaded one, and the MPI final state;
 - a few serve solo-oracle ``result_digest`` values.
 
 Usage::
@@ -43,10 +48,18 @@ from repro.align import ladder as align_ladder
 from repro.kmeans import TerminationCriteria
 from repro.kmeans import ladder as kmeans_ladder
 from repro.kmeans.initialization import init_random_points
+from repro.knn import (
+    KDTree, QuadTree, knn_device, knn_openmp, knn_predict_heap, knn_predict_vectorized,
+    make_blobs, run_knn_mapreduce, run_knn_mpi,
+)
 from repro.pipeline import arrests_per_100k, generate_arrests, generate_ntas, heat_map_matrix
 from repro.serve.traffic import TrafficJob, run_solo
 from repro.spark import SparkContext
 from repro.trace.history import result_digest
+from repro.traffic import (
+    TrafficParams, simulate_mpi, simulate_parallel, simulate_serial, simulate_serial_grid,
+    space_time_diagram,
+)
 
 GOLDEN = Path(__file__).resolve().parent.parent / "tests" / "golden" / "digests.json"
 
@@ -58,6 +71,11 @@ WORKERS = (1, 2, 3)
 #: pairs of unequal lengths, whose tracebacks meet diagonal/up ties.
 ALIGN_PAIRS = ((3, 13), (8, 11))
 KMEANS_CASES = ((0, (60, 2), 3), (5, (45, 3), 4))  # (seed, shape, k)
+#: (seed, database size, query count, classes, k) on 2-D blobs, so the
+#: quadtree runs too.
+KNN_CASES = ((1, 90, 25, 3, 5), (6, 70, 18, 4, 4))
+#: (seed, steps) on the Fig. 3 road: 200 cars, length 1000, p = 0.13.
+TRAFFIC_CASES = ((13, 40), (2, 25))
 
 
 def _sha(value: Any) -> str:
@@ -133,6 +151,64 @@ def _kmeans() -> Iterator[tuple[str, Callable[[], dict[str, Any]]]]:
                 yield key, lambda run=run: _fields(run(), _KMEANS_FIELDS)
 
 
+def _knn() -> Iterator[tuple[str, Callable[[], dict[str, Any]]]]:
+    for seed, n, q, classes, k in KNN_CASES:
+        points, labels = make_blobs(n + q, 2, classes, seed=seed, spread=1.5)
+        db, db_labels, queries = points[:n], labels[:n], points[n:]
+        tag = f"seed={seed}/n={n}/q={q}/k={k}"
+        models: dict[str, Callable[[], np.ndarray]] = {
+            "brute-vectorized": lambda: knn_predict_vectorized(db, db_labels, queries, k),
+            "brute-heap": lambda: knn_predict_heap(db, db_labels, queries, k),
+            "kdtree": lambda: KDTree.build(db, db_labels, leaf_size=4).predict(queries, k),
+            "quadtree": lambda: QuadTree(db, db_labels, leaf_capacity=4).predict(queries, k),
+            "device": lambda: knn_device(db, db_labels, queries, k, block_size=8),
+        }
+        for workers in WORKERS:
+            models[f"openmp/workers={workers}"] = lambda w=workers: knn_openmp(
+                db, db_labels, queries, k, num_threads=w, chunk=4
+            )
+            models[f"mpi/workers={workers}"] = lambda w=workers: run_knn_mpi(
+                w, db, db_labels, queries, k
+            )
+            for combine in (True, False):
+                models[f"mapreduce-combine={combine}/workers={workers}"] = (
+                    lambda w=workers, c=combine: run_knn_mapreduce(
+                        w, db, db_labels, queries, k, local_combine=c
+                    )[0]
+                )
+        for model, predict in models.items():
+            yield f"knn/{model}/{tag}", lambda predict=predict: {"predictions": _sha(predict())}
+
+
+def _traffic() -> Iterator[tuple[str, Callable[[], dict[str, Any]]]]:
+    for seed, steps in TRAFFIC_CASES:
+        params = TrafficParams(seed=seed)
+        tag = f"seed={seed}/steps={steps}"
+
+        def serial(params=params, steps=steps) -> dict[str, Any]:
+            _, trajectory = simulate_serial(params, steps, record=True)
+            return {"space_time": _sha(space_time_diagram(trajectory))}
+
+        def grid(params=params, steps=steps) -> dict[str, Any]:
+            _, trajectory = simulate_serial_grid(params, steps, record=True)
+            return {"space_time": _sha(np.stack(trajectory))}
+
+        yield f"traffic/fig3/serial/{tag}", serial
+        yield f"traffic/fig3/serial-grid/{tag}", grid
+        for workers in (2, 3):
+
+            def threaded(params=params, steps=steps, workers=workers) -> dict[str, Any]:
+                _, trajectory = simulate_parallel(params, steps, workers, record=True)
+                return {"space_time": _sha(space_time_diagram(trajectory))}
+
+            def mpi(params=params, steps=steps, workers=workers) -> dict[str, Any]:
+                final = simulate_mpi(params, steps, workers)
+                return {"positions": _sha(final.positions), "velocities": _sha(final.velocities)}
+
+            yield f"traffic/fig3/parallel/{tag}/workers={workers}", threaded
+            yield f"traffic/fig3/mpi-final/{tag}/workers={workers}", mpi
+
+
 def _pipeline() -> Iterator[tuple[str, Callable[[], dict[str, Any]]]]:
     for seed, (rows, cols), n in ((0, (2, 3), 500), (4, (3, 4), 1500)):
         ntas = generate_ntas(rows, cols, seed=seed)
@@ -171,6 +247,8 @@ def entries() -> Iterator[tuple[str, Callable[[], dict[str, Any]]]]:
     """Every golden entry as ``(key, compute)``, in file order."""
     yield from _align()
     yield from _kmeans()
+    yield from _knn()
+    yield from _traffic()
     yield from _pipeline()
     yield from _serve()
 
