@@ -93,13 +93,12 @@ class PointBlock:
     buffer: np.ndarray
 
     @classmethod
-    def from_buffer(
-        cls, buffer: np.ndarray, shape: tuple[int, int], order: str = "C"
-    ) -> "PointBlock":
+    def from_buffer(cls, buffer: np.ndarray, shape: tuple[int, int], order: str) -> "PointBlock":
         """The views of an ``(n, d)`` block laid out in ``buffer``.
 
-        ``order`` is the memory order of the points region (``"F"``
-        when the block was made from a Fortran-ordered array).
+        ``order`` is the memory order of the points region: ``"F"``
+        when the block was made from a Fortran-ordered array, else
+        ``"C"``.
         """
         n, d = shape
         return cls(
