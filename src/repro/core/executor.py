@@ -8,10 +8,10 @@ three interchangeable backends:
 
 - :class:`SerialExecutor` — a plain loop on the calling thread.
   Zero concurrency, zero overhead; the determinism baseline.
-- :class:`ThreadExecutor` — a team of parked helper threads per map
-  (a launch never waits for a busy helper, which keeps nested maps
-  deadlock-free). Real concurrency for GIL-releasing kernels (numpy,
-  IO); serialized for pure-Python loops.
+- :class:`ThreadExecutor` — a team of parked helper threads per map;
+  a map issued on a thread that is already a worker runs inline. Real
+  concurrency for GIL-releasing kernels (numpy, IO); serialized for
+  pure-Python loops.
 - :class:`ProcessExecutor` — real CPU parallelism on a **persistent
   pool** of ``multiprocessing`` workers: processes spawn once per
   executor lifetime, each talks to the driver over its own private
@@ -88,7 +88,7 @@ from typing import Any, Callable, Sequence
 from repro.sanitizer.runtime import get_sanitizer
 from repro.trace.tracer import get_tracer
 from repro.util.partition import block_partition
-from repro.util.team import run_team
+from repro.util.team import in_worker, run_team
 from repro.util.validation import require_positive_int
 
 __all__ = [
@@ -347,11 +347,18 @@ class ThreadExecutor(Executor):
 
     A map takes ``min(num_workers, len(items))`` helpers from the warm
     team pool (:func:`repro.util.team.run_team`); the team members pull
-    item indices from a shared counter, as pool workers would. A launch
-    never waits for a busy helper, so nested maps (a task that itself
-    maps — e.g. a Spark shuffle materializing inside a job) stay
-    deadlock-free. Exceptions re-raise the original exception object of
-    the lowest failing index.
+    item indices from a shared counter, as pool workers would.
+    Exceptions re-raise the original exception object of the lowest
+    failing index.
+
+    One level of fan-out: a map issued on a thread that is already a
+    worker (:func:`repro.util.team.in_worker` — a team member, e.g. a
+    task of another thread map or an OpenMP region member, or a job
+    service worker) runs its tasks in index order on that thread, as
+    :class:`SerialExecutor` does. Nested maps (a task that itself maps —
+    e.g. a Spark shuffle materializing inside a job) therefore start no
+    thread and cannot deadlock. Under an active sanitizer every map
+    keeps its registered team, since the race detector needs members.
     """
 
     name = "thread"
@@ -366,8 +373,8 @@ class ThreadExecutor(Executor):
             sanitizer = get_sanitizer()
             if sanitizer is not None:
                 return self._map_sanitized(fn, items, sanitizer)
-            if len(items) == 1:
-                return [fn(0, items[0])]
+            if len(items) == 1 or in_worker():
+                return [fn(i, item) for i, item in enumerate(items)]
             n = len(items)
             results: list[Any] = [None] * n
             errors: list[BaseException | None] = [None] * n

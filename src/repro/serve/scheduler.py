@@ -27,6 +27,11 @@ runs them against shared state, under the full robustness kit:
   is requeued, the worker respawns after a backoff), queue stalls —
   with the evidence in a :class:`~repro.serve.faults.ServeFaultReport`.
 
+Concurrency comes from the workers, one job each. A worker thread is a
+worker in :func:`repro.util.team.in_worker`'s sense, so a job's
+thread-executor maps (its Spark stages, its k-means steps) run inline on
+that thread instead of fanning out a second level of threads.
+
 Observability follows the house pattern: an always-on
 :class:`ServeMetrics` counter block plus, when the process tracer is
 enabled, one ``serve.j<submission>`` trace lane per job (span ``job``
@@ -59,6 +64,7 @@ from repro.serve.faults import (
 )
 from repro.trace.tracer import get_tracer
 from repro.util.backoff import BackoffPolicy
+from repro.util.team import become_worker
 from repro.util.validation import require_nonnegative_int, require_positive_int
 
 __all__ = [
@@ -554,6 +560,9 @@ class JobService:
     # worker pool
     # ------------------------------------------------------------------
     def _worker_loop(self, worker: int) -> None:
+        # Jobs run one per worker; a thread-executor map inside a job
+        # (Spark stages, k-means steps) runs on this thread.
+        become_worker()
         jobs_started = 0
         plan = self._fault_plan
         # Each worker-loss slot fires once per service lifetime: the

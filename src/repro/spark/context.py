@@ -3,10 +3,11 @@
 A :class:`SparkContext` plays driver *and* cluster: ``run_job`` executes
 one task per partition on a pluggable executor backend
 (:mod:`repro.core.executor`): ``backend="thread"`` (the default — each
-job runs on a team of parked helper threads, and a launch never waits
-for a busy helper, so nested jobs — shuffles materializing inside
-tasks — can never starve), ``"serial"``, or ``"process"`` (fork-based
-worker processes for real CPU parallelism; see ``docs/executors.md``).
+job runs on a team of parked helper threads; a nested job — a shuffle
+materializing inside a task — runs inline on that task's thread, as does
+a job issued on a job service worker), ``"serial"``, or ``"process"``
+(fork-based worker processes for real CPU parallelism; see
+``docs/executors.md``).
 Results, accumulator values, and fault recovery are bit-identical
 across all three. The
 :class:`JobMetrics` counters make the engine's communication behaviour
@@ -298,8 +299,9 @@ class SparkContext:
         """Run ``task_fn(partition_index, partition_data)`` over all partitions.
 
         Results are returned in partition order. The context's
-        ``backend`` picks the executor: ``"thread"`` (default — a fresh
-        pool per job keeps nested jobs deadlock-free), ``"serial"``, or
+        ``backend`` picks the executor: ``"thread"`` (default — a team
+        of helper threads per job; a job nested in a task, or issued on
+        a job service worker, runs inline), ``"serial"``, or
         ``"process"`` (fork-based worker processes; see
         ``docs/executors.md``). All three produce bit-identical results
         and accumulator values.

@@ -16,7 +16,13 @@ joining a fresh team each time; this module does the same:
   handed back in :attr:`TeamRun.errors`, so a helper never dies holding
   a job;
 - a forked child forgets the parent's helpers (they do not exist in
-  the child) and starts its own.
+  the child) and starts its own;
+- a helper thread is a *worker* (:func:`in_worker`) for its whole
+  life, as is any thread that calls :func:`become_worker` (the job
+  service's workers). A thread-executor map issued on a worker runs its
+  tasks inline (one level of fan-out, OpenMP's default
+  ``max-active-levels``); teams whose members synchronize — regions,
+  SPMD ranks, Chapel tasks — still launch from anywhere.
 
 :class:`TeamBarrier` is ``threading.Barrier``'s ``wait``/``abort``
 contract on one guard lock plus one gate lock per waiter: the last
@@ -32,7 +38,28 @@ import os
 import threading
 from typing import Any, Callable
 
-__all__ = ["TeamBarrier", "TeamRun", "run_team"]
+__all__ = ["TeamBarrier", "TeamRun", "become_worker", "in_worker", "run_team"]
+
+
+#: ``_role.worker`` is True on a worker thread (see :func:`in_worker`).
+_role = threading.local()
+
+
+def become_worker() -> None:
+    """Mark the calling thread as a worker for the rest of its life."""
+    _role.worker = True
+
+
+def in_worker() -> bool:
+    """True on a worker thread: a team helper or a :func:`become_worker` caller.
+
+    >>> in_worker()
+    False
+    >>> run_team(1, lambda i: print(in_worker())).errors
+    True
+    [None]
+    """
+    return getattr(_role, "worker", False)
 
 
 class TeamRun:
@@ -107,6 +134,7 @@ class _Helper:
         ).start()
 
     def _serve(self) -> None:
+        become_worker()
         while True:
             self.gate.acquire()
             run, index = self.job
@@ -124,10 +152,12 @@ _idle_lock = threading.Lock()
 
 
 def _forget_helpers() -> None:
-    """In a forked child: the parent's helpers do not exist here."""
+    """In a forked child: the parent's helpers do not exist here, and the
+    child's one thread is not a worker even if it forked from one."""
     global _idle, _idle_lock
     _idle = []
     _idle_lock = threading.Lock()
+    _role.worker = False
 
 
 os.register_at_fork(after_in_child=_forget_helpers)

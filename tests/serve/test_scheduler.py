@@ -5,6 +5,8 @@ import time
 
 import pytest
 
+import repro.core.executor as executor_module
+from repro.core.executor import ThreadExecutor
 from repro.serve import (
     CircuitOpenError,
     DeadlineExpired,
@@ -12,8 +14,13 @@ from repro.serve import (
     PoisonedJobError,
     QueueFullError,
     ServeFaultPlan,
+    TrafficJob,
+    job_body,
+    run_solo,
 )
+from repro.serve.traffic import TRAFFIC_WORKLOADS
 from repro.spark.context import SparkJobCancelled
+from repro.trace.history import result_digest
 
 
 class TestBasics:
@@ -307,3 +314,48 @@ class TestFaultInjection:
         with JobService(1) as svc:
             svc.submit("t", lambda ctx: 1).wait(5.0)
             assert svc.fault_report is None
+
+
+class TestJobsMapOnTheirWorker:
+    """A job's thread-executor maps run on the service worker running it."""
+
+    def test_thread_map_and_spark_tasks_run_on_the_worker(self):
+        def body(ctx):
+            mapped = ThreadExecutor(2).map(lambda i, x: threading.get_ident(), range(4))
+            with ctx.spark_context(2) as sc:
+                # The shuffle's map stage materializes inside a reduce task.
+                grouped = (
+                    sc.parallelize(list(range(8)), 4)
+                    .map(lambda x: (x % 3, threading.get_ident()))
+                    .group_by_key(2)
+                    .map(lambda kv: (set(kv[1]), threading.get_ident()))
+                    .collect()
+                )
+            spark = {ident for seen, reducer in grouped for ident in (*seen, reducer)}
+            return threading.current_thread().name, threading.get_ident(), set(mapped), spark
+
+        with JobService(2) as svc:
+            name, worker, mapped, spark = svc.submit("t", body).result(10.0)
+        assert name.startswith("serve-worker-")
+        assert mapped == {worker} and spark == {worker}
+
+    def test_traffic_jobs_equal_solo_and_launch_no_team(self, monkeypatch):
+        jobs = [
+            TrafficJob("t", workload, 0, seed, 0.0, f"{workload}-{seed}")
+            for workload in TRAFFIC_WORKLOADS
+            for seed in range(6)
+        ]
+        solo = [result_digest(run_solo(job)) for job in jobs]
+        launchers = []
+        run_team = executor_module.run_team
+
+        def spy(n, fn, **kwargs):
+            launchers.append(threading.current_thread().name)
+            return run_team(n, fn, **kwargs)
+
+        monkeypatch.setattr(executor_module, "run_team", spy)
+        with JobService(2) as svc:
+            handles = [svc.submit(job.tenant, job_body(job), name=job.name) for job in jobs]
+            served = [result_digest(h.result(30.0)) for h in handles]
+        assert served == solo
+        assert launchers == []

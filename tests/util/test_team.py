@@ -4,9 +4,10 @@ Every thread team (OpenMP regions, thread-executor maps, SPMD ranks,
 Chapel tasks) runs on :func:`repro.util.team.run_team`'s parked helper
 threads. These tests pin what reusing threads must not change: errors
 come back by member index, nested and forked teams still run, helpers
-do not pile up, a timed-out team's helpers are abandoned, and
-:class:`~repro.util.team.TeamBarrier` keeps ``threading.Barrier``'s
-contract.
+do not pile up, a timed-out team's helpers are abandoned, a
+thread-executor map issued on a worker thread runs inline while every
+other team still launches, and :class:`~repro.util.team.TeamBarrier`
+keeps ``threading.Barrier``'s contract.
 """
 
 import os
@@ -21,7 +22,8 @@ from repro.chapel import coforall
 from repro.core.executor import ThreadExecutor
 from repro.mpi import DeadlockError, run_spmd
 from repro.openmp import parallel_region
-from repro.util.team import TeamBarrier, run_team
+from repro.sanitizer import Sanitizer, use_sanitizer
+from repro.util.team import TeamBarrier, become_worker, in_worker, run_team
 
 
 class TestRunTeam:
@@ -177,6 +179,115 @@ class TestHelperReuse:
         _, status = os.waitpid(pid, 0)
         assert os.WIFEXITED(status), f"child killed by signal {os.WTERMSIG(status)} (hung)"
         assert os.WEXITSTATUS(status) == 0
+
+
+def _probe_map(fail=()):
+    """Map ``ThreadExecutor(2)`` over four items from the calling thread.
+
+    Returns the caller's ident, the ident each task ran on, the map's
+    results (or the exception it raised) and how many threads the map
+    started.
+    """
+    caller = threading.get_ident()
+    before = threading.active_count()
+    ran_on = {}
+
+    def task(i, item):
+        ran_on[i] = threading.get_ident()
+        if i in fail:
+            raise KeyError(i)
+        return item * item
+
+    try:
+        out = ThreadExecutor(2).map(task, [1, 2, 3, 4])
+    except KeyError as exc:
+        out = exc
+    return caller, ran_on, out, threading.active_count() - before
+
+
+#: Ways to be on a worker thread: a thread-map task, an OpenMP member.
+_ON_A_WORKER = {
+    "executor-task": lambda probe: ThreadExecutor(2).map(lambda i, _: probe(), [0, 1]),
+    "region-member": lambda probe: parallel_region(2, lambda ctx: probe()),
+}
+
+
+class TestOneLevelOfFanOut:
+    """A thread-executor map issued on a worker thread runs inline."""
+
+    @pytest.mark.parametrize("launch", sorted(_ON_A_WORKER))
+    def test_nested_map_runs_on_the_calling_thread(self, launch):
+        for caller, ran_on, out, started in _ON_A_WORKER[launch](_probe_map):
+            assert caller != threading.get_ident()
+            assert ran_on == {0: caller, 1: caller, 2: caller, 3: caller}
+            assert out == [1, 4, 9, 16]
+            assert started == 0
+
+    @pytest.mark.parametrize("launch", sorted(_ON_A_WORKER))
+    def test_nested_map_raises_the_lowest_failing_index(self, launch):
+        probes = _ON_A_WORKER[launch](lambda: _probe_map(fail=(1, 3)))
+        for caller, ran_on, out, _started in probes:
+            # Serial semantics: index 1 raises and later tasks never run.
+            assert isinstance(out, KeyError) and out.args == (1,)
+            assert ran_on == {0: caller, 1: caller}
+
+    def test_become_worker_marks_its_thread_only(self):
+        probes = []
+
+        def service_worker():
+            become_worker()
+            probes.append((in_worker(), _probe_map()))
+
+        thread = threading.Thread(target=service_worker)
+        thread.start()
+        thread.join(5.0)
+        (marked, (caller, ran_on, out, started)), = probes
+        assert marked and set(ran_on.values()) == {caller}
+        assert out == [1, 4, 9, 16] and started == 0
+        assert not in_worker()
+
+    def test_forked_child_of_a_worker_is_not_a_worker(self):
+        # A process worker forked by a marked thread fans out again.
+        statuses = []
+
+        def fork_from_worker():
+            become_worker()
+            pid = os.fork()
+            if pid == 0:  # pragma: no cover - child process
+                os._exit(0 if not in_worker() else 1)
+            statuses.append(os.waitpid(pid, 0)[1])
+
+        thread = threading.Thread(target=fork_from_worker)
+        thread.start()
+        thread.join(5.0)
+        assert len(statuses) == 1 and os.WIFEXITED(statuses[0])
+        assert os.WEXITSTATUS(statuses[0]) == 0
+
+    def test_top_level_map_still_fans_out(self):
+        # Two tasks that wait for each other can only finish on two helpers.
+        meet = threading.Barrier(2, timeout=5.0)
+        caller = threading.get_ident()
+        ran_on = ThreadExecutor(2).map(
+            lambda i, _: (meet.wait(), threading.get_ident())[1], [0, 1]
+        )
+        assert caller not in ran_on and len(set(ran_on)) == 2
+        assert not in_worker()
+
+    def test_nested_map_keeps_its_team_under_a_sanitizer(self):
+        with use_sanitizer(Sanitizer()):
+            probes = _ON_A_WORKER["executor-task"](_probe_map)
+        for caller, ran_on, out, _started in probes:
+            assert out == [1, 4, 9, 16]
+            assert caller not in ran_on.values()
+
+    def test_teams_still_launch_on_a_worker(self):
+        # Region members synchronize, so a region nested in a task keeps
+        # its own team: the barrier needs both members at once.
+        def task(i, _):
+            return parallel_region(2, lambda ctx: (ctx.barrier(), threading.get_ident())[1])
+
+        for member_threads in ThreadExecutor(2).map(task, [0, 1]):
+            assert len(set(member_threads)) == 2
 
 
 class TestStress:

@@ -130,7 +130,8 @@ if [ "${1:-}" = "--serve" ]; then
     python -m pytest -q -m 'slow or not slow' \
         tests/serve \
         tests/spark/test_cancellation.py \
-        tests/core/test_executor_interrupt.py
+        tests/core/test_executor_interrupt.py \
+        tests/util/test_team.py
     echo "== serve throughput soak + idle-overhead gate =="
     python -m pytest -q benchmarks/test_serve_throughput.py \
         benchmarks/test_overhead_gates.py -k 'soak or serve'

@@ -22,6 +22,12 @@ Covered today:
   MapReduce (with and without the local combine);
 - the Fig. 3 traffic space-time diagram, from the serial agent and
   grid simulations and the threaded one, and the MPI final state;
+- the heat solvers: the 1-D serial, ``forall``, ``coforall`` and
+  executor solvers (final field and communication counts) and the 2-D
+  MPI solver at 1–4 ranks;
+- HPO deep-ensemble predictions (ranking, class probabilities and
+  their spread) of the serial, executor, MPI and fault-tolerant MPI
+  trial farms;
 - a few serve solo-oracle ``result_digest`` values.
 
 Usage::
@@ -44,6 +50,15 @@ from typing import Any, Callable, Iterator
 import numpy as np
 
 from repro.align import ScoringScheme, generate_pair
+from repro.chapel import locales, set_num_locales
+from repro.heat import (
+    run_mpi_2d, solve_coforall, solve_executor, solve_forall, solve_serial, solve_serial_2d,
+)
+from repro.hpo import (
+    hyperparameter_grid, make_ambiguous_digit, make_digit_dataset, run_distributed_hpo,
+    run_distributed_hpo_ft, run_hpo_executor, run_hpo_serial,
+)
+from repro.hpo.search import ensemble_of_top
 from repro.align import ladder as align_ladder
 from repro.kmeans import TerminationCriteria
 from repro.kmeans import ladder as kmeans_ladder
@@ -76,6 +91,12 @@ KMEANS_CASES = ((0, (60, 2), 3), (5, (45, 3), 4))  # (seed, shape, k)
 KNN_CASES = ((1, 90, 25, 3, 5), (6, 70, 18, 4, 4))
 #: (seed, steps) on the Fig. 3 road: 200 cars, length 1000, p = 0.13.
 TRAFFIC_CASES = ((13, 40), (2, 25))
+#: (seed, points, steps, alpha) for the 1-D heat solvers on a random field.
+HEAT_CASES = ((0, 37, 25, 0.2), (3, 64, 40, 0.45))
+#: (seed, shape, steps, alpha) for the 2-D MPI heat solver.
+HEAT_2D_CASES = ((1, (9, 11), 12, 0.2),)
+#: (seed, train, validation) digit counts for the HPO trial farms.
+HPO_CASES = ((0, 120, 40), (5, 100, 30))
 
 
 def _sha(value: Any) -> str:
@@ -209,6 +230,109 @@ def _traffic() -> Iterator[tuple[str, Callable[[], dict[str, Any]]]]:
             yield f"traffic/fig3/mpi-final/{tag}/workers={workers}", mpi
 
 
+_HEAT_STATS = ("task_spawns", "remote_gets", "remote_puts", "barrier_waits")
+
+
+def _heat() -> Iterator[tuple[str, Callable[[], dict[str, Any]]]]:
+    def fields(solved: tuple[np.ndarray, Any]) -> dict[str, Any]:
+        u, stats = solved
+        return {"u": _sha(u), **_fields(stats, _HEAT_STATS)}
+
+    def on_locales(n: int, solve: Callable[[list[Any]], Any]) -> dict[str, Any]:
+        previous = len(locales())
+        try:
+            return fields(solve(set_num_locales(n)))
+        finally:
+            set_num_locales(previous)
+
+    for seed, n, steps, alpha in HEAT_CASES:
+        u0 = np.random.default_rng(seed).random(n)
+        tag = f"seed={seed}/n={n}/steps={steps}/alpha={alpha}"
+        yield f"heat/serial/{tag}", lambda u0=u0, a=alpha, s=steps: fields(solve_serial(u0, a, s))
+        for workers in WORKERS:
+            for elementwise in (False, True):
+                yield (
+                    f"heat/forall-elementwise={elementwise}/{tag}/workers={workers}",
+                    lambda u0=u0, a=alpha, s=steps, w=workers, e=elementwise: on_locales(
+                        w, lambda locs: solve_forall(u0, a, s, locs, elementwise=e)
+                    ),
+                )
+            yield (
+                f"heat/coforall/{tag}/workers={workers}",
+                lambda u0=u0, a=alpha, s=steps, w=workers: on_locales(
+                    w, lambda locs: solve_coforall(u0, a, s, locs)
+                ),
+            )
+            for backend in ("serial", "thread", "process"):
+                yield (
+                    f"heat/executor-{backend}/{tag}/workers={workers}",
+                    lambda u0=u0, a=alpha, s=steps, w=workers, b=backend: fields(
+                        solve_executor(u0, a, s, num_workers=w, backend=b)
+                    ),
+                )
+    for seed, shape, steps, alpha in HEAT_2D_CASES:
+        u0 = np.random.default_rng(seed).random(shape)
+        tag = f"seed={seed}/{shape[0]}x{shape[1]}/steps={steps}/alpha={alpha}"
+        yield (
+            f"heat/serial-2d/{tag}",
+            lambda u0=u0, a=alpha, s=steps: {"u": _sha(solve_serial_2d(u0, a, s))},
+        )
+        for ranks in (1, 2, 3, 4):
+            yield (
+                f"heat/mpi2d/{tag}/workers={ranks}",
+                lambda u0=u0, a=alpha, s=steps, r=ranks: {"u": _sha(run_mpi_2d(r, u0, a, s))},
+            )
+
+
+def _hpo() -> Iterator[tuple[str, Callable[[], dict[str, Any]]]]:
+    top_m = 2
+    for seed, n_train, n_val in HPO_CASES:
+        data = (
+            *make_digit_dataset(n_train, seed=seed),
+            *make_digit_dataset(n_val, seed=seed + 100),
+        )
+        probe = np.vstack([data[2][:10], make_ambiguous_digit(4, 9, seed=seed)])
+        grid = hyperparameter_grid(
+            [(8,), (12,), (8, 6)], [0.1], [3], seeds=[seed], batch_size=16
+        )
+        tag = f"seed={seed}/train={n_train}/val={n_val}/configs={len(grid)}/top={top_m}"
+
+        def fields(ensemble: Any, outcomes: list[Any], probe=probe) -> dict[str, Any]:
+            return {
+                "ranking": _sha([o.params.describe() for o in outcomes]),
+                "val_accuracy": _sha([o.val_accuracy for o in outcomes]),
+                "predictions": _sha(ensemble.predict(probe)),
+                "probabilities": _sha(ensemble.predict_proba(probe)),
+                "std": _sha(ensemble.class_probability_std(probe)),
+            }
+
+        def serial(grid=grid, data=data, fields=fields) -> dict[str, Any]:
+            outcomes = run_hpo_serial(grid, *data)
+            return fields(ensemble_of_top(outcomes, top_m), outcomes)
+
+        yield f"hpo/serial/{tag}", serial
+        for workers in (2, 3):
+            for backend in ("serial", "thread", "process"):
+
+                def farm(grid=grid, data=data, fields=fields, w=workers, b=backend):
+                    outcomes = run_hpo_executor(grid, *data, backend=b, num_workers=w)
+                    return fields(ensemble_of_top(outcomes, top_m), outcomes)
+
+                yield f"hpo/executor-{backend}/{tag}/workers={workers}", farm
+
+            def mpi(grid=grid, data=data, fields=fields, r=workers) -> dict[str, Any]:
+                return fields(*run_distributed_hpo(r, grid, *data, top_m=top_m))
+
+            def mpi_ft(grid=grid, data=data, fields=fields, r=workers) -> dict[str, Any]:
+                ensemble, outcomes, _report = run_distributed_hpo_ft(
+                    r, grid, *data, top_m=top_m
+                )
+                return fields(ensemble, outcomes)
+
+            yield f"hpo/mpi/{tag}/workers={workers}", mpi
+            yield f"hpo/mpi-ft/{tag}/workers={workers}", mpi_ft
+
+
 def _pipeline() -> Iterator[tuple[str, Callable[[], dict[str, Any]]]]:
     for seed, (rows, cols), n in ((0, (2, 3), 500), (4, (3, 4), 1500)):
         ntas = generate_ntas(rows, cols, seed=seed)
@@ -251,6 +375,8 @@ def entries() -> Iterator[tuple[str, Callable[[], dict[str, Any]]]]:
     yield from _traffic()
     yield from _pipeline()
     yield from _serve()
+    yield from _heat()
+    yield from _hpo()
 
 
 def compute() -> dict[str, dict[str, Any]]:
