@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import textwrap
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from operator import add
@@ -53,6 +54,7 @@ from repro.serve.scheduler import JobContext
 from repro.spark import SparkContext, SparkFaultPlan
 from repro.trace import NULL_TRACER, Tracer, use_tracer
 from repro.trace.history import result_digest
+from repro.util.team import become_worker
 from repro.util.timing import interleaved_min
 
 BENCH, TRIPWIRE = "bench", "tripwire"
@@ -421,10 +423,15 @@ def _serve_runs(scale: str) -> Iterator[Runs]:
             ctx._cleanup()
 
     # The service is long-lived (that is the point of a serving tier);
-    # the gate prices the per-job machinery, not pool construction.
-    with JobService(1, capacity=4) as service:
+    # the gate prices the per-job machinery, not pool construction. A
+    # service worker runs its job's maps inline (one level of fan-out),
+    # so the direct call runs on a long-lived worker thread too: both
+    # sides then run the same stages the same way.
+    with JobService(1, capacity=4) as service, ThreadPoolExecutor(
+        1, thread_name_prefix="gate-direct", initializer=become_worker
+    ) as worker:
         yield {
-            "direct": direct,
+            "direct": lambda: worker.submit(direct).result(60.0),
             "served": lambda: service.submit("t", body, name="single").result(60.0),
         }
 

@@ -355,9 +355,9 @@ class ThreadExecutor(Executor):
     worker (:func:`repro.util.team.in_worker` — a team member, e.g. a
     task of another thread map or an OpenMP region member, or a job
     service worker) runs its tasks in index order on that thread, as
-    :class:`SerialExecutor` does. Nested maps (a task that itself maps —
-    e.g. a Spark shuffle materializing inside a job) therefore start no
-    thread and cannot deadlock. Under an active sanitizer every map
+    :class:`SerialExecutor` does. Nested maps (a task that itself maps,
+    or a Spark stage on a job service worker) therefore start no thread
+    and cannot deadlock. Under an active sanitizer every map
     keeps its registered team, since the race detector needs members.
     """
 

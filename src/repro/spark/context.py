@@ -3,11 +3,13 @@
 A :class:`SparkContext` plays driver *and* cluster: ``run_job`` executes
 one task per partition on a pluggable executor backend
 (:mod:`repro.core.executor`): ``backend="thread"`` (the default — each
-job runs on a team of parked helper threads; a nested job — a shuffle
-materializing inside a task — runs inline on that task's thread, as does
-a job issued on a job service worker), ``"serial"``, or ``"process"``
+job runs on a team of parked helper threads; a job issued on a job
+service worker runs inline on it), ``"serial"``, or ``"process"``
 (fork-based worker processes for real CPU parallelism; see
 ``docs/executors.md``).
+Every backend runs a job's stages alike, as the RDD paper's DAG
+scheduler does: the driver first runs each shuffle map stage the job
+still needs, parents first, as its own job; then the result tasks.
 Results, accumulator values, and fault recovery are bit-identical
 across all three. The
 :class:`JobMetrics` counters make the engine's communication behaviour
@@ -62,6 +64,7 @@ from repro.spark.accumulators import (
     task_updates,
 )
 from repro.spark.broadcast import Broadcast
+from repro.spark.dag import lineage
 from repro.spark.faults import (
     BlacklistedWorker,
     SparkFaultPlan,
@@ -313,7 +316,8 @@ class SparkContext:
         self, rdd: RDD, task_fn: Callable[[int, list[Any]], Any]
     ) -> tuple[int, list[Any]]:
         """Run a job and also return its id (jobs are numbered in
-        submission order — the coordinate task-level fault events use)."""
+        submission order — the coordinate task-level fault events use:
+        this job, then its map stages, see :meth:`_run_map_stages`)."""
         self._check_alive()
         self._check_cancelled()
         with self._job_lock:
@@ -321,16 +325,13 @@ class SparkContext:
             self._job_counter += 1
         self.metrics.jobs += 1
         self.metrics.tasks += rdd.num_partitions
-        backend = self.backend
-        if backend == "process" and os.getpid() != self._driver_pid:
-            # A nested job inside a forked worker (daemonic processes
-            # can't have children): compute inline instead.
-            backend = "serial"
+        backend = self._job_backend()
         tracer = get_tracer()
         with tracer.span(
             "job", category="spark", scope="spark.driver",
             rdd=rdd.id, partitions=rdd.num_partitions, backend=backend,
         ):
+            self._run_map_stages(rdd)
             if backend == "process":
                 return job_id, self._execute_job_process(tracer, task_fn, rdd, job_id)
             executor = (
@@ -359,17 +360,8 @@ class SparkContext:
         """One logical task on the serial/thread path: returns
         ``(result, accumulator_sink)``; the job loop commits sinks."""
         self._check_cancelled(job_id, i)
-        if self._fault_plan is None:
-            # The fault-free hot path: one is-None test plus the sink.
-            with task_updates() as sink:
-                if not tracer.enabled:
-                    return task_fn(i, rdd.partition(i)), sink
-                # Each partition gets its own logical-clock lane; nested jobs
-                # spawned inside a task inherit it through the thread-local scope.
-                with tracer.scope(f"spark.p{i}"):
-                    with tracer.span("task", category="spark", rdd=rdd.id, partition=i):
-                        return task_fn(i, rdd.partition(i)), sink
-        self._resolve_task_faults(tracer, i, job_id)
+        if self._fault_plan is not None:
+            self._resolve_task_faults(tracer, i, job_id)
         return self._execute_attempt(tracer, task_fn, rdd, i, job_id)
 
     def _resolve_task_faults(self, tracer: Any, partition: int, job_id: int) -> None:
@@ -461,6 +453,7 @@ class SparkContext:
             if not tracer.enabled:
                 result = task_fn(partition, rdd.partition(partition))
             else:
+                # Each partition gets its own logical-clock lane.
                 with tracer.scope(f"spark.p{partition}"):
                     with tracer.span("task", category="spark", rdd=rdd.id, partition=partition):
                         result = task_fn(partition, rdd.partition(partition))
@@ -478,18 +471,15 @@ class SparkContext:
     ) -> list[Any]:
         """Run one job's tasks in forked worker processes.
 
-        Three driver-side steps make the fork model safe and keep results
-        bit-identical to the other backends:
+        :meth:`_run_map_stages` already prepared the lineage, so workers
+        compute over inherited data. Two more driver-side steps keep
+        results bit-identical to the other backends:
 
-        1. the lineage is *prepared* — every shuffle store and every
-           persisted/checkpointed cache is materialized in the driver, so
-           workers compute over inherited data instead of each privately
-           (and wastefully) rebuilding driver state they can't share back;
-        2. under a fault plan, each task's injected schedule is resolved
+        1. under a fault plan, each task's injected schedule is resolved
            here, serially in partition order (retries/blacklists/
            speculation are driver bookkeeping — only surviving attempt
            bodies ship to workers);
-        3. task accumulator updates travel home as encoded pairs and are
+        2. task accumulator updates travel home as encoded pairs and are
            committed in partition order, same as the other backends.
 
         A crashed worker (:class:`WorkerCrashError`) is surfaced in
@@ -497,7 +487,6 @@ class SparkContext:
         on the driver — the process-backend analogue of retry.
         """
         self._check_cancelled(job_id)
-        self._prepare_lineage_for_processes(tracer, rdd)
         if self._fault_plan is not None:
             for i in range(rdd.num_partitions):
                 self._resolve_task_faults(tracer, i, job_id)
@@ -546,40 +535,43 @@ class SparkContext:
             self._executor = ProcessExecutor(self.num_workers, start_method="fork")
         return self._executor
 
-    def _prepare_lineage_for_processes(self, tracer: Any, rdd: RDD) -> None:
-        """Materialize all shuffle stores and persist/checkpoint caches in
-        ``rdd``'s lineage, driver-side, before forking workers.
+    # ------------------------------------------------------------------
+    # stages
+    # ------------------------------------------------------------------
+    def _job_backend(self) -> str:
+        """The backend a job runs on: the context's, except that a job
+        issued inside a forked worker runs serially (daemonic processes
+        can't have children)."""
+        if self.backend == "process" and os.getpid() != self._driver_pid:
+            return "serial"
+        return self.backend
 
-        Post-order over the dependency DAG so parents are ready before a
-        child computes. Cache fills run as process maps themselves (the
-        computed partitions ship home and are installed), and their
-        accumulator updates are applied once — mirroring the thread
-        backend, where the first task to touch a cached partition folds
-        that computation's updates into its own committed sink.
+    def _run_map_stages(self, rdd: RDD) -> None:
+        """Walk ``rdd``'s lineage on the driver, parents first, and run
+        each shuffle map stage that has not run yet as its own job.
+
+        On the process backend, also fill persist/checkpoint caches (a
+        fill computed inside a worker would die with it) by process maps,
+        applying each fill's accumulator updates once; on the other
+        backends the first task to compute a cached partition folds them
+        into its own sink.
         """
-        seen: set[int] = set()
-
-        def visit(r: RDD) -> None:
-            if id(r) in seen:
-                return
-            seen.add(id(r))
-            for dep in r.deps:
-                visit(dep.parent)
-            if isinstance(r, ShuffledRDD):
-                r._materialize_shuffle()
-            splits = r._uncached_splits()
-            if splits:
-                def fill(_i: int, split: int, r: RDD = r) -> tuple[list[Any], list[tuple[int, Any]]]:
+        process = self._job_backend() == "process"
+        for node in lineage(rdd):
+            if isinstance(node, ShuffledRDD) and node._store is None:
+                node._materialize_shuffle()
+            if process and (splits := node._uncached_splits()):
+                def fill(
+                    _i: int, split: int, r: RDD = node
+                ) -> tuple[list[Any], list[tuple[int, Any]]]:
                     with task_updates() as sink:
                         data = r.compute(split)
                     return data, encode_updates(sink)
 
-                filled = self._process_map(tracer, fill, splits)
+                filled = self._process_map(get_tracer(), fill, splits)
                 for split, (data, pairs) in zip(splits, filled):
-                    r._install_partition(split, data)
+                    node._install_partition(split, data)
                     apply_encoded_updates(pairs)
-
-        visit(rdd)
 
     # ------------------------------------------------------------------
     # accumulator commits (exactly-once per logical task)

@@ -20,16 +20,19 @@ __all__ = ["lineage", "execution_stages", "shuffle_depth", "recomputation_fronti
 def lineage(rdd: RDD) -> list[RDD]:
     """All ancestor RDDs (including ``rdd``), deduplicated, leaves first."""
     seen: dict[int, RDD] = {}
-
-    def visit(node: RDD) -> None:
-        if node.id in seen:
-            return
-        for dep in node.deps:
-            visit(dep.parent)
-        seen[node.id] = node
-
-    visit(rdd)
+    _visit(rdd, seen)
     return list(seen.values())
+
+
+def _visit(node: RDD, seen: dict[int, RDD]) -> None:
+    # A module-level walk, not a closure: a self-referencing closure is a
+    # reference cycle that would keep every visited RDD (and its shuffle
+    # store) alive until the cyclic garbage collector runs.
+    if node.id in seen:
+        return
+    for dep in node.deps:
+        _visit(dep.parent, seen)
+    seen[node.id] = node
 
 
 @dataclass
@@ -44,23 +47,23 @@ class Stage:
         return [type(r).__name__ for r in self.rdds]
 
 
+def _depth(node: RDD, memo: dict[int, int]) -> int:
+    """Shuffle depth of ``node``, memoised in ``memo``."""
+    if node.id in memo:
+        return memo[node.id]
+    d = 0
+    for dep in node.deps:
+        if isinstance(dep, ShuffleDependency):
+            d = max(d, _depth(dep.parent, memo) + 1)
+        elif isinstance(dep, NarrowDependency):
+            d = max(d, _depth(dep.parent, memo))
+    memo[node.id] = d
+    return d
+
+
 def shuffle_depth(rdd: RDD) -> int:
     """Number of shuffles on the deepest path from any leaf to ``rdd``."""
-    memo: dict[int, int] = {}
-
-    def depth(node: RDD) -> int:
-        if node.id in memo:
-            return memo[node.id]
-        d = 0
-        for dep in node.deps:
-            if isinstance(dep, ShuffleDependency):
-                d = max(d, depth(dep.parent) + 1)
-            elif isinstance(dep, NarrowDependency):
-                d = max(d, depth(dep.parent))
-        memo[node.id] = d
-        return d
-
-    return depth(rdd)
+    return _depth(rdd, {})
 
 
 def recomputation_frontier(rdd: RDD) -> list[RDD]:
@@ -102,21 +105,8 @@ def execution_stages(rdd: RDD) -> list[Stage]:
     """
     nodes = lineage(rdd)
     memo: dict[int, int] = {}
-
-    def depth(node: RDD) -> int:
-        if node.id in memo:
-            return memo[node.id]
-        d = 0
-        for dep in node.deps:
-            if isinstance(dep, ShuffleDependency):
-                d = max(d, depth(dep.parent) + 1)
-            elif isinstance(dep, NarrowDependency):
-                d = max(d, depth(dep.parent))
-        memo[node.id] = d
-        return d
-
-    max_depth = max(depth(n) for n in nodes)
+    max_depth = max(_depth(n, memo) for n in nodes)
     stages = [Stage(rdds=[]) for _ in range(max_depth + 1)]
     for node in nodes:
-        stages[depth(node)].rdds.append(node)
+        stages[_depth(node, memo)].rdds.append(node)
     return stages

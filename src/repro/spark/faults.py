@@ -13,8 +13,10 @@ Faults are addressed by deterministic engine coordinates rather than
 wall-clock time:
 
 - ``task`` / ``worker`` / ``straggle`` events by ``(job_index,
-  partition)`` — jobs are numbered in submission order by the context,
-  partitions are the task indices within a job;
+  partition)`` — jobs are numbered in submission order by the context
+  (an action's job first, then the map stages of the shuffles it needs,
+  parents first, alike on every backend), partitions are the task
+  indices within a job;
 - ``shuffle`` events by ``(shuffle_index, block_slot)`` — shuffles are
   numbered in materialization order, the slot is folded onto a concrete
   ``(map_task, reduce_partition)`` block when the shuffle's shape is

@@ -592,6 +592,7 @@ class RDD:
         """First ``n`` elements, computing partitions only as needed."""
         if n <= 0:
             return []
+        self.ctx._run_map_stages(self)
         out: list[Any] = []
         for split in range(self.num_partitions):
             out.extend(self.partition(split))
@@ -881,7 +882,6 @@ class ShuffledRDD(RDD):
         self._merge_combiners = merge_combiners
         self._map_side_combine = map_side_combine
         self._flatten_values = flatten_values
-        self._shuffle_lock = threading.Lock()
         self._recompute_lock = threading.Lock()
         self._store: Any = None
         self._shuffle_index: int | None = None
@@ -942,33 +942,29 @@ class ShuffledRDD(RDD):
             buckets[route(key)].append((key, value))
         return buckets
 
-    def _materialize_shuffle(self) -> Any:
-        """Run the map side once, into a block store keyed by map task."""
-        with self._shuffle_lock:
-            if self._store is not None:
-                return self._store
-            ctx = self.ctx
-            job_id, outputs = ctx._execute_job(self._parent, self._map_one)
-            shipped = sum(len(bucket) for task in outputs for bucket in task)
-            ctx.metrics.shuffle_records += shipped
-            ctx.metrics.shuffles += 1
-            # The shuffle is numbered *after* its map job (nested parent
-            # shuffles materialize — and number themselves — during it)
-            # but *before* any put: spills fire during puts and their
-            # fault events are addressed by (shuffle, spill file).
-            index = ctx._next_shuffle_index()
-            store = ctx._create_shuffle_store(
-                index, self._parent.num_partitions, self.num_partitions
-            )
-            for map_task, buckets in enumerate(outputs):
-                store.put(map_task, buckets)
-            self._map_job_id = job_id
-            self._shuffle_index = index
-            # Inject any scheduled resident-block corruption — after the
-            # blocks exist, before any fetch.
-            ctx._inject_shuffle_corruption(store, index)
-            self._store = store
-            return store
+    def _materialize_shuffle(self) -> None:
+        """Run the map stage as its own job, into a block store keyed by
+        map task (driver-side, before any task reads the shuffle)."""
+        ctx = self.ctx
+        job_id, outputs = ctx._execute_job(self._parent, self._map_one)
+        shipped = sum(len(bucket) for task in outputs for bucket in task)
+        ctx.metrics.shuffle_records += shipped
+        ctx.metrics.shuffles += 1
+        # The shuffle is numbered *after* its map job but *before* any
+        # put: spills fire during puts and their fault events are
+        # addressed by (shuffle, spill file).
+        index = ctx._next_shuffle_index()
+        store = ctx._create_shuffle_store(
+            index, self._parent.num_partitions, self.num_partitions
+        )
+        for map_task, buckets in enumerate(outputs):
+            store.put(map_task, buckets)
+        self._map_job_id = job_id
+        self._shuffle_index = index
+        # Inject any scheduled resident-block corruption — after the
+        # blocks exist, before any fetch.
+        ctx._inject_shuffle_corruption(store, index)
+        self._store = store
 
     def _recover_map_output(self, store: Any, map_task: int) -> None:
         """Recompute one lost/corrupt map output from the lineage DAG.
@@ -1073,7 +1069,9 @@ class ShuffledRDD(RDD):
             )
 
     def compute(self, split: int) -> list[Any]:
-        store = self._materialize_shuffle()
+        store = self._store
+        if store is None:
+            raise RuntimeError(f"shuffle RDD {self.id} read before its map stage ran")
         # The merge restarts from scratch after recovery: merge functions
         # never mutate stored blocks, so a clean re-read over the healed
         # store is bit-identical to an undisturbed pass.

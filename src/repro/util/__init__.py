@@ -21,7 +21,6 @@ The helpers here are deliberately small and dependency-free:
 """
 
 from repro.util.backoff import BackoffPolicy
-from repro.util.profiling import ProfileReport, profile_call
 from repro.util.partition import (
     block_bounds,
     block_partition,
@@ -46,8 +45,6 @@ __all__ = [
     "cyclic_partition",
     "distribute_tasks",
     "owner_of",
-    "ProfileReport",
-    "profile_call",
     "ScalingStudy",
     "Timer",
     "time_call",

@@ -323,7 +323,7 @@ class TestJobsMapOnTheirWorker:
         def body(ctx):
             mapped = ThreadExecutor(2).map(lambda i, x: threading.get_ident(), range(4))
             with ctx.spark_context(2) as sc:
-                # The shuffle's map stage materializes inside a reduce task.
+                # The shuffle's map stage runs first, as its own job.
                 grouped = (
                     sc.parallelize(list(range(8)), 4)
                     .map(lambda x: (x % 3, threading.get_ident()))

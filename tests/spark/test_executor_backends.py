@@ -2,10 +2,11 @@
 
 ``tests/core/test_executor_determinism.py`` holds the cross-backend
 seed sweeps; this file exercises the process-specific machinery —
-driver-side lineage preparation (shuffles materialized, persist and
-checkpoint caches filled before forking), worker-crash recovery feeding
-the fault report and metrics, and the serial fallback for jobs launched
-from inside a forked child.
+the driver-side stage pass (shuffle map stages run on every backend,
+plus persist and checkpoint caches filled before forking; see
+``tests/spark/test_stages.py`` for the stage order), worker-crash
+recovery feeding the fault report and metrics, and the serial fallback
+for jobs launched from inside a forked child.
 """
 
 from __future__ import annotations

@@ -116,6 +116,7 @@ if [ "${1:-}" = "--pool" ]; then
         tests/core/test_executor_determinism.py \
         tests/core/test_executor_interrupt.py \
         tests/spark/test_executor_backends.py \
+        tests/spark/test_stages.py \
         tests/spark/test_map_side_combine.py \
         tests/mapreduce/test_executor_backend.py \
         tests/mapreduce/test_keymultivalue.py \
