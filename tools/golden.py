@@ -199,6 +199,24 @@ def _knn() -> Iterator[tuple[str, Callable[[], dict[str, Any]]]]:
                 )
         for model, predict in models.items():
             yield f"knn/{model}/{tag}", lambda predict=predict: {"predictions": _sha(predict())}
+        trees = {
+            "kdtree": lambda: KDTree.build(db, db_labels, leaf_size=4),
+            "quadtree": lambda: QuadTree(db, db_labels, leaf_capacity=4),
+        }
+        for name, build in trees.items():
+            yield (
+                f"knn/{name}-query/{tag}",
+                lambda build=build, queries=queries, k=k: _tree_queries(build(), queries, k),
+            )
+
+
+def _tree_queries(tree: Any, queries: np.ndarray, k: int) -> dict[str, Any]:
+    """Every query's (squared distance, index) pairs and the nodes visited in all."""
+    nearest, visited = [], 0
+    for q in queries:
+        nearest.append(tree.query(q, k))
+        visited += tree.last_nodes_visited
+    return {"neighbors": _sha(nearest), "nodes_visited": visited}
 
 
 def _traffic() -> Iterator[tuple[str, Callable[[], dict[str, Any]]]]:
