@@ -75,7 +75,13 @@ def weighted_vote(labels: np.ndarray, distances: np.ndarray, *, eps: float = 1e-
     return min(weights, key=lambda lab: (-weights[lab], lab))
 
 
-def _check_inputs(database: np.ndarray, labels: np.ndarray, queries: np.ndarray, k: int) -> int:
+def _problem(
+    database: np.ndarray, labels: np.ndarray, queries: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The kNN inputs as arrays, checked, with k capped at the database size."""
+    database = np.asarray(database, dtype=float)
+    queries = np.asarray(queries, dtype=float)
+    labels = np.asarray(labels)
     require_positive_int("k", k)
     if database.ndim != 2 or queries.ndim != 2:
         raise ValueError("database and queries must be 2-D (points × features)")
@@ -87,7 +93,7 @@ def _check_inputs(database: np.ndarray, labels: np.ndarray, queries: np.ndarray,
         raise ValueError("labels must be one per database point")
     if database.shape[0] == 0:
         raise ValueError("database is empty")
-    return min(k, database.shape[0])
+    return database, labels, queries, min(k, database.shape[0])
 
 
 def knn_predict_heap(
@@ -98,10 +104,7 @@ def knn_predict_heap(
     For each query: one pass over the database maintaining a bounded
     max-heap of the k nearest, then a majority vote.
     """
-    database = np.asarray(database, dtype=float)
-    queries = np.asarray(queries, dtype=float)
-    labels = np.asarray(labels)
-    k = _check_inputs(database, labels, queries, k)
+    database, labels, queries, k = _problem(database, labels, queries, k)
     out = np.empty(queries.shape[0], dtype=np.int64)
     for qi in range(queries.shape[0]):
         heap = BoundedMaxHeap(k)
@@ -110,11 +113,8 @@ def knn_predict_heap(
             diff = database[di] - q
             dist2 = float(diff @ diff)
             heap.offer(dist2, int(labels[di]))
-        nearest = heap.sorted_items()
-        out[qi] = majority_vote(
-            np.array([lab for _, lab in nearest]),
-            np.array([d for d, _ in nearest]),
-        )
+        distances, nearest = zip(*heap.sorted_items())
+        out[qi] = majority_vote(nearest, distances)
     return out
 
 
@@ -133,10 +133,7 @@ def knn_predict_vectorized(
     matrix to ``block × n`` (be easy on the memory, per the course's
     optimization guidance) while keeping the inner loops in BLAS.
     """
-    database = np.asarray(database, dtype=float)
-    queries = np.asarray(queries, dtype=float)
-    labels = np.asarray(labels)
-    k = _check_inputs(database, labels, queries, k)
+    database, labels, queries, k = _problem(database, labels, queries, k)
     require_positive_int("block", block)
     if vote not in ("majority", "distance"):
         raise ValueError(f"vote must be 'majority' or 'distance', got {vote!r}")

@@ -12,7 +12,7 @@ measure the gap the assignment teaches.
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 from repro.util.validation import require_positive_int
 
@@ -83,9 +83,14 @@ class BoundedMaxHeap:
         """Kept items, ascending by key (non-destructive)."""
         return sorted(self._items, key=lambda kv: kv[0])
 
-    def items(self) -> list[tuple[float, Any]]:
-        """Kept items in heap order (non-destructive)."""
-        return list(self._items)
+
+def _pairs(keys: Sequence[float], payloads: Sequence[Any] | None) -> Iterable[tuple[float, Any]]:
+    """``(key, payload)`` pairs; a missing payload is the key's index."""
+    if payloads is None:
+        return ((key, i) for i, key in enumerate(keys))
+    if len(payloads) != len(keys):
+        raise ValueError("keys and payloads must have equal length")
+    return zip(keys, payloads)
 
 
 def top_k_smallest(
@@ -93,14 +98,8 @@ def top_k_smallest(
 ) -> list[tuple[float, Any]]:
     """The k smallest (key, payload) pairs, ascending — heap-based, Θ(n log k)."""
     heap = BoundedMaxHeap(k)
-    if payloads is None:
-        for i, key in enumerate(keys):
-            heap.offer(key, i)
-    else:
-        if len(payloads) != len(keys):
-            raise ValueError("keys and payloads must have equal length")
-        for key, payload in zip(keys, payloads):
-            heap.offer(key, payload)
+    for key, payload in _pairs(keys, payloads):
+        heap.offer(key, payload)
     return heap.sorted_items()
 
 
@@ -109,11 +108,4 @@ def top_k_by_sort(
 ) -> list[tuple[float, Any]]:
     """The k smallest pairs by full sort — the Θ(n log n) strawman."""
     require_positive_int("k", k)
-    if payloads is None:
-        pairs = [(key, i) for i, key in enumerate(keys)]
-    else:
-        if len(payloads) != len(keys):
-            raise ValueError("keys and payloads must have equal length")
-        pairs = list(zip(keys, payloads))
-    pairs.sort(key=lambda kv: kv[0])
-    return pairs[:k]
+    return sorted(_pairs(keys, payloads), key=lambda kv: kv[0])[:k]

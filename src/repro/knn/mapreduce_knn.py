@@ -23,12 +23,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.knn.brute import majority_vote
+from repro.knn.brute import _problem, majority_vote
 from repro.knn.heap import top_k_smallest
 from repro.mapreduce import KeyValue, MapReduce
 from repro.mpi import Communicator, run_spmd
 from repro.util.partition import block_bounds
-from repro.util.validation import require_positive_int
 
 __all__ = ["knn_mapreduce", "run_knn_mapreduce"]
 
@@ -51,15 +50,7 @@ def knn_mapreduce(
     ``(predictions, shuffled_pairs)`` — predictions on every rank, plus
     the global shuffle volume for the communication ablation.
     """
-    require_positive_int("k", k)
-    database = np.asarray(database, dtype=float)
-    labels = np.asarray(labels)
-    queries = np.asarray(queries, dtype=float)
-    if database.shape[0] == 0:
-        raise ValueError("database is empty")
-    if database.shape[1] != queries.shape[1]:
-        raise ValueError("database/query dimensionality mismatch")
-    k_eff = min(k, database.shape[0])
+    database, labels, queries, k_eff = _problem(database, labels, queries, k)
 
     ntasks = num_map_tasks or comm.size
     mr = MapReduce(comm)
@@ -92,24 +83,15 @@ def knn_mapreduce(
     mr.convert()
 
     def pick_class(query_id: int, candidates: list, kv: KeyValue) -> None:
-        nearest = top_k_smallest([d for d, _ in candidates], [c for _, c in candidates], k_eff)
-        kv.add(
-            query_id,
-            majority_vote(
-                np.array([c for _, c in nearest]), np.array([d for d, _ in nearest])
-            ),
-        )
+        keys, classes = zip(*candidates)
+        distances, nearest = zip(*top_k_smallest(keys, classes, k_eff))
+        kv.add(query_id, majority_vote(nearest, distances))
 
     mr.reduce(pick_class)
-    pairs = mr.gather_all()
-    predictions = np.empty(queries.shape[0], dtype=np.int64)
-    seen = np.zeros(queries.shape[0], dtype=bool)
-    for qi, cls in pairs:
-        predictions[qi] = cls
-        seen[qi] = True
-    if not np.all(seen):
+    predicted = dict(mr.gather_all())
+    if len(predicted) != queries.shape[0]:
         raise AssertionError("some queries produced no prediction")
-    return predictions, shuffled
+    return np.array([predicted[qi] for qi in range(len(predicted))], dtype=np.int64), shuffled
 
 
 def run_knn_mapreduce(

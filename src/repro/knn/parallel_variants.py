@@ -2,7 +2,7 @@
 
 "The assignment could be adapted to shared memory programming models
 like OpenMP, other distributed memory programming models like MPI, or
-accelerator programming models like CUDA" (paper §2). Three adaptations:
+accelerator programming models like CUDA" (paper §2):
 
 - :func:`knn_openmp` — queries worksharing-split over a thread team
   (each thread classifies a contiguous block with the vectorized
@@ -10,11 +10,11 @@ accelerator programming models like CUDA" (paper §2). Three adaptations:
 - :func:`knn_mpi` — plain MPI (no MapReduce): queries scattered, each
   rank classifies its block against the replicated database, results
   gathered;
-- :func:`knn_device` — CUDA-style: a grid of fixed-size query blocks;
-  each block computes its distance tile with one fused kernel
-  (coalesced reads of the database) and selects with ``argpartition``.
+- CUDA needs no code of its own: a grid of query blocks, each with one
+  distance tile, is :func:`repro.knn.knn_predict_vectorized`'s block
+  loop (the ``device`` rung of :mod:`repro.knn.ladder`).
 
-All three must agree exactly with :func:`repro.knn.knn_predict_vectorized`.
+All agree exactly with the vectorized engine.
 """
 
 from __future__ import annotations
@@ -25,9 +25,8 @@ from repro.knn.brute import knn_predict_vectorized
 from repro.mpi import Communicator, run_spmd
 from repro.openmp import parallel_region
 from repro.util.partition import block_bounds
-from repro.util.validation import require_positive_int
 
-__all__ = ["knn_openmp", "knn_mpi", "run_knn_mpi", "knn_device"]
+__all__ = ["knn_openmp", "knn_mpi", "run_knn_mpi"]
 
 
 def knn_openmp(
@@ -52,8 +51,7 @@ def knn_openmp(
     def body(ctx) -> None:
         if schedule == "static":
             lo, hi = ctx.static_bounds(queries.shape[0])
-            if lo < hi:
-                out[lo:hi] = knn_predict_vectorized(database, labels, queries[lo:hi], k)
+            out[lo:hi] = knn_predict_vectorized(database, labels, queries[lo:hi], k)
         else:
             # Dynamic: grab chunks of queries as threads free up.
             for start in ctx.for_range(
@@ -90,12 +88,7 @@ def knn_mpi(
     else:
         chunks = None
     my_queries = comm.scatter(chunks, root=0)
-    my_preds = (
-        knn_predict_vectorized(database, labels, my_queries, k)
-        if my_queries.shape[0]
-        else np.empty(0, dtype=np.int64)
-    )
-    gathered = comm.gather(my_preds, root=0)
+    gathered = comm.gather(knn_predict_vectorized(database, labels, my_queries, k), root=0)
     if comm.rank != 0:
         return None
     return np.concatenate(gathered)
@@ -115,29 +108,3 @@ def run_knn_mpi(
 
     return run_spmd(num_ranks, program)[0]
 
-
-def knn_device(
-    database: np.ndarray,
-    labels: np.ndarray,
-    queries: np.ndarray,
-    k: int,
-    *,
-    block_size: int = 128,
-) -> np.ndarray:
-    """CUDA-structured kNN: one distance tile per query block.
-
-    Equivalent to the vectorized engine with an explicit grid/block
-    decomposition; kept separate so the grid structure (and its
-    invariance under ``block_size``) is testable.
-    """
-    require_positive_int("block_size", block_size)
-    queries = np.asarray(queries, dtype=float)
-    out = np.empty(queries.shape[0], dtype=np.int64)
-    num_blocks = (queries.shape[0] + block_size - 1) // block_size
-    for b in range(num_blocks):
-        lo = b * block_size
-        hi = min(lo + block_size, queries.shape[0])
-        out[lo:hi] = knn_predict_vectorized(
-            database, labels, queries[lo:hi], k, block=block_size
-        )
-    return out

@@ -2,9 +2,10 @@
 
 The Data-Structures variant explicitly mentions quad-trees (citing
 Shaffer). A region quadtree recursively splits a square into four
-quadrants; nearest-neighbor search prunes quadrants whose box lower
-bound exceeds the current k-th best, the same bound as the k-d tree but
-with the classic fixed 4-way spatial decomposition.
+quadrants. Nearest-neighbor search is the k-d tree's branch and bound
+(:class:`repro.knn.kdtree.BoxTree`) over the classic fixed 4-way
+spatial decomposition: it prunes quadrants whose box lower bound
+reaches the current k-th best and visits the nearest quadrant first.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.knn.brute import majority_vote
 from repro.knn.heap import BoundedMaxHeap
+from repro.knn.kdtree import BoxTree
 from repro.util.validation import require_positive_int
 
 __all__ = ["QuadTree"]
@@ -35,7 +36,7 @@ class _QNode:
         return self.children is None
 
 
-class QuadTree:
+class QuadTree(BoxTree):
     """Point quadtree over 2-D classified points."""
 
     def __init__(self, points: np.ndarray, labels: np.ndarray, leaf_capacity: int = _LEAF_CAPACITY) -> None:
@@ -48,15 +49,12 @@ class QuadTree:
         if labels.shape != (points.shape[0],):
             raise ValueError("labels must be one per point")
         require_positive_int("leaf_capacity", leaf_capacity)
-        self._points = points
-        self._labels = labels
         self._leaf_capacity = leaf_capacity
         lo = points.min(axis=0)
         hi = points.max(axis=0)
         center = (lo + hi) / 2.0
         half = float(max((hi - lo).max() / 2.0, 1e-12))
-        self._root = _QNode(float(center[0]), float(center[1]), half)
-        self.last_nodes_visited = 0
+        super().__init__(_QNode(float(center[0]), float(center[1]), half), points, labels)
         for i in range(points.shape[0]):
             self._insert(self._root, i, depth=0)
 
@@ -88,49 +86,16 @@ class QuadTree:
         north = y > node.cy
         return node.children[(0 if north else 2) + (1 if east else 0)]
 
-    @staticmethod
-    def _box_min_dist2(node: _QNode, q: np.ndarray) -> float:
+    def _bound(self, node: _QNode, q: np.ndarray) -> float:
         dx = max(abs(q[0] - node.cx) - node.half, 0.0)
         dy = max(abs(q[1] - node.cy) - node.half, 0.0)
         return dx * dx + dy * dy
 
-    def query(self, q: np.ndarray, k: int) -> list[tuple[float, int]]:
-        """The k nearest (squared-distance, point-index) pairs, ascending."""
-        require_positive_int("k", k)
-        q = np.asarray(q, dtype=float)
-        heap = BoundedMaxHeap(min(k, self._points.shape[0]))
-        visited = 0
+    def _children(self, node: _QNode, q: np.ndarray) -> list[_QNode]:
+        # Nearest quadrant first to tighten the bound early.
+        return sorted(node.children, key=lambda c: self._bound(c, q))  # type: ignore[arg-type]
 
-        def descend(node: _QNode) -> None:
-            nonlocal visited
-            visited += 1
-            if self._box_min_dist2(node, q) >= heap.worst_key:
-                return
-            if node.is_leaf:
-                for idx in node.indices:
-                    diff = self._points[idx] - q
-                    heap.offer(float(diff @ diff), idx)
-                return
-            assert node.children is not None
-            # Nearest quadrant first to tighten the bound early.
-            order = sorted(node.children, key=lambda c: self._box_min_dist2(c, q))
-            for child in order:
-                descend(child)
-
-        descend(self._root)
-        self.last_nodes_visited = visited
-        return heap.sorted_items()
-
-    def predict(self, queries: np.ndarray, k: int) -> np.ndarray:
-        """Majority-vote classification per 2-D query point."""
-        queries = np.asarray(queries, dtype=float)
-        if queries.ndim != 2 or queries.shape[1] != 2:
-            raise ValueError("queries must be n × 2")
-        out = np.empty(queries.shape[0], dtype=np.int64)
-        for i in range(queries.shape[0]):
-            nearest = self.query(queries[i], k)
-            out[i] = majority_vote(
-                self._labels[[idx for _, idx in nearest]],
-                np.array([d for d, _ in nearest]),
-            )
-        return out
+    def _scan(self, node: _QNode, q: np.ndarray, heap: BoundedMaxHeap) -> None:
+        for idx in node.indices:
+            diff = self._points[idx] - q
+            heap.offer(float(diff @ diff), idx)

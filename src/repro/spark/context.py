@@ -471,9 +471,10 @@ class SparkContext:
     ) -> list[Any]:
         """Run one job's tasks in forked worker processes.
 
-        :meth:`_run_map_stages` already prepared the lineage, so workers
-        compute over inherited data. Two more driver-side steps keep
-        results bit-identical to the other backends:
+        :meth:`_run_map_stages` already ran the shuffles and
+        :meth:`_fill_caches` fills the caches, so workers compute over
+        inherited data. Two more driver-side steps keep results
+        bit-identical to the other backends:
 
         1. under a fault plan, each task's injected schedule is resolved
            here, serially in partition order (retries/blacklists/
@@ -486,6 +487,7 @@ class SparkContext:
         metrics and the fault report, and its lost tasks are re-executed
         on the driver — the process-backend analogue of retry.
         """
+        self._fill_caches(tracer, rdd)
         self._check_cancelled(job_id)
         if self._fault_plan is not None:
             for i in range(rdd.num_partitions):
@@ -548,19 +550,20 @@ class SparkContext:
 
     def _run_map_stages(self, rdd: RDD) -> None:
         """Walk ``rdd``'s lineage on the driver, parents first, and run
-        each shuffle map stage that has not run yet as its own job.
-
-        On the process backend, also fill persist/checkpoint caches (a
-        fill computed inside a worker would die with it) by process maps,
-        applying each fill's accumulator updates once; on the other
-        backends the first task to compute a cached partition folds them
-        into its own sink.
-        """
-        process = self._job_backend() == "process"
+        each shuffle map stage that has not run yet as its own job."""
         for node in lineage(rdd):
             if isinstance(node, ShuffledRDD) and node._store is None:
                 node._materialize_shuffle()
-            if process and (splits := node._uncached_splits()):
+
+    def _fill_caches(self, tracer: Any, rdd: RDD) -> None:
+        """Fill the persist/checkpoint caches of ``rdd``'s lineage by
+        process maps before a job's tasks fork (a fill computed inside a
+        worker would die with it), applying each fill's accumulator
+        updates once. On the other backends, and in ``take``, the first
+        task to compute a cached partition fills it and folds the
+        updates into its own sink."""
+        for node in lineage(rdd):
+            if splits := node._uncached_splits():
                 def fill(
                     _i: int, split: int, r: RDD = node
                 ) -> tuple[list[Any], list[tuple[int, Any]]]:
@@ -568,7 +571,7 @@ class SparkContext:
                         data = r.compute(split)
                     return data, encode_updates(sink)
 
-                filled = self._process_map(get_tracer(), fill, splits)
+                filled = self._process_map(tracer, fill, splits)
                 for split, (data, pairs) in zip(splits, filled):
                     node._install_partition(split, data)
                     apply_encoded_updates(pairs)

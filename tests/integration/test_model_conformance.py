@@ -20,7 +20,11 @@ pins that story end to end at fixed seeds:
   kernel, every guarded OpenMP rung, MPI block rows, every executor
   backend) matches the numpy oracle field for field, matrices and
   traceback paths included, under global, local and banded schemes
-  (integer scoring makes exact equality the contract, not a tolerance).
+  (integer scoring makes exact equality the contract, not a tolerance);
+- kNN: every rung of :func:`repro.knn.ladder.rungs` (heap brute force,
+  kd-tree, quadtree, device grid, OpenMP, MPI, MapReduce with and
+  without the local combine) predicts exactly what the vectorized
+  brute force predicts.
 """
 
 import numpy as np
@@ -37,6 +41,7 @@ from repro.heat.serial import solve_serial
 from repro.kmeans import TerminationCriteria, kmeans_parallel
 from repro.kmeans import ladder as kmeans_ladder
 from repro.kmeans.initialization import init_random_points
+from repro.knn import ladder as knn_ladder
 from repro.pipeline import arrests_per_100k, generate_arrests, generate_ntas
 from repro.spark import SparkContext
 from repro.traffic import TrafficParams, simulate_parallel, simulate_serial
@@ -86,6 +91,17 @@ class TestKMeansConformance:
         for other in results[1:]:
             np.testing.assert_array_equal(other.centroids, results[0].centroids)
             np.testing.assert_array_equal(other.assignments, results[0].assignments)
+
+
+class TestKnnConformance:
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_all_models_predict_alike(self, seed):
+        # 2-D, so the quadtree runs too; at these seeds every query's
+        # k-th and (k+1)-th nearest distances are over 1e-3 apart.
+        rungs = knn_ladder.rungs(knn_ladder.problem(seed, 120, 30, 4, 5), workers=3)
+        reference = rungs.pop("brute-vectorized")()
+        for name, run in rungs.items():
+            assert not knn_ladder.mismatches(run(), reference), name
 
 
 class TestNycConformance:

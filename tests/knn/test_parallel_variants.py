@@ -1,10 +1,9 @@
-"""Tests for the kNN adaptation variants: OpenMP, plain MPI, device-style."""
+"""Tests for the kNN adaptation variants: OpenMP and plain MPI."""
 
 import numpy as np
 import pytest
 
 from repro.knn import (
-    knn_device,
     knn_openmp,
     knn_predict_vectorized,
     make_blobs,
@@ -54,15 +53,3 @@ class TestMpiKnn:
         with pytest.raises(RankFailedError, match="query set"):
             run_spmd(2, lambda comm: knn_mpi(comm, db, labels, None, 3))
 
-
-class TestDeviceKnn:
-    @pytest.mark.parametrize("block_size", [1, 16, 1000])
-    def test_block_size_invariance(self, dataset, block_size):
-        db, labels, queries, reference = dataset
-        got = knn_device(db, labels, queries, 5, block_size=block_size)
-        np.testing.assert_array_equal(got, reference)
-
-    def test_invalid_block_size(self, dataset):
-        db, labels, queries, _ = dataset
-        with pytest.raises(ValueError):
-            knn_device(db, labels, queries, 5, block_size=0)

@@ -146,3 +146,21 @@ def test_take_and_first_read_the_shuffle_once(backend):
         assert counts.first() == expected[0]
         assert counts.take(len(expected) + 5) == expected
         assert sc.metrics.shuffles == 1
+
+
+def test_take_fills_the_same_caches_on_every_backend():
+    # take reads partitions on the driver until it has enough, so it
+    # caches only those; no backend fills the rest ahead of time.
+    def cached(backend: str) -> tuple[list, int]:
+        with SparkContext(2, backend=backend) as sc:
+            rdd = (
+                sc.parallelize([(i % 6, i) for i in range(40)], 3)
+                .reduce_by_key(add, 4)
+                .map_values(lambda v: v * 2)
+                .persist()
+            )
+            return rdd.take(1), sc.metrics.partitions_cached
+
+    runs = {backend: cached(backend) for backend in BACKENDS}
+    assert runs["thread"] == runs["serial"] == runs["process"]
+    assert 0 < runs["serial"][1] < 4

@@ -84,8 +84,8 @@ fi
 if [ "${1:-}" = "--sanitizer" ]; then
     echo "== sanitizer suite (including slow systematic-DFS tests) =="
     python -m pytest -q tests/sanitizer -m 'slow or not slow'
-    echo "== align and k-means conformance (cross-model same answer) =="
-    python -m pytest -q tests/integration/test_model_conformance.py -k "Align or KMeans"
+    echo "== align, k-means and kNN conformance (cross-model same answer) =="
+    python -m pytest -q tests/integration/test_model_conformance.py -k "Align or KMeans or Knn"
     python -m pytest -q tests/align/test_align_properties.py
     echo "== golden digests + owner-view crash reproducer (child interpreter) =="
     python -m pytest -q tests/golden/test_golden.py \

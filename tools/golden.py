@@ -17,9 +17,9 @@ Covered today:
   ``openmp-critical`` and ``openmp-atomic``, whose float sums follow
   the thread schedule and so vary between runs;
 - :func:`repro.pipeline.generate_arrests` and the Fig. 2 heat map;
-- kNN predictions of every model: brute force (vectorized and heap),
-  kd-tree, quadtree, ``knn_openmp``, ``knn_mpi``, ``knn_device`` and
-  MapReduce (with and without the local combine);
+- every kNN rung of :func:`repro.knn.ladder.rungs` (predictions) on
+  :func:`repro.knn.ladder.cases`, and each tree's neighbours and nodes
+  visited over every query of those cases;
 - the Fig. 3 traffic space-time diagram, from the serial agent and
   grid simulations and the threaded one, and the MPI final state;
 - the heat solvers: the 1-D serial, ``forall``, ``coforall`` and
@@ -63,10 +63,7 @@ from repro.align import ladder as align_ladder
 from repro.kmeans import TerminationCriteria
 from repro.kmeans import ladder as kmeans_ladder
 from repro.kmeans.initialization import init_random_points
-from repro.knn import (
-    KDTree, QuadTree, knn_device, knn_openmp, knn_predict_heap, knn_predict_vectorized,
-    make_blobs, run_knn_mapreduce, run_knn_mpi,
-)
+from repro.knn import ladder as knn_ladder
 from repro.pipeline import arrests_per_100k, generate_arrests, generate_ntas, heat_map_matrix
 from repro.serve.traffic import TrafficJob, run_solo
 from repro.spark import SparkContext
@@ -86,9 +83,6 @@ WORKERS = (1, 2, 3)
 #: pairs of unequal lengths, whose tracebacks meet diagonal/up ties.
 ALIGN_PAIRS = ((3, 13), (8, 11))
 KMEANS_CASES = ((0, (60, 2), 3), (5, (45, 3), 4))  # (seed, shape, k)
-#: (seed, database size, query count, classes, k) on 2-D blobs, so the
-#: quadtree runs too.
-KNN_CASES = ((1, 90, 25, 3, 5), (6, 70, 18, 4, 4))
 #: (seed, steps) on the Fig. 3 road: 200 cars, length 1000, p = 0.13.
 TRAFFIC_CASES = ((13, 40), (2, 25))
 #: (seed, points, steps, alpha) for the 1-D heat solvers on a random field.
@@ -173,37 +167,18 @@ def _kmeans() -> Iterator[tuple[str, Callable[[], dict[str, Any]]]]:
 
 
 def _knn() -> Iterator[tuple[str, Callable[[], dict[str, Any]]]]:
-    for seed, n, q, classes, k in KNN_CASES:
-        points, labels = make_blobs(n + q, 2, classes, seed=seed, spread=1.5)
-        db, db_labels, queries = points[:n], labels[:n], points[n:]
-        tag = f"seed={seed}/n={n}/q={q}/k={k}"
-        models: dict[str, Callable[[], np.ndarray]] = {
-            "brute-vectorized": lambda: knn_predict_vectorized(db, db_labels, queries, k),
-            "brute-heap": lambda: knn_predict_heap(db, db_labels, queries, k),
-            "kdtree": lambda: KDTree.build(db, db_labels, leaf_size=4).predict(queries, k),
-            "quadtree": lambda: QuadTree(db, db_labels, leaf_capacity=4).predict(queries, k),
-            "device": lambda: knn_device(db, db_labels, queries, k, block_size=8),
-        }
+    for tag, problem in knn_ladder.cases():
         for workers in WORKERS:
-            models[f"openmp/workers={workers}"] = lambda w=workers: knn_openmp(
-                db, db_labels, queries, k, num_threads=w, chunk=4
-            )
-            models[f"mpi/workers={workers}"] = lambda w=workers: run_knn_mpi(
-                w, db, db_labels, queries, k
-            )
-            for combine in (True, False):
-                models[f"mapreduce-combine={combine}/workers={workers}"] = (
-                    lambda w=workers, c=combine: run_knn_mapreduce(
-                        w, db, db_labels, queries, k, local_combine=c
-                    )[0]
-                )
-        for model, predict in models.items():
-            yield f"knn/{model}/{tag}", lambda predict=predict: {"predictions": _sha(predict())}
-        trees = {
-            "kdtree": lambda: KDTree.build(db, db_labels, leaf_size=4),
-            "quadtree": lambda: QuadTree(db, db_labels, leaf_capacity=4),
-        }
-        for name, build in trees.items():
+            for rung, run in knn_ladder.rungs(problem, workers=workers).items():
+                if rung in knn_ladder.SERIAL:
+                    if workers != 1:
+                        continue
+                    key = f"knn/{rung}/{tag}"
+                else:
+                    key = f"knn/{rung}/workers={workers}/{tag}"
+                yield key, lambda run=run: {"predictions": _sha(run())}
+        _, _, queries, k = problem
+        for name, build in knn_ladder.trees(problem).items():
             yield (
                 f"knn/{name}-query/{tag}",
                 lambda build=build, queries=queries, k=k: _tree_queries(build(), queries, k),
