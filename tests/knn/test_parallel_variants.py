@@ -1,4 +1,4 @@
-"""Tests for the kNN adaptation variants: OpenMP and plain MPI."""
+"""Tests for the kNN adaptation variants: OpenMP, plain MPI, device-style."""
 
 import numpy as np
 import pytest
@@ -53,3 +53,17 @@ class TestMpiKnn:
         with pytest.raises(RankFailedError, match="query set"):
             run_spmd(2, lambda comm: knn_mpi(comm, db, labels, None, 3))
 
+
+class TestDeviceKnn:
+    # The device rung is the vectorized engine's block loop: one
+    # distance tile per block of queries, as in a CUDA-style grid.
+    @pytest.mark.parametrize("block_size", [1, 16, 1000])
+    def test_block_size_invariance(self, dataset, block_size):
+        db, labels, queries, reference = dataset
+        got = knn_predict_vectorized(db, labels, queries, 5, block=block_size)
+        np.testing.assert_array_equal(got, reference)
+
+    def test_invalid_block_size(self, dataset):
+        db, labels, queries, _ = dataset
+        with pytest.raises(ValueError):
+            knn_predict_vectorized(db, labels, queries, 5, block=0)
