@@ -4,25 +4,47 @@
 zero-argument runner; :func:`mismatches` is the same-answer contract
 they meet against the ``sequential`` numpy oracle. Integer scoring
 makes it exact: every :class:`~repro.align.scoring.AlignResult` field
-must be bit-identical. Conformance tests, benches and trial builders
-iterate this one ladder instead of listing models by hand.
+must be bit-identical. Conformance tests, the golden digests, benches
+and trial builders iterate this one ladder instead of listing models by
+hand.
 """
 
 from __future__ import annotations
 
 from dataclasses import fields
-from typing import Callable
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
+from repro.align.data import generate_pair
 from repro.align.executor_align import align_executor
 from repro.align.mpi_align import run_align_mpi
 from repro.align.openmp_align import VARIANTS, align_openmp
-from repro.align.scoring import AlignResult
+from repro.align.scoring import AlignResult, ScoringScheme
 from repro.align.sequential import align_sequential
 from repro.core.executor import BACKENDS
 
-__all__ = ["rungs", "mismatches"]
+__all__ = ["rungs", "mismatches", "cases", "SERIAL"]
+
+#: Rungs that take no worker count and no tile.
+SERIAL = ("sequential", "sequential-python")
+#: (seed, length) of the golden pairs, ``generate_pair(..., indel_rate=0.3)``:
+#: indel-rich pairs of unequal lengths, whose tracebacks meet diagonal/up
+#: ties. Each runs in both modes, unbanded and banded, on tiles of 1, 5
+#: and the whole matrix.
+PAIRS = ((3, 13), (8, 11))
+
+
+def cases() -> Iterator[tuple[str, tuple[str, str], dict[str, Any]]]:
+    """The golden problems, each with its digest-key tag and rung keywords."""
+    for seed, length in PAIRS:
+        a, b = generate_pair(seed, length, indel_rate=0.3)
+        for mode in ("global", "local"):
+            scheme = ScoringScheme(mode=mode)
+            for band in (None, abs(len(a) - len(b)) + 2):
+                tag = f"seed={seed}/{len(a)}x{len(b)}/{mode}/band={band}"
+                for tile in (1, 5, max(len(a), len(b)) + 1):
+                    yield tag, (a, b), {"scheme": scheme, "band": band, "tile": tile}
 
 
 def rungs(

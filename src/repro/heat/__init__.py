@@ -20,7 +20,9 @@ with Dirichlet boundaries, solved three ways:
   per step over static interior blocks (the counterpoint to the
   Chapel-style solvers' visible communication);
 - :mod:`repro.heat.analytic` — exact discrete eigenmode solutions and
-  steady states for verification.
+  steady states for verification;
+- :mod:`repro.heat.ladder` — every solver (and the 2-D MPI one) as one
+  ladder with one bit-for-bit contract.
 
 All three produce bitwise-identical results (same elementwise float
 operations); what differs — and what the benchmarks measure — is task

@@ -22,7 +22,9 @@ uncertainty.
 - :mod:`repro.hpo.scheduler` — task→node distribution and makespan
   analysis;
 - :mod:`repro.hpo.distributed` — the MPI4Py-style SPMD driver that
-  trains the ensemble in parallel and aggregates on the root.
+  trains the ensemble in parallel and aggregates on the root;
+- :mod:`repro.hpo.ladder` — the serial, executor and MPI trial farms as
+  one ladder with one same-ranking contract.
 """
 
 from repro.hpo.digits import make_ambiguous_digit, make_digit_dataset, render_digit

@@ -2,24 +2,45 @@
 
 :func:`rungs` gives every *correct* model of the family as a labelled
 zero-argument runner; :func:`mismatches` is the same-answer contract
-they meet against ``sequential``. Conformance tests, benches and trial
-builders iterate this one ladder instead of listing models by hand.
+they meet against ``sequential``. Conformance tests, the golden
+digests, benches and trial builders iterate this one ladder instead of
+listing models by hand.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
 from repro.core.executor import BACKENDS
 from repro.kmeans.device_kmeans import kmeans_device
+from repro.kmeans.initialization import init_random_points
 from repro.kmeans.mpi_kmeans import run_kmeans_mpi
 from repro.kmeans.openmp_kmeans import VARIANTS, kmeans_openmp
 from repro.kmeans.parallel_kmeans import kmeans_parallel
 from repro.kmeans.sequential import KMeansResult, kmeans_sequential
+from repro.kmeans.termination import TerminationCriteria
 
-__all__ = ["rungs", "mismatches"]
+__all__ = ["rungs", "mismatches", "cases", "SERIAL", "SCHEDULE_DEPENDENT", "BLOCKED"]
+
+#: Rungs that take no worker count.
+SERIAL = ("sequential", "device")
+#: Rungs whose float sums follow the thread schedule and vary between runs.
+SCHEDULE_DEPENDENT = ("openmp-critical", "openmp-atomic")
+#: Rungs whose centroids are byte-identical at equal worker count.
+BLOCKED = ("openmp-reduction", "mpi", *(f"executor-{b}" for b in BACKENDS))
+#: (seed, shape, k) of the golden cases: 8 iterations from k random points.
+CASES = ((0, (60, 2), 3), (5, (45, 3), 4))
+
+
+def cases() -> Iterator[tuple[str, tuple[np.ndarray, int], dict[str, Any]]]:
+    """The golden problems, each with its digest-key tag and rung keywords."""
+    for seed, shape, k in CASES:
+        points = np.random.default_rng(seed).normal(size=shape)
+        init = init_random_points(points, k, seed=seed)
+        keywords = {"criteria": TerminationCriteria(max_iterations=8), "initial_centroids": init}
+        yield f"seed={seed}/{shape[0]}x{shape[1]}/k={k}", (points, k), keywords
 
 
 def rungs(

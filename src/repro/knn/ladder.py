@@ -8,7 +8,7 @@ Conformance tests and the golden digests iterate this one ladder.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
@@ -37,10 +37,10 @@ def problem(seed: int, n: int, q: int, classes: int, k: int) -> Problem:
     return points[:n], labels[:n], points[n:], k
 
 
-def cases() -> Iterator[tuple[str, Problem]]:
-    """The golden problems, each with its digest-key tag."""
+def cases() -> Iterator[tuple[str, Problem, dict[str, Any]]]:
+    """The golden problems, each with its digest-key tag and no rung keywords."""
     for seed, n, q, classes, k in CASES:
-        yield f"seed={seed}/n={n}/q={q}/k={k}", problem(seed, n, q, classes, k)
+        yield f"seed={seed}/n={n}/q={q}/k={k}", problem(seed, n, q, classes, k), {}
 
 
 def trees(problem: Problem) -> dict[str, Callable[[], KDTree | QuadTree]]:
@@ -58,7 +58,8 @@ def rungs(problem: Problem, *, workers: int) -> dict[str, Callable[[], np.ndarra
     ``workers`` is the OpenMP thread count and the MPI and MapReduce
     rank count; the :data:`SERIAL` rungs do not use it. The ``device``
     rung is the CUDA-style grid of paper §2: the vectorized engine's
-    loop over 8-query blocks, one distance tile per block.
+    loop over 8-query blocks, one distance tile per block; the
+    ``openmp`` threads share out blocks of 8 queries too.
     """
     database, labels, queries, k = problem
     ladder = {
@@ -68,7 +69,9 @@ def rungs(problem: Problem, *, workers: int) -> dict[str, Callable[[], np.ndarra
     for name, build in trees(problem).items():
         ladder[name] = lambda build=build: build().predict(queries, k)
     ladder["device"] = lambda: knn_predict_vectorized(database, labels, queries, k, block=8)
-    ladder["openmp"] = lambda: knn_openmp(database, labels, queries, k, num_threads=workers)
+    ladder["openmp"] = lambda: knn_openmp(
+        database, labels, queries, k, num_threads=workers, chunk=8
+    )
     ladder["mpi"] = lambda: run_knn_mpi(workers, database, labels, queries, k)
     for combine in (True, False):
         ladder[f"mapreduce-combine={combine}"] = lambda c=combine: run_knn_mapreduce(

@@ -5,8 +5,8 @@ like OpenMP, other distributed memory programming models like MPI, or
 accelerator programming models like CUDA" (paper §2):
 
 - :func:`knn_openmp` — queries worksharing-split over a thread team
-  (each thread classifies a contiguous block with the vectorized
-  engine; static or dynamic schedule);
+  (blocks of ``chunk`` queries, each classified by the vectorized
+  engine, under any worksharing schedule);
 - :func:`knn_mpi` — plain MPI (no MapReduce): queries scattered, each
   rank classifies its block against the replicated database, results
   gathered;
@@ -25,6 +25,7 @@ from repro.knn.brute import knn_predict_vectorized
 from repro.mpi import Communicator, run_spmd
 from repro.openmp import parallel_region
 from repro.util.partition import block_bounds
+from repro.util.validation import require_positive_int
 
 __all__ = ["knn_openmp", "knn_mpi", "run_knn_mpi"]
 
@@ -41,25 +42,21 @@ def knn_openmp(
 ) -> np.ndarray:
     """Shared-memory kNN: the query loop is the parallel loop.
 
-    The database is shared read-only (the OpenMP default for enclosing
+    The loop's iterations are blocks of ``chunk`` queries, each
+    classified by one vectorized call and handed out under any
+    :meth:`~repro.openmp.region.TeamContext.for_range` schedule. The
+    database is shared read-only (the OpenMP default for enclosing
     scope); each thread writes only its own slice of the output — no
     races, which is why this is the gentle first adaptation.
     """
+    require_positive_int("chunk", chunk)
     queries = np.asarray(queries, dtype=float)
     out = np.empty(queries.shape[0], dtype=np.int64)
 
     def body(ctx) -> None:
-        if schedule == "static":
-            lo, hi = ctx.static_bounds(queries.shape[0])
+        for index in ctx.for_range((queries.shape[0] + chunk - 1) // chunk, schedule=schedule):
+            lo, hi = index * chunk, (index + 1) * chunk
             out[lo:hi] = knn_predict_vectorized(database, labels, queries[lo:hi], k)
-        else:
-            # Dynamic: grab chunks of queries as threads free up.
-            for start in ctx.for_range(
-                (queries.shape[0] + chunk - 1) // chunk, schedule=schedule
-            ):
-                lo = start * chunk
-                hi = min(lo + chunk, queries.shape[0])
-                out[lo:hi] = knn_predict_vectorized(database, labels, queries[lo:hi], k)
 
     parallel_region(num_threads, body)
     return out

@@ -20,7 +20,9 @@ shared random sequence via fast-forwarding (:mod:`repro.rng`).
   with a persistent thread team, per-step barriers, and per-thread
   fast-forwarded views of the shared sequence;
 - :mod:`repro.traffic.analysis` — space-time diagrams (Figure 3), jam
-  detection, and the fundamental (flow–density) diagram.
+  detection, and the fundamental (flow–density) diagram;
+- :mod:`repro.traffic.ladder` — every simulation above (and the MPI
+  one) as one ladder with one bit-for-bit contract.
 """
 
 from repro.traffic.analysis import (

@@ -26,6 +26,22 @@ class TestOpenmpKnn:
         got = knn_openmp(db, labels, queries, 5, num_threads=threads)
         np.testing.assert_array_equal(got, reference)
 
+    @pytest.mark.parametrize("schedule", ["static", "static-cyclic"])
+    def test_every_schedule_classifies_chunks(self, dataset, schedule, monkeypatch):
+        import repro.knn.parallel_variants as variants
+
+        db, labels, queries, reference = dataset
+        blocks = []
+
+        def spy(database, labels, block, k):
+            blocks.append(len(block))
+            return knn_predict_vectorized(database, labels, block, k)
+
+        monkeypatch.setattr(variants, "knn_predict_vectorized", spy)
+        got = knn_openmp(db, labels, queries, 5, num_threads=3, schedule=schedule, chunk=7)
+        np.testing.assert_array_equal(got, reference)
+        assert sorted(blocks) == [5] + [7] * 10  # 75 queries in chunks of 7
+
     @pytest.mark.parametrize("schedule", ["dynamic", "guided"])
     def test_dynamic_schedules_match(self, dataset, schedule):
         db, labels, queries, reference = dataset

@@ -122,6 +122,8 @@ if [ "${1:-}" = "--pool" ]; then
         tests/mapreduce/test_keymultivalue.py \
         tests/kmeans/test_parallel_kmeans.py \
         tests/kmeans/test_cluster_sums.py
+    echo "== heat and HPO conformance (process-backend rungs) =="
+    python -m pytest -q tests/integration/test_model_conformance.py -k "Heat or Hpo"
     echo "== executor pool speedup gates (skip-with-record < 4 cores) =="
     python -m pytest -q -rs benchmarks/test_executor_backends.py
 fi

@@ -25,6 +25,7 @@ import subprocess
 import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
@@ -70,11 +71,12 @@ def _spec(workload: str, config: Mapping[str, Any], runner: Callable[[], Any]) -
 
 
 def _fingerprinted(
-    rungs: Mapping[str, Callable[[], Any]], rung: str, *names: str
+    rungs: Mapping[str, Callable[[], Any]], rung: str, digested: Callable[[Any], Any]
 ) -> Callable[[], Any]:
-    """A runner for one model-ladder rung, reduced to the result fields
-    its trial digest covers (an unknown rung fails inside the trial)."""
-    return lambda: tuple(getattr(rungs[rung](), name) for name in names)
+    """A runner for one model-ladder rung, reduced by ``digested`` to the
+    part of its result the trial digest covers (an unknown rung fails
+    inside the trial)."""
+    return lambda: digested(rungs[rung]())
 
 
 @dataclass(frozen=True)
@@ -132,7 +134,7 @@ def _kmeans_trials(backends: Sequence[str], seed: int) -> list[TrialSpec]:
     )
     return [
         _spec("kmeans", {"backend": backend, "seed": seed},
-              _fingerprinted(rungs, f"executor-{backend}", "centroids", "assignments"))
+              _fingerprinted(rungs, f"executor-{backend}", attrgetter("centroids", "assignments")))
         for backend in backends
     ]
 
@@ -146,7 +148,7 @@ def _kmeans_openmp_trials(schedules: Sequence[str], seed: int) -> list[TrialSpec
     rungs = ladder.rungs(
         (points, 8), workers=4, seed=seed, criteria=TerminationCriteria(max_iterations=4)
     )
-    plain = _fingerprinted(rungs, "openmp-reduction", "centroids", "assignments")
+    plain = _fingerprinted(rungs, "openmp-reduction", attrgetter("centroids", "assignments"))
 
     def observed() -> Any:
         with use_sanitizer(Sanitizer()):
@@ -186,18 +188,14 @@ def _wordcount_trials(fault_plans: Sequence[str], seed: int) -> list[TrialSpec]:
 
 
 def _heat_trials(seed: int) -> list[TrialSpec]:
-    from repro.chapel import set_num_locales
-    from repro.heat import sine_initial_condition, solve_coforall
+    from repro.heat import ladder, sine_initial_condition
 
-    u0 = sine_initial_condition(20_000, mode=1 + seed % 3)
-    specs = []
-    for locales in (1, 2):
-        def runner(n: int = locales) -> Any:
-            u, _stats = solve_coforall(u0, 0.25, 20, set_num_locales(n))
-            return u
-
-        specs.append(_spec("heat_coforall", {"locales": locales, "seed": seed}, runner))
-    return specs
+    problem = (sine_initial_condition(20_000, mode=1 + seed % 3), 0.25, 20)
+    return [
+        _spec("heat_coforall", {"locales": locales, "seed": seed},
+              _fingerprinted(ladder.rungs(problem, workers=locales), "coforall", itemgetter(0)))
+        for locales in (1, 2)
+    ]
 
 
 def _knn_mapreduce_trials(seed: int) -> list[TrialSpec]:
@@ -254,7 +252,7 @@ def _align_trials(backends: Sequence[str], seed: int) -> list[TrialSpec]:
     }
     return [
         _spec("align", {**config, "seed": seed},
-              _fingerprinted(rungs, rung, "matrix", "path"))
+              _fingerprinted(rungs, rung, attrgetter("matrix", "path")))
         for rung, config in models.items()
     ]
 
