@@ -27,12 +27,10 @@ class DeepEnsemble:
     def __init__(self, models: list[MLP]) -> None:
         if not models:
             raise ValueError("an ensemble needs at least one model")
-        sizes = {m.layer_sizes[0] for m in models} | {-m.layer_sizes[-1] for m in models}
         if len({m.layer_sizes[0] for m in models}) > 1:
             raise ValueError("ensemble members must share the input size")
         if len({m.layer_sizes[-1] for m in models}) > 1:
             raise ValueError("ensemble members must share the class count")
-        del sizes
         self.models = list(models)
 
     def __len__(self) -> int:

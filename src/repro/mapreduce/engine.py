@@ -48,10 +48,10 @@ class MapReduce:
         self,
         comm: Communicator,
         *,
-        backend: "str | Executor" = "serial",
+        backend: str = "serial",
         num_workers: int = 4,
     ) -> None:
-        if not isinstance(backend, Executor) and backend not in BACKENDS:
+        if backend not in BACKENDS:
             raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
         self.comm = comm
         #: Executor backend for this rank's *local* map/reduce loops.
@@ -59,18 +59,9 @@ class MapReduce:
         #: ``"thread"``/``"process"`` fan the rank's tasks over
         #: :mod:`repro.core.executor` workers — pair order and therefore
         #: all results stay bit-identical (tasks emit into private
-        #: KeyValues, merged in task order). A live :class:`Executor`
-        #: may be passed instead of a name (e.g. one
-        #: ``ProcessExecutor`` shared across engines); it is then the
-        #: caller's to close.
-        if isinstance(backend, Executor):
-            self.backend = backend.name
-            self._executor: Executor | None = backend
-            self._owns_executor = False
-        else:
-            self.backend = backend
-            self._executor = None
-            self._owns_executor = True
+        #: KeyValues, merged in task order).
+        self.backend = backend
+        self._executor: Executor | None = None
         self.num_workers = num_workers
         self.kv = KeyValue()
         self.kmv: KeyMultiValue | None = None
@@ -92,12 +83,10 @@ class MapReduce:
         return self._executor
 
     def close(self) -> None:
-        """Release the engine's executor pool, if it owns one (idempotent)."""
+        """Release the engine's executor pool (idempotent)."""
         executor, self._executor = self._executor, None
-        if executor is not None and self._owns_executor:
+        if executor is not None:
             executor.close()
-        elif executor is not None:
-            self._executor = executor  # shared: still usable, not ours to close
 
     def __enter__(self) -> "MapReduce":
         return self

@@ -8,13 +8,15 @@ Under fault injection the engine retries failed task attempts and
 recomputes lost partitions, so a naive accumulator would double-count —
 real Spark's classic footgun. The scheduler therefore runs each task
 attempt inside :func:`task_updates`, which buffers the attempt's
-``add`` calls in a thread-local sink; only the attempt that *completes
-a logical task for the first time* gets its sink committed
+``add`` calls in a thread-local sink. The task hands its sink home as
+:func:`encode_updates` pairs, the one form that also survives the trip
+out of a worker process, and only the attempt that *completes a logical
+task for the first time* gets its pairs applied
 (``SparkContext._commit_task``). Failed attempts, losing speculative
 twins, and lineage recomputations of already-committed tasks are
 discarded unapplied — giving exactly-once semantics and bit-identical
 accumulator values with or without faults. Every scheduler-managed task
-runs inside a sink (fault plan or not), and the scheduler commits sinks
+runs inside a sink (fault plan or not), and the scheduler commits tasks
 in **partition order** at job end — so accumulator folds are applied in
 the same order under every executor backend (serial, thread, process),
 keeping even non-commutative or floating-point folds bit-identical
@@ -59,8 +61,8 @@ def task_updates() -> Iterator[_Sink]:
     Sinks nest (a task body can trigger an inline nested job, whose own
     attempt pushes its own sink); each ``add`` lands in the innermost
     one. The caller decides the buffered updates' fate: apply them via
-    :func:`commit_updates` exactly when the attempt's logical task
-    commits, or drop the sink to discard them.
+    :func:`encode_updates` and :func:`apply_encoded_updates` exactly when
+    the attempt's logical task commits, or drop the sink to discard them.
     """
     stack = getattr(_TASK_LOCAL, "sinks", None)
     if stack is None:
@@ -73,18 +75,13 @@ def task_updates() -> Iterator[_Sink]:
         stack.pop()
 
 
-def commit_updates(sink: _Sink) -> None:
-    """Apply a completed attempt's buffered updates to their accumulators."""
-    for acc, amount in sink.updates:
-        acc._apply(amount)
-
-
 def encode_updates(sink: _Sink) -> list[tuple[int, Any]]:
     """A sink's updates as picklable ``(accumulator_id, amount)`` pairs.
 
-    The process-backend return path: a worker can't ship the (forked
-    copy of an) :class:`Accumulator` home, but the id survives the trip
-    and resolves to the driver's object in :func:`apply_encoded_updates`.
+    The one commit form on every backend: a process worker can't ship
+    the (forked copy of an) :class:`Accumulator` home, but the id
+    survives the trip and resolves to the driver's object in
+    :func:`apply_encoded_updates`.
     """
     return [(acc.id, amount) for acc, amount in sink.updates]
 

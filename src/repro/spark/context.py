@@ -7,11 +7,12 @@ job runs on a team of parked helper threads; a job issued on a job
 service worker runs inline on it), ``"serial"``, or ``"process"``
 (fork-based worker processes for real CPU parallelism; see
 ``docs/executors.md``).
-Every backend runs a job's stages alike, as the RDD paper's DAG
-scheduler does: the driver first runs each shuffle map stage the job
-still needs, parents first, as its own job; then the result tasks.
-Results, accumulator values, and fault recovery are bit-identical
-across all three. The
+Every backend runs a job alike, as the RDD paper's DAG scheduler does:
+the driver first runs each shuffle map stage the job still needs,
+parents first, as its own job; then it maps one task body over the
+partitions and commits the tasks in partition order. Results,
+accumulator values, and fault recovery are bit-identical across all
+three. The
 :class:`JobMetrics` counters make the engine's communication behaviour
 observable, which is what the pipeline assignment grades students on
 discussing.
@@ -22,7 +23,8 @@ model:
 
 - injected task failures and worker blacklistings are retried with
   bounded deterministic backoff (``max_task_retries``), each retry on
-  the next virtual worker;
+  the next virtual worker — the driver plays each job's schedule out
+  in partition order before its tasks run;
 - injected stragglers trigger a speculative copy on another worker,
   which deterministically wins (the abandoned original is recorded,
   never run, and holds no thread);
@@ -33,7 +35,7 @@ model:
 Accumulator updates are buffered per attempt and committed exactly once
 per logical task (``(job, partition)``), so results *and* diagnostics
 are bit-identical to the fault-free run. Without a plan the scheduler
-takes the original code path (one ``is None`` test per task).
+skips the schedule (one ``is None`` test per job).
 """
 
 from __future__ import annotations
@@ -59,7 +61,6 @@ from repro.core.executor import (
 from repro.spark.accumulators import (
     Accumulator,
     apply_encoded_updates,
-    commit_updates,
     encode_updates,
     task_updates,
 )
@@ -101,6 +102,11 @@ class SparkJobCancelled(RuntimeError):
         self.context = context
         self.job = job
         self.partition = partition
+
+    def __reduce__(self) -> tuple[Any, ...]:
+        # A process task's cancel check raises in the worker; rebuild
+        # the error from its fields on the driver, not from its message.
+        return type(self), (self.context, self.job, self.partition)
 
 _CONTEXT_IDS = itertools.count(1)
 
@@ -317,7 +323,14 @@ class SparkContext:
     ) -> tuple[int, list[Any]]:
         """Run a job and also return its id (jobs are numbered in
         submission order — the coordinate task-level fault events use:
-        this job, then its map stages, see :meth:`_run_map_stages`)."""
+        this job, then its map stages, see :meth:`_run_map_stages`).
+
+        Every backend runs the same steps: the map stages, the fault
+        schedule resolved on the driver in partition order, one task
+        body mapped over the partitions, and the exactly-once commits
+        in partition order. Only the executor differs, plus the process
+        backend's :meth:`_fill_caches` (a cache filled inside a forked
+        worker would die with it)."""
         self._check_alive()
         self._check_cancelled()
         with self._job_lock:
@@ -332,37 +345,38 @@ class SparkContext:
             rdd=rdd.id, partitions=rdd.num_partitions, backend=backend,
         ):
             self._run_map_stages(rdd)
+            executor: Executor
             if backend == "process":
-                return job_id, self._execute_job_process(tracer, task_fn, rdd, job_id)
-            executor = (
-                SerialExecutor() if backend == "serial" else ThreadExecutor(self.num_workers)
-            )
-            outcomes = executor.map(
-                lambda i, _item: self._run_task(tracer, task_fn, rdd, i, job_id),
-                range(rdd.num_partitions),
-            )
-            # Commit accumulator sinks in partition order — deterministic
+                self._fill_caches(tracer, rdd)
+                executor = self._process_executor()
+            elif backend == "serial":
+                executor = SerialExecutor()
+            else:
+                executor = ThreadExecutor(self.num_workers)
+            if self._fault_plan is not None:
+                for i in range(rdd.num_partitions):
+                    self._resolve_task_faults(tracer, i, job_id)
+
+            def task(i: int, _item: Any) -> tuple[Any, list[tuple[int, Any]]]:
+                self._check_cancelled(job_id, i)
+                with task_updates() as sink:
+                    if not tracer.enabled:
+                        result = task_fn(i, rdd.partition(i))
+                    else:
+                        # Each partition gets its own logical-clock lane.
+                        with tracer.scope(f"spark.p{i}"):
+                            with tracer.span("task", category="spark", rdd=rdd.id, partition=i):
+                                result = task_fn(i, rdd.partition(i))
+                return result, encode_updates(sink)
+
+            outcomes = self._map_tasks(executor, tracer, task, range(rdd.num_partitions))
+            # Commit accumulator updates in partition order — deterministic
             # and identical across backends (see repro.spark.accumulators).
             results: list[Any] = []
-            for i, (result, sink) in enumerate(outcomes):
-                self._commit_task((job_id, i), sink)
+            for i, (result, pairs) in enumerate(outcomes):
+                self._commit_task((job_id, i), pairs)
                 results.append(result)
             return job_id, results
-
-    def _run_task(
-        self,
-        tracer: Any,
-        task_fn: Callable[[int, list[Any]], Any],
-        rdd: RDD,
-        i: int,
-        job_id: int,
-    ) -> tuple[Any, Any]:
-        """One logical task on the serial/thread path: returns
-        ``(result, accumulator_sink)``; the job loop commits sinks."""
-        self._check_cancelled(job_id, i)
-        if self._fault_plan is not None:
-            self._resolve_task_faults(tracer, i, job_id)
-        return self._execute_attempt(tracer, task_fn, rdd, i, job_id)
 
     def _resolve_task_faults(self, tracer: Any, partition: int, job_id: int) -> None:
         """Play out the fault plan's schedule for one logical task: retry,
@@ -370,9 +384,9 @@ class SparkContext:
         retries are exhausted (raises :class:`SparkJobFailedError`).
 
         Pure scheduling — the surviving attempt's body is *not* run here,
-        which is what lets the process backend resolve faults driver-side
-        (deterministically, in partition order) and then batch-execute
-        the surviving attempts in worker processes.
+        which is what lets every backend resolve faults on the driver
+        (deterministically, in partition order) and then map the
+        surviving attempts over its executor.
         """
         plan = self._fault_plan
         report = self.fault_report
@@ -439,83 +453,17 @@ class SparkContext:
                         continue
             return
 
-    def _execute_attempt(
-        self,
-        tracer: Any,
-        task_fn: Callable[[int, list[Any]], Any],
-        rdd: RDD,
-        partition: int,
-        job_id: int,
-    ) -> tuple[Any, Any]:
-        """One surviving attempt: run the body with accumulator updates
-        buffered; the caller commits the sink exactly once per task."""
-        with task_updates() as sink:
-            if not tracer.enabled:
-                result = task_fn(partition, rdd.partition(partition))
-            else:
-                # Each partition gets its own logical-clock lane.
-                with tracer.scope(f"spark.p{partition}"):
-                    with tracer.span("task", category="spark", rdd=rdd.id, partition=partition):
-                        result = task_fn(partition, rdd.partition(partition))
-        return result, sink
-
-    # ------------------------------------------------------------------
-    # process backend
-    # ------------------------------------------------------------------
-    def _execute_job_process(
-        self,
-        tracer: Any,
-        task_fn: Callable[[int, list[Any]], Any],
-        rdd: RDD,
-        job_id: int,
+    def _map_tasks(
+        self, executor: Executor, tracer: Any, body: Callable[[int, Any], Any],
+        items: Sequence[Any],
     ) -> list[Any]:
-        """Run one job's tasks in forked worker processes.
+        """Map ``body`` over ``items`` on ``executor``, recovering lost
+        results on the driver when a process worker dies mid-job.
 
-        :meth:`_run_map_stages` already ran the shuffles and
-        :meth:`_fill_caches` fills the caches, so workers compute over
-        inherited data. Two more driver-side steps keep results
-        bit-identical to the other backends:
-
-        1. under a fault plan, each task's injected schedule is resolved
-           here, serially in partition order (retries/blacklists/
-           speculation are driver bookkeeping — only surviving attempt
-           bodies ship to workers);
-        2. task accumulator updates travel home as encoded pairs and are
-           committed in partition order, same as the other backends.
-
-        A crashed worker (:class:`WorkerCrashError`) is surfaced in
-        metrics and the fault report, and its lost tasks are re-executed
-        on the driver — the process-backend analogue of retry.
+        Task bodies close over live lineage, so on the process backend
+        they never pickle and always take the executor's fork path:
+        fresh workers per job that see the driver state as of *this* job.
         """
-        self._fill_caches(tracer, rdd)
-        self._check_cancelled(job_id)
-        if self._fault_plan is not None:
-            for i in range(rdd.num_partitions):
-                self._resolve_task_faults(tracer, i, job_id)
-
-        def body(i: int, _item: Any) -> tuple[Any, list[tuple[int, Any]]]:
-            with task_updates() as sink:
-                result = task_fn(i, rdd.partition(i))
-            return result, encode_updates(sink)
-
-        outcomes = self._process_map(tracer, body, list(range(rdd.num_partitions)))
-        results: list[Any] = []
-        for i, (result, pairs) in enumerate(outcomes):
-            self._commit_task_encoded((job_id, i), pairs)
-            results.append(result)
-        return results
-
-    def _process_map(
-        self, tracer: Any, body: Callable[[int, Any], Any], items: Sequence[Any]
-    ) -> list[Any]:
-        """Map ``body`` over ``items`` in worker processes, recovering
-        lost results on the driver when a worker dies mid-job.
-
-        Task bodies close over live lineage, so they never pickle and
-        always take the executor's fork path: fresh workers per job that
-        see the driver state as of *this* job.
-        """
-        executor = self._process_executor()
         try:
             return executor.map(body, items)
         except WorkerCrashError as crash:
@@ -561,8 +509,16 @@ class SparkContext:
         worker would die with it), applying each fill's accumulator
         updates once. On the other backends, and in ``take``, the first
         task to compute a cached partition fills it and folds the
-        updates into its own sink."""
+        updates into its own sink.
+
+        For the same reason each shuffle's corrupt blocks are recovered
+        here, before anything that fetches them forks: every task of a
+        job fetches every block of the shuffles it reads, so the other
+        backends detect the same blocks, and the store is healed once."""
         for node in lineage(rdd):
+            if isinstance(node, ShuffledRDD):
+                for map_task in range(node._store.num_maps):
+                    node._recover_map_output(node._store, map_task)
             if splits := node._uncached_splits():
                 def fill(
                     _i: int, split: int, r: RDD = node
@@ -571,33 +527,23 @@ class SparkContext:
                         data = r.compute(split)
                     return data, encode_updates(sink)
 
-                filled = self._process_map(tracer, fill, splits)
+                filled = self._map_tasks(self._process_executor(), tracer, fill, splits)
                 for split, (data, pairs) in zip(splits, filled):
-                    node._install_partition(split, data)
+                    node._install(split, data)
                     apply_encoded_updates(pairs)
 
     # ------------------------------------------------------------------
     # accumulator commits (exactly-once per logical task)
     # ------------------------------------------------------------------
-    def _mark_committed(self, key: tuple[int, int]) -> bool:
-        with self._commit_lock:
-            if key in self._committed:
-                return False
-            self._committed.add(key)
-            return True
-
-    def _commit_task(self, key: tuple[int, int], sink: Any) -> None:
-        """Apply an attempt's buffered accumulator updates exactly once
+    def _commit_task(self, key: tuple[int, int], pairs: list[tuple[int, Any]]) -> None:
+        """Apply an attempt's encoded accumulator updates exactly once
         per logical task (lineage recomputation of an already-committed
         task discards its updates — that's the exactly-once guarantee)."""
-        if self._mark_committed(key):
-            commit_updates(sink)
-
-    def _commit_task_encoded(self, key: tuple[int, int], pairs: list[tuple[int, Any]]) -> None:
-        """The process-backend commit: same exactly-once gate, but the
-        updates arrive as encoded ``(accumulator_id, amount)`` pairs."""
-        if self._mark_committed(key):
-            apply_encoded_updates(pairs)
+        with self._commit_lock:
+            if key in self._committed:
+                return
+            self._committed.add(key)
+        apply_encoded_updates(pairs)
 
     # ------------------------------------------------------------------
     # virtual workers (fault-tolerance scheduling model)

@@ -462,7 +462,7 @@ class SparkFaultReport(FaultReportBase):
         if self.recomputed:
             lines.append(
                 f"  {len(self.recomputed)} map output(s) recomputed from lineage: "
-                + ", ".join(f"shuffle {s} map {m}" for s, m in self.recomputed)
+                + ", ".join(f"shuffle {s} map {m}" for s, m in sorted(self.recomputed))
             )
         if self.blacklisted:
             lines.append(f"  worker(s) blacklisted: {sorted(self.blacklisted)}")

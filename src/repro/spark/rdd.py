@@ -16,6 +16,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 from repro.mapreduce.hashing import ROUTE_ONCE_TYPES, task_router
 from repro.rng.counter import CounterRNG
+from repro.spark.accumulators import encode_updates, task_updates
 from repro.spark.partitioner import HashPartitioner, RangePartitioner
 from repro.spark.shuffle import CorruptShuffleBlockError, LostSpillFileError
 
@@ -33,8 +34,7 @@ __all__ = [
 ]
 
 
-#: Placeholder for a checkpoint slot that hasn't materialized yet
-#: (``None`` can't serve: an empty partition is valid data).
+#: Placeholder for a persist/checkpoint slot that hasn't been filled yet.
 _MISSING = object()
 
 
@@ -66,7 +66,7 @@ class RDD:
         #: flat_map_values; lets later same-partitioner aggregations skip
         #: their shuffle (Spark's co-partitioning optimization).
         self.partitioner: Any = None
-        self._cached: list[list[Any]] | None = None
+        self._cached: list[Any] | None = None
         self._persist = False
         self._checkpoint = False
         self._ckpt_data: list[Any] | None = None
@@ -80,22 +80,15 @@ class RDD:
         raise NotImplementedError
 
     def partition(self, split: int) -> list[Any]:
-        """Partition ``split``, consulting/populating the cache if persisted."""
-        if self._checkpoint:
-            return self._checkpointed_partition(split)
-        if not self._persist:
+        """Partition ``split``, consulting/populating the cache if persisted
+        or checkpointed."""
+        if not (self._checkpoint or self._persist):
             return self.compute(split)
         with self._cache_lock:
-            if self._cached is None:
-                self._cached = [None] * self.num_partitions  # type: ignore[list-item]
-        cached = self._cached
-        if cached[split] is None:
-            data = self.compute(split)
-            with self._cache_lock:
-                if cached[split] is None:
-                    cached[split] = data
-                    self.ctx.metrics.partitions_cached += 1
-        return cached[split]  # type: ignore[return-value]
+            data = self._slots()[split]
+        if data is _MISSING:
+            data = self._install(split, self.compute(split))
+        return data
 
     def persist(self) -> "RDD":
         """Keep computed partitions in memory for reuse (Spark's ``cache``)."""
@@ -140,6 +133,18 @@ class RDD:
         (the RDD is marked for checkpointing or persisted)."""
         return self._checkpoint or self._persist
 
+    def _slots(self) -> list[Any]:
+        """The cache's slots, created on first use (caller holds
+        ``_cache_lock``): the checkpoint's once :meth:`checkpoint` is
+        called, else the persist cache's."""
+        if self._checkpoint:
+            if self._ckpt_data is None:
+                self._ckpt_data = [_MISSING] * self.num_partitions
+            return self._ckpt_data
+        if self._cached is None:
+            self._cached = [_MISSING] * self.num_partitions
+        return self._cached
+
     def _uncached_splits(self) -> list[int]:
         """Partitions the persist/checkpoint cache does not hold yet
         (empty when the RDD isn't persisted or checkpointed at all).
@@ -148,70 +153,32 @@ class RDD:
         driver-side before forking workers (a fill computed inside a
         worker would die with it).
         """
-        with self._cache_lock:
-            if self._checkpoint:
-                if self._ckpt_data is None:
-                    return list(range(self.num_partitions))
-                return [i for i, d in enumerate(self._ckpt_data) if d is _MISSING]
-            if self._persist:
-                if self._cached is None:
-                    return list(range(self.num_partitions))
-                return [i for i, d in enumerate(self._cached) if d is None]
+        if not (self._checkpoint or self._persist):
             return []
-
-    def _install_partition(self, split: int, data: list[Any]) -> None:
-        """Driver-side install of an externally computed partition into the
-        persist/checkpoint cache (the process backend's cache-fill path —
-        same bookkeeping as computing it through :meth:`partition`)."""
-        if self._checkpoint:
-            with self._cache_lock:
-                if self._ckpt_data is None:
-                    self._ckpt_data = [_MISSING] * self.num_partitions
-                if self._ckpt_data[split] is not _MISSING:
-                    return
-                self._ckpt_data[split] = data
-                complete = all(d is not _MISSING for d in self._ckpt_data)
-            self.ctx.metrics.bump("spark.checkpointed_partitions")
-            if complete:
-                self.deps = []
-                from repro.trace.tracer import get_tracer
-
-                get_tracer().instant(
-                    "checkpoint_complete", category="spark.fault", rdd=self.id
-                )
-            return
-        if not self._persist:
-            return
         with self._cache_lock:
-            if self._cached is None:
-                self._cached = [None] * self.num_partitions  # type: ignore[list-item]
-            if self._cached[split] is None:
-                self._cached[split] = data
+            return [i for i, d in enumerate(self._slots()) if d is _MISSING]
+
+    def _install(self, split: int, data: list[Any]) -> list[Any]:
+        """Fill cache slot ``split`` with ``data`` unless another task
+        filled it first, and return the partition that won. A fill is
+        counted once; the one that completes a checkpoint truncates
+        lineage for good."""
+        with self._cache_lock:
+            slots = self._slots()
+            if slots[split] is not _MISSING:
+                return slots[split]
+            slots[split] = data
+            if not self._checkpoint:
                 self.ctx.metrics.partitions_cached += 1
+                return data
+            complete = all(d is not _MISSING for d in slots)
+        self.ctx.metrics.bump("spark.checkpointed_partitions")
+        if complete:
+            self.deps = []
+            from repro.trace.tracer import get_tracer
 
-    def _checkpointed_partition(self, split: int) -> list[Any]:
-        with self._cache_lock:
-            if self._ckpt_data is None:
-                self._ckpt_data = [_MISSING] * self.num_partitions
-            data = self._ckpt_data[split]
-        if data is not _MISSING:
-            return data
-        computed = self.compute(split)
-        with self._cache_lock:
-            if self._ckpt_data[split] is _MISSING:
-                self._ckpt_data[split] = computed
-                self.ctx.metrics.bump("spark.checkpointed_partitions")
-                if all(d is not _MISSING for d in self._ckpt_data):
-                    # Checkpoint complete: truncate lineage for good.
-                    self.deps = []
-                    from repro.trace.tracer import get_tracer
-
-                    get_tracer().instant(
-                        "checkpoint_complete", category="spark.fault", rdd=self.id
-                    )
-            else:
-                computed = self._ckpt_data[split]
-        return computed
+            get_tracer().instant("checkpoint_complete", category="spark.fault", rdd=self.id)
+        return data
 
     # ------------------------------------------------------------------
     # narrow transformations
@@ -966,6 +933,25 @@ class ShuffledRDD(RDD):
         ctx._inject_shuffle_corruption(store, index)
         self._store = store
 
+    def _recompute_map_task(self, store: Any, map_task: int) -> None:
+        """Rebuild one map output from lineage and store it pinned.
+
+        The caller holds ``_recompute_lock``. The rebuilt task's
+        accumulator updates go through the exactly-once commit, which
+        discards them (its logical task already committed during
+        materialization), keeping diagnostics bit-identical."""
+        ctx = self.ctx
+        with task_updates() as sink:
+            buckets = self._map_one(map_task, self._parent.partition(map_task))
+        assert self._map_job_id is not None
+        ctx._commit_task((self._map_job_id, map_task), encode_updates(sink))
+        # pin: a recomputed output must stay resident — re-spilling it
+        # could land it back on the fault that just destroyed it.
+        store.put(map_task, buckets, pin=True)
+        ctx.metrics.bump("spark.recomputed_partitions")
+        if ctx.fault_report is not None:
+            ctx.fault_report.record_recompute(self._shuffle_index or 0, map_task)
+
     def _recover_map_output(self, store: Any, map_task: int) -> None:
         """Recompute one lost/corrupt map output from the lineage DAG.
 
@@ -973,12 +959,8 @@ class ShuffledRDD(RDD):
         recover it once; the parent-partition recursion stops at
         persisted/checkpointed RDDs (recomputation barriers) and cascades
         through upstream shuffles' own recovery if *their* blocks are
-        also corrupt. The rebuilt map task's accumulator updates are
-        discarded by the exactly-once commit (its logical task already
-        committed during materialization), keeping diagnostics
-        bit-identical.
+        also corrupt.
         """
-        from repro.spark.accumulators import task_updates
         from repro.trace.tracer import get_tracer
 
         ctx = self.ctx
@@ -992,16 +974,7 @@ class ShuffledRDD(RDD):
                 "corrupt_block", category="spark.fault",
                 shuffle=self._shuffle_index, map_task=map_task, blocks=len(bad),
             )
-            with task_updates() as sink:
-                buckets = self._map_one(map_task, self._parent.partition(map_task))
-            assert self._map_job_id is not None
-            ctx._commit_task((self._map_job_id, map_task), sink)
-            # pin: a recomputed output must stay resident — re-spilling it
-            # could land it back on the fault that just destroyed it.
-            store.put(map_task, buckets, pin=True)
-            ctx.metrics.bump("spark.recomputed_partitions")
-            if ctx.fault_report is not None:
-                ctx.fault_report.record_recompute(self._shuffle_index or 0, map_task)
+            self._recompute_map_task(store, map_task)
             tracer.instant(
                 "recompute", category="spark.fault",
                 shuffle=self._shuffle_index, map_task=map_task,
@@ -1019,7 +992,6 @@ class ShuffledRDD(RDD):
         such failures escalates to :class:`SparkJobFailedError` carrying
         the fault report that names the lost file.
         """
-        from repro.spark.accumulators import task_updates
         from repro.spark.faults import SparkJobFailedError
         from repro.trace.tracer import get_tracer
 
@@ -1050,15 +1022,8 @@ class ShuffledRDD(RDD):
                         failures,
                         ctx.fault_report,
                     ) from err
-            assert self._map_job_id is not None
             for map_task in err.map_tasks:
-                with task_updates() as sink:
-                    buckets = self._map_one(map_task, self._parent.partition(map_task))
-                ctx._commit_task((self._map_job_id, map_task), sink)
-                store.put(map_task, buckets, pin=True)
-                ctx.metrics.bump("spark.recomputed_partitions")
-                if ctx.fault_report is not None:
-                    ctx.fault_report.record_recompute(shuffle, map_task)
+                self._recompute_map_task(store, map_task)
             store.mark_file_recovered(err.slot)
             ctx.metrics.bump("spark.spill_recoveries")
             if ctx.fault_report is not None:

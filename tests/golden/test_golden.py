@@ -40,3 +40,11 @@ def test_outputs_match_recorded_digests():
     assert not problems, f"{len(problems)} golden entries moved ({build}):\n" + "\n".join(
         problems[:20]
     )
+
+
+def test_diff_reports_fields_computed_but_not_recorded():
+    recorded = {"heat/case": {"digest": "abc"}}
+    current = {"heat/case": {"digest": "abc", "stats": "def"}}
+    assert golden.diff(recorded, current) == [
+        "heat/case: field 'stats' computed but not recorded"
+    ]

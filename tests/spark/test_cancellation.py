@@ -1,5 +1,6 @@
 """Cooperative SparkContext cancellation: clean unwind, clean state."""
 
+import os
 import threading
 import time
 
@@ -43,6 +44,20 @@ class TestCancelToken:
             finally:
                 timer.cancel()
             assert err.value.job is not None
+
+    def test_process_task_checks_the_token(self):
+        driver = os.getpid()
+
+        class SetInWorkers:
+            def is_set(self):
+                return os.getpid() != driver
+
+        with SparkContext(2, backend="process", cancel_token=SetInWorkers(), name="forked") as sc:
+            acc = sc.accumulator(0)
+            with pytest.raises(SparkJobCancelled) as err:
+                sc.parallelize(range(8), 4).map(lambda x: (acc.add(1), x)[1]).collect()
+            assert str(err.value) == "forked was cancelled (job 0, partition 0)"
+            assert acc.value == 0
 
     def test_uncancelled_job_unaffected(self):
         token = threading.Event()

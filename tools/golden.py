@@ -218,7 +218,8 @@ def load(path: Path = GOLDEN) -> dict[str, Any]:
 
 
 def diff(recorded: dict[str, Any], current: dict[str, dict[str, Any]]) -> list[str]:
-    """One line per entry that moved, naming its first differing field."""
+    """One line per entry that moved, naming its first differing field,
+    plus one per field or entry that is computed but not recorded."""
     problems: list[str] = []
     for key, fields in recorded.items():
         if key not in current:
@@ -230,6 +231,11 @@ def diff(recorded: dict[str, Any], current: dict[str, dict[str, Any]]) -> list[s
                     f"{key}: field {name!r} is {current[key].get(name)!r}, recorded {value!r}"
                 )
                 break
+        problems.extend(
+            f"{key}: field {name!r} computed but not recorded"
+            for name in current[key]
+            if name not in fields
+        )
     problems.extend(f"{key}: computed but not recorded" for key in current if key not in recorded)
     return problems
 
