@@ -13,7 +13,8 @@ Covered today: every rung of the six model ladders
 each ladder's ``cases()``, at the worker counts and with the fields of
 :data:`LADDERS`, except the k-means ``SCHEDULE_DEPENDENT`` rungs, whose
 float sums vary between runs; each kNN tree's neighbours and nodes
-visited; :func:`repro.pipeline.generate_arrests` and the Fig. 2 heat
+visited; the HPO elimination tournament, serial and on MPI;
+:func:`repro.pipeline.generate_arrests` and the Fig. 2 heat
 map; and a few serve solo-oracle ``result_digest`` values. A rung added
 to a ladder reads "computed but not recorded" until the file is
 rewritten.
@@ -40,6 +41,7 @@ import numpy as np
 from repro.align import ladder as align_ladder
 from repro.heat import ladder as heat_ladder
 from repro.hpo import ladder as hpo_ladder
+from repro.hpo import run_elimination_mpi, successive_halving
 from repro.kmeans import ladder as kmeans_ladder
 from repro.knn import ladder as knn_ladder
 from repro.pipeline import arrests_per_100k, generate_arrests, generate_ntas, heat_map_matrix
@@ -100,6 +102,17 @@ def _hpo(result: tuple[Any, list[Any]], search: tuple) -> dict[str, Any]:
         "predictions": _sha(ensemble.predict(probe)),
         "probabilities": _sha(ensemble.predict_proba(probe)),
         "std": _sha(ensemble.class_probability_std(probe)),
+    }
+
+
+def _tournament(report: Any) -> dict[str, Any]:
+    rounds = report.rounds
+    return {
+        "scores": _sha([r.scores for r in rounds]),
+        "survivors": _sha([r.survivors for r in rounds]),
+        "eliminated": _sha([r.eliminated for r in rounds]),
+        "winner": report.winner,
+        "weights": _sha(report.final_models[report.winner].get_weights()),
     }
 
 
@@ -165,6 +178,25 @@ def _knn_trees() -> Entries:
             yield f"knn/{name}-query/{tag}", query
 
 
+def _tournaments() -> Entries:
+    """The elimination tournament on each HPO case: per-round scores,
+    survivors and eliminated configs, the winner and its final weights,
+    serial and on MPI at 2 and 3 ranks."""
+    for seed, n_train, n_val in hpo_ladder.CASES:
+        grid, data, _, _ = hpo_ladder.problem(seed, n_train, n_val)
+        tag = f"seed={seed}/train={n_train}/val={n_val}/configs={len(grid)}/budget=12"
+        yield f"hpo/successive_halving/{tag}", lambda grid=grid, data=data: _tournament(
+            successive_halving(grid, *data, total_epoch_budget=12)
+        )
+        for ranks in (2, 3):
+            yield (
+                f"hpo/run_elimination_mpi/{tag}/workers={ranks}",
+                lambda grid=grid, data=data, ranks=ranks: _tournament(
+                    run_elimination_mpi(ranks, grid, *data, total_epoch_budget=12)
+                ),
+            )
+
+
 def _pipeline() -> Entries:
     for seed, (rows, cols), n in ((0, (2, 3), 500), (4, (3, 4), 1500)):
         ntas = generate_ntas(rows, cols, seed=seed)
@@ -204,6 +236,7 @@ def entries() -> Entries:
     for ladder in LADDERS:
         yield from _ladder(*ladder)
     yield from _knn_trees()
+    yield from _tournaments()
     yield from _pipeline()
     yield from _serve()
 
