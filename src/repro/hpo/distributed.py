@@ -25,10 +25,12 @@ fault-free serial search — rank deaths cost time, never accuracy.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 import numpy as np
 
 from repro.hpo.ensemble import DeepEnsemble
-from repro.hpo.search import HPOutcome, HyperParams, train_one
+from repro.hpo.search import HPOutcome, HyperParams, ensemble_of_top, ranked, train_one
 from repro.mpi import Communicator, FaultPlan, FaultReport, RankFailedError, run_spmd
 from repro.util.validation import require_positive_int
 
@@ -42,6 +44,29 @@ __all__ = [
 # App-level tags for the reassignment protocol (user tags must be >= 0).
 _TAG_REASSIGN = 7001
 _TAG_REASSIGN_RESULT = 7002
+
+
+def _train_share(
+    tasks: Iterable[int], grid: list[HyperParams], data: tuple
+) -> list[tuple[int, HPOutcome]]:
+    """Train the grid indices ``tasks`` here, each paired with its index."""
+    return [(t, train_one(grid[t], *data)) for t in tasks]
+
+
+def _by_task(gathered: list) -> dict[int, HPOutcome]:
+    """The gathered shares (None for a rank that died) as one map from
+    grid index to outcome."""
+    return {t: outcome for share in gathered for t, outcome in share or []}
+
+
+def _result(
+    by_task: dict[int, HPOutcome], top_m: int | None
+) -> tuple[DeepEnsemble, list[HPOutcome]]:
+    """Globally re-rank the gathered outcomes; build the top-M ensemble."""
+    outcomes = ranked(by_task)
+    m = top_m if top_m is not None else max(1, len(outcomes) // 2)
+    require_positive_int("top_m", m)
+    return ensemble_of_top(outcomes, m), outcomes
 
 
 def train_ensemble_mpi(
@@ -61,30 +86,16 @@ def train_ensemble_mpi(
     """
     if not grid:
         raise ValueError("hyperparameter grid is empty")
+    data = (train_x, train_y, val_x, val_y)
     # Round-robin task map: the idiom for uneven task/node division.
-    my_tasks = list(range(comm.rank, len(grid), comm.size))
-    my_outcomes = [
-        (t, train_one(grid[t], train_x, train_y, val_x, val_y)) for t in my_tasks
-    ]
-    gathered = comm.gather(my_outcomes, root=0)
+    mine = _train_share(range(comm.rank, len(grid), comm.size), grid, data)
+    gathered = comm.gather(mine, root=0)
     if comm.rank != 0:
         return None
-    by_task: dict[int, HPOutcome] = {}
-    for rank_list in gathered:
-        for task_id, outcome in rank_list:
-            by_task[task_id] = outcome
+    by_task = _by_task(gathered)
     if len(by_task) != len(grid):
         raise AssertionError("some tasks were never trained")
-    return _rank_results(by_task, top_m)
-
-
-def _rank_results(by_task: dict[int, HPOutcome], top_m: int | None):
-    """Globally re-rank gathered outcomes; build the top-M ensemble."""
-    order = sorted(by_task, key=lambda t: (-by_task[t].val_accuracy, t))
-    outcomes = [by_task[t] for t in order]
-    m = top_m if top_m is not None else max(1, len(outcomes) // 2)
-    require_positive_int("top_m", m)
-    return DeepEnsemble([o.model for o in outcomes[:m]]), outcomes
+    return _result(by_task, top_m)
 
 
 def train_ensemble_mpi_ft(
@@ -113,27 +124,17 @@ def train_ensemble_mpi_ft(
     """
     if not grid:
         raise ValueError("hyperparameter grid is empty")
-    my_tasks = list(range(comm.rank, len(grid), comm.size))
-    my_outcomes = [
-        (t, train_one(grid[t], train_x, train_y, val_x, val_y)) for t in my_tasks
-    ]
-    gathered, _missing = comm.gather_tolerant(my_outcomes, root=0)
+    data = (train_x, train_y, val_x, val_y)
+    mine = _train_share(range(comm.rank, len(grid), comm.size), grid, data)
+    gathered, _missing = comm.gather_tolerant(mine, root=0)
 
     if comm.rank != 0:
         # Serve reassignment rounds until the root says done (None).
-        while True:
-            extra = comm.recv(source=0, tag=_TAG_REASSIGN)
-            if extra is None:
-                return None
-            outcomes = [
-                (t, train_one(grid[t], train_x, train_y, val_x, val_y)) for t in extra
-            ]
-            comm.send(outcomes, dest=0, tag=_TAG_REASSIGN_RESULT)
+        while (extra := comm.recv(source=0, tag=_TAG_REASSIGN)) is not None:
+            comm.send(_train_share(extra, grid, data), dest=0, tag=_TAG_REASSIGN_RESULT)
+        return None
 
-    by_task: dict[int, HPOutcome] = {}
-    for rank_list in gathered:
-        for task_id, outcome in rank_list or []:
-            by_task[task_id] = outcome
+    by_task = _by_task(gathered)
     serving = [r for r in range(1, comm.size) if comm.is_alive(r)]
     while len(by_task) < len(grid):
         missing_tasks = [t for t in range(len(grid)) if t not in by_task]
@@ -144,8 +145,7 @@ def train_ensemble_mpi_ft(
         for r, share in shares.items():
             if r != 0 and share:
                 comm.send(share, dest=r, tag=_TAG_REASSIGN)
-        for t in shares[0]:
-            by_task[t] = train_one(grid[t], train_x, train_y, val_x, val_y)
+        by_task.update(_train_share(shares[0], grid, data))
         for r, share in shares.items():
             if r == 0 or not share:
                 continue
@@ -154,12 +154,11 @@ def train_ensemble_mpi_ft(
                 # Died mid-round; its share stays missing for the next round.
                 serving.remove(r)
                 continue
-            for task_id, outcome in got:
-                by_task[task_id] = outcome
+            by_task.update(got)
     for r in serving:
         if comm.is_alive(r):
             comm.send(None, dest=r, tag=_TAG_REASSIGN)
-    return _rank_results(by_task, top_m)
+    return _result(by_task, top_m)
 
 
 def run_distributed_hpo_ft(

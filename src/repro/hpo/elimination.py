@@ -7,22 +7,23 @@ of the lowest performing nodes and reassign their resources" (paper §7).
 That is successive halving: train all configurations a few epochs,
 evaluate, kill the worst performers, and hand their training budget to
 the survivors — repeated until one round remains. Both a serial and an
-SPMD driver are provided; in the distributed one, surviving models are
-*re-distributed* across all ranks each round, so ranks whose models were
-eliminated immediately pick up survivors — the resource reassignment
-the variation asks for.
+SPMD driver are provided, and both run one tournament loop
+(:func:`_tournament`) that differs only in its round's training step;
+in the distributed one, surviving models are *re-distributed* across
+all ranks each round, so ranks whose models were eliminated immediately
+pick up survivors — the resource reassignment the variation asks for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from repro.hpo.ensemble import DeepEnsemble
 from repro.hpo.nn.network import MLP
-from repro.hpo.nn.optimizers import SGD
-from repro.hpo.search import HyperParams
+from repro.hpo.search import HyperParams, best_first, build, fit
 from repro.mpi import Communicator, run_spmd
 from repro.util.validation import require_positive_int
 
@@ -53,36 +54,14 @@ class EliminationReport:
         """Config index with the best final validation accuracy."""
         if not self.final_scores:
             raise ValueError("no finished configurations")
-        return max(self.final_scores, key=lambda c: (self.final_scores[c], -c))
+        return best_first(self.final_scores)[0]
 
     def ensemble(self, m: int | None = None) -> DeepEnsemble:
         """Ensemble of the top-``m`` finishers (default: all)."""
-        order = sorted(self.final_scores, key=lambda c: (-self.final_scores[c], c))
-        chosen = order[: m or len(order)]
+        chosen = best_first(self.final_scores)[: m or None]
         if not chosen:
             raise ValueError("no finished configurations")
         return DeepEnsemble([self.final_models[c] for c in chosen])
-
-
-def _build_model(params: HyperParams, input_size: int, num_classes: int) -> MLP:
-    return MLP(
-        (input_size, *params.hidden_sizes, num_classes),
-        activation="relu",
-        seed=params.seed + hash(params.hidden_sizes) % 1000,
-    )
-
-
-def _train_rounds(
-    model: MLP, params: HyperParams, epochs: int, train_x, train_y, shuffle_seed: int
-) -> None:
-    model.fit(
-        train_x,
-        train_y,
-        epochs=epochs,
-        batch_size=params.batch_size,
-        optimizer=SGD(lr=params.learning_rate, momentum=params.momentum),
-        shuffle_seed=shuffle_seed,
-    )
 
 
 def _plan(num_configs: int, total_epoch_budget: int, keep_fraction: float) -> list[tuple[int, int]]:
@@ -107,6 +86,55 @@ def _plan(num_configs: int, total_epoch_budget: int, keep_fraction: float) -> li
     return rounds
 
 
+def _tournament(
+    grid: list[HyperParams],
+    data: tuple,
+    total_epoch_budget: int,
+    keep_fraction: float,
+    step: Callable[[list[int], dict[int, MLP], Callable[[int], float]], dict[int, float]],
+) -> EliminationReport:
+    """The train-evaluate-eliminate loop both drivers run: each round,
+    ``step(alive, models, train)`` trains the alive configs, the best
+    ``keep_fraction`` survive (all of them in the last round), and the
+    rest are dropped. ``alive`` is ascending, and ``train(c)`` fits
+    config ``c``'s model for the round and returns its validation
+    accuracy; the step leaves every alive model trained and returns
+    every alive config's score."""
+    train_x, train_y, val_x, val_y = data
+    models = {c: build(params, train_x, train_y, val_y) for c, params in enumerate(grid)}
+    report = EliminationReport()
+    schedule = _plan(len(grid), total_epoch_budget, keep_fraction)
+    for round_index, (_pop, epochs_each) in enumerate(schedule):
+
+        def train(c: int) -> float:
+            shuffle_seed = grid[c].seed * 1000 + round_index
+            fit(models[c], grid[c], train_x, train_y, epochs_each, shuffle_seed)
+            return models[c].accuracy(val_x, val_y)
+
+        scores = step(list(models), models, train)
+        ranking = best_first(scores)
+        keep = len(ranking)
+        if round_index < len(schedule) - 1:
+            keep = max(1, int(np.ceil(keep * keep_fraction)))
+        record = RoundRecord(
+            round_index, epochs_each, scores, sorted(ranking[:keep]), sorted(ranking[keep:])
+        )
+        report.rounds.append(record)
+        for c in record.eliminated:
+            del models[c]
+    report.final_models = models
+    report.final_scores = {c: scores[c] for c in models}
+    return report
+
+
+def _validate(grid: list[HyperParams], total_epoch_budget: int, keep_fraction: float) -> None:
+    if not grid:
+        raise ValueError("hyperparameter grid is empty")
+    require_positive_int("total_epoch_budget", total_epoch_budget)
+    if not 0.0 < keep_fraction < 1.0:
+        raise ValueError(f"keep_fraction must be in (0, 1), got {keep_fraction}")
+
+
 def successive_halving(
     grid: list[HyperParams],
     train_x: np.ndarray,
@@ -118,46 +146,11 @@ def successive_halving(
     keep_fraction: float = 0.5,
 ) -> EliminationReport:
     """Serial train-evaluate-eliminate tournament over the grid."""
-    if not grid:
-        raise ValueError("hyperparameter grid is empty")
-    require_positive_int("total_epoch_budget", total_epoch_budget)
-    if not 0.0 < keep_fraction < 1.0:
-        raise ValueError(f"keep_fraction must be in (0, 1), got {keep_fraction}")
-
-    input_size = train_x.shape[1]
-    num_classes = int(max(train_y.max(), val_y.max())) + 1
-    alive = list(range(len(grid)))
-    models = {c: _build_model(grid[c], input_size, num_classes) for c in alive}
-    report = EliminationReport()
-
-    schedule = _plan(len(grid), total_epoch_budget, keep_fraction)
-    for round_index, (expected_pop, epochs_each) in enumerate(schedule):
-        del expected_pop  # derived from keep_fraction; alive tracks reality
-        scores: dict[int, float] = {}
-        for c in alive:
-            _train_rounds(
-                models[c], grid[c], epochs_each, train_x, train_y,
-                shuffle_seed=grid[c].seed * 1000 + round_index,
-            )
-            scores[c] = models[c].accuracy(val_x, val_y)
-        if round_index == len(schedule) - 1:
-            survivors = sorted(alive)
-            eliminated: list[int] = []
-        else:
-            keep = max(1, int(np.ceil(len(alive) * keep_fraction)))
-            ranked = sorted(alive, key=lambda c: (-scores[c], c))
-            survivors = sorted(ranked[:keep])
-            eliminated = sorted(ranked[keep:])
-        report.rounds.append(
-            RoundRecord(round_index, epochs_each, scores, survivors, eliminated)
-        )
-        for c in eliminated:
-            models.pop(c)
-        alive = survivors
-
-    report.final_models = models
-    report.final_scores = {c: report.rounds[-1].scores[c] for c in alive}
-    return report
+    _validate(grid, total_epoch_budget, keep_fraction)
+    return _tournament(
+        grid, (train_x, train_y, val_x, val_y), total_epoch_budget, keep_fraction,
+        lambda alive, _models, train: {c: train(c) for c in alive},
+    )
 
 
 def run_elimination_mpi(
@@ -183,52 +176,24 @@ def run_elimination_mpi(
     """
 
     def program(comm: Communicator) -> EliminationReport | None:
-        input_size = train_x.shape[1]
-        num_classes = int(max(train_y.max(), val_y.max())) + 1
-        alive = list(range(len(grid)))
         # Every rank keeps the weight state of every alive config (tiny
         # models); only *training work* is divided. This mirrors how the
         # classroom solution shares models via gather/bcast.
-        models = {c: _build_model(grid[c], input_size, num_classes) for c in alive}
-        report = EliminationReport()
-        schedule = _plan(len(grid), total_epoch_budget, keep_fraction)
-
-        for round_index, (_pop, epochs_each) in enumerate(schedule):
-            my_configs = [alive[i] for i in range(comm.rank, len(alive), comm.size)]
-            my_payload = []
-            for c in my_configs:
-                _train_rounds(
-                    models[c], grid[c], epochs_each, train_x, train_y,
-                    shuffle_seed=grid[c].seed * 1000 + round_index,
-                )
-                my_payload.append((c, models[c].get_weights(), models[c].accuracy(val_x, val_y)))
-            everyone = comm.allgather(my_payload)
+        def step(alive: list[int], models: dict[int, MLP], train: Callable) -> dict[int, float]:
+            mine = [(c, train(c)) for c in alive[comm.rank :: comm.size]]
             scores: dict[int, float] = {}
-            for rank_list in everyone:
+            for rank_list in comm.allgather(
+                [(c, models[c].get_weights(), acc) for c, acc in mine]
+            ):
                 for c, weights, acc in rank_list:
                     models[c].set_weights(weights)
                     scores[c] = acc
-            if round_index == len(schedule) - 1:
-                survivors = sorted(alive)
-                eliminated: list[int] = []
-            else:
-                keep = max(1, int(np.ceil(len(alive) * keep_fraction)))
-                ranked = sorted(alive, key=lambda c: (-scores[c], c))
-                survivors = sorted(ranked[:keep])
-                eliminated = sorted(ranked[keep:])
-            report.rounds.append(
-                RoundRecord(round_index, epochs_each, scores, survivors, eliminated)
-            )
-            for c in eliminated:
-                models.pop(c)
-            alive = survivors
+            return scores
 
-        if comm.rank != 0:
-            return None
-        report.final_models = models
-        report.final_scores = {c: report.rounds[-1].scores[c] for c in alive}
-        return report
+        report = _tournament(
+            grid, (train_x, train_y, val_x, val_y), total_epoch_budget, keep_fraction, step
+        )
+        return report if comm.rank == 0 else None
 
-    if not grid:
-        raise ValueError("hyperparameter grid is empty")
+    _validate(grid, total_epoch_budget, keep_fraction)
     return run_spmd(num_ranks, program)[0]

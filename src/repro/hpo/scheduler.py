@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from repro.util.partition import distribute_tasks
 from repro.util.validation import require_positive_int
 
-__all__ = ["ScheduleReport", "simulate_schedule", "greedy_lpt_schedule"]
+__all__ = ["ScheduleReport", "simulate_schedule", "round_robin_schedule", "greedy_lpt_schedule"]
 
 
 @dataclass
@@ -85,5 +85,3 @@ def greedy_lpt_schedule(task_costs: list[float], num_nodes: int) -> ScheduleRepo
         loads[target] += task_costs[t]
     return simulate_schedule(task_costs, assignment)
 
-
-__all__.append("round_robin_schedule")

@@ -5,16 +5,17 @@ Optimization (HPO) so uncertainty evaluation is essentially free (in
 execution time). We use the best-performing models to identify both the
 uncertainty and optimal hyperparameters" (paper §7).
 
-:func:`hyperparameter_grid` enumerates configurations;
-:func:`train_one` trains and scores one of them (this is the unit of
-distributed work); :func:`run_hpo_serial` runs the whole search and
-returns the outcomes sorted best-first, from which the top-M ensemble is
-assembled.
+:func:`hyperparameter_grid` enumerates configurations; :func:`build`
+and :func:`fit` are the one network and the one SGD fit of a
+configuration; :func:`train_one` trains and scores one of them (this is
+the unit of distributed work); :func:`run_hpo_serial` runs the whole
+search and returns the outcomes :func:`ranked` best-first, from which
+the top-M ensemble is assembled.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -60,7 +61,6 @@ class HPOutcome:
     model: MLP
     val_accuracy: float
     train_accuracy: float
-    extra: dict = field(default_factory=dict)
 
 
 def hyperparameter_grid(
@@ -89,38 +89,62 @@ def hyperparameter_grid(
     return grid
 
 
+def build(
+    params: HyperParams, train_x: np.ndarray, train_y: np.ndarray, val_y: np.ndarray
+) -> MLP:
+    """The untrained network of ``params`` for this data: one input per
+    feature, one output per class seen in training or validation, and
+    weights seeded by the configuration alone."""
+    num_classes = int(max(train_y.max(), val_y.max())) + 1
+    return MLP(
+        (train_x.shape[1], *params.hidden_sizes, num_classes),
+        activation="relu",
+        seed=params.seed + hash(params.hidden_sizes) % 1000,
+    )
+
+
+def fit(
+    model: MLP, params: HyperParams, train_x: np.ndarray, train_y: np.ndarray,
+    epochs: int, shuffle_seed: int,
+) -> MLP:
+    """Train ``model`` for ``epochs`` more epochs with ``params``' SGD."""
+    return model.fit(
+        train_x,
+        train_y,
+        epochs=epochs,
+        batch_size=params.batch_size,
+        optimizer=SGD(lr=params.learning_rate, momentum=params.momentum),
+        shuffle_seed=shuffle_seed,
+    )
+
+
+def best_first(scores: dict[int, float]) -> list[int]:
+    """The indices of ``scores`` by descending score, ties toward the
+    lower index: the one total, reproducible ranking of every search."""
+    return sorted(scores, key=lambda i: (-scores[i], i))
+
+
+def ranked(by_task: dict[int, HPOutcome]) -> list[HPOutcome]:
+    """Outcomes keyed by grid index, best first."""
+    return [by_task[t] for t in best_first({t: o.val_accuracy for t, o in by_task.items()})]
+
+
 def train_one(
     params: HyperParams,
     train_x: np.ndarray,
     train_y: np.ndarray,
     val_x: np.ndarray,
     val_y: np.ndarray,
-    *,
-    input_size: int | None = None,
-    num_classes: int | None = None,
 ) -> HPOutcome:
     """Train and score one configuration — the distributable task unit.
 
     Fully deterministic in ``params``: the same configuration yields the
     same model no matter where (which rank/node) it runs.
     """
-    input_size = input_size or train_x.shape[1]
-    num_classes = num_classes or int(max(train_y.max(), val_y.max())) + 1
     tracer = get_tracer()
     with tracer.span("hpo.trial", category="hpo", config=params.describe()) as sp:
-        model = MLP(
-            (input_size, *params.hidden_sizes, num_classes),
-            activation="relu",
-            seed=params.seed + hash(params.hidden_sizes) % 1000,
-        )
-        model.fit(
-            train_x,
-            train_y,
-            epochs=params.epochs,
-            batch_size=params.batch_size,
-            optimizer=SGD(lr=params.learning_rate, momentum=params.momentum),
-            shuffle_seed=params.seed,
-        )
+        model = build(params, train_x, train_y, val_y)
+        fit(model, params, train_x, train_y, params.epochs, params.seed)
         outcome = HPOutcome(
             params=params,
             model=model,
@@ -145,22 +169,10 @@ def run_hpo_serial(
     Ties break toward the earlier grid entry, so the ranking is total
     and reproducible.
     """
-    outcomes = [
-        train_one(p, train_x, train_y, val_x, val_y) for p in grid
-    ]
-    order = sorted(
-        range(len(outcomes)), key=lambda i: (-outcomes[i].val_accuracy, i)
-    )
-    return [outcomes[i] for i in order]
+    return ranked({i: train_one(p, train_x, train_y, val_x, val_y) for i, p in enumerate(grid)})
 
 
-def _train_task(
-    refs: tuple,
-    input_size: int,
-    num_classes: int,
-    _index: int,
-    params: HyperParams,
-) -> HPOutcome:
+def _train_task(refs: tuple, _index: int, params: HyperParams) -> HPOutcome:
     """One pooled trial: resolve the published datasets, train, score.
 
     Module-level (bound with :func:`functools.partial`) so the payload
@@ -168,11 +180,7 @@ def _train_task(
     the dataset *descriptors* and the parameter grid travel with the
     job, not the arrays.
     """
-    train_x, train_y, val_x, val_y = (np.array(r.array()) for r in refs)
-    return train_one(
-        params, train_x, train_y, val_x, val_y,
-        input_size=input_size, num_classes=num_classes,
-    )
+    return train_one(params, *(np.array(r.array()) for r in refs))
 
 
 def run_hpo_executor(
@@ -202,29 +210,20 @@ def run_hpo_executor(
 
     from repro.core.executor import Executor, get_executor
 
-    train_x = np.asarray(train_x)
-    train_y = np.asarray(train_y)
-    val_x = np.asarray(val_x)
-    val_y = np.asarray(val_y)
-    input_size = train_x.shape[1]
-    num_classes = int(max(train_y.max(), val_y.max())) + 1
     owns_executor = not isinstance(backend, Executor)
     executor = get_executor(backend, num_workers)
     refs = []
     try:
-        refs = tuple(executor.publish(a) for a in (train_x, train_y, val_x, val_y))
-        outcomes = executor.map(
-            functools.partial(_train_task, refs, input_size, num_classes), list(grid)
+        refs = tuple(
+            executor.publish(np.asarray(a)) for a in (train_x, train_y, val_x, val_y)
         )
+        outcomes = executor.map(functools.partial(_train_task, refs), list(grid))
     finally:
         for ref in refs:
             executor.unpublish(ref)
         if owns_executor:
             executor.close()
-    order = sorted(
-        range(len(outcomes)), key=lambda i: (-outcomes[i].val_accuracy, i)
-    )
-    return [outcomes[i] for i in order]
+    return ranked(dict(enumerate(outcomes)))
 
 
 def ensemble_of_top(outcomes: list[HPOutcome], m: int) -> DeepEnsemble:

@@ -325,12 +325,12 @@ class SparkContext:
         submission order — the coordinate task-level fault events use:
         this job, then its map stages, see :meth:`_run_map_stages`).
 
-        Every backend runs the same steps: the map stages, the fault
-        schedule resolved on the driver in partition order, one task
-        body mapped over the partitions, and the exactly-once commits
-        in partition order. Only the executor differs, plus the process
-        backend's :meth:`_fill_caches` (a cache filled inside a forked
-        worker would die with it)."""
+        Every backend runs the same steps: the map stages, the caches
+        and shuffles healed and filled on the driver
+        (:meth:`_fill_caches`), the fault schedule resolved on the
+        driver in partition order, one task body mapped over the
+        partitions, and the exactly-once commits in partition order.
+        Only the executor differs."""
         self._check_alive()
         self._check_cancelled()
         with self._job_lock:
@@ -347,12 +347,12 @@ class SparkContext:
             self._run_map_stages(rdd)
             executor: Executor
             if backend == "process":
-                self._fill_caches(tracer, rdd)
                 executor = self._process_executor()
             elif backend == "serial":
                 executor = SerialExecutor()
             else:
                 executor = ThreadExecutor(self.num_workers)
+            self._fill_caches(executor, tracer, rdd)
             if self._fault_plan is not None:
                 for i in range(rdd.num_partitions):
                     self._resolve_task_faults(tracer, i, job_id)
@@ -463,9 +463,25 @@ class SparkContext:
         Task bodies close over live lineage, so on the process backend
         they never pickle and always take the executor's fork path:
         fresh workers per job that see the driver state as of *this* job.
+        A body run in such a worker also sends home the ``metrics.extra``
+        counters it bumped there (merge passes, say), which the driver
+        adds to its own.
         """
+        here = os.getpid()
+
+        def counted(i: int, item: Any) -> tuple[Any, dict[str, int]]:
+            if os.getpid() == here:
+                return body(i, item), {}
+            before = dict(self.metrics.extra)
+            out = body(i, item)
+            return out, {
+                key: n - before.get(key, 0)
+                for key, n in self.metrics.extra.items()
+                if n != before.get(key, 0)
+            }
+
         try:
-            return executor.map(body, items)
+            outcomes = executor.map(counted, items)
         except WorkerCrashError as crash:
             self.metrics.bump("spark.worker_crashes")
             if self.fault_report is not None:
@@ -474,10 +490,14 @@ class SparkContext:
                 "worker_crash", category="spark.fault", scope="spark.driver",
                 worker=crash.worker, exitcode=crash.exitcode, lost=len(crash.missing),
             )
-            outcomes = dict(crash.completed)
+            done = dict(crash.completed)
             for i in crash.missing:
-                outcomes[i] = body(i, items[i])
-            return [outcomes[i] for i in range(len(items))]
+                done[i] = counted(i, items[i])
+            outcomes = [done[i] for i in range(len(items))]
+        for _out, bumps in outcomes:
+            for key, n in bumps.items():
+                self.metrics.bump(key, n)
+        return [out for out, _bumps in outcomes]
 
     def _process_executor(self) -> Executor:
         """The context's process-backend executor."""
@@ -503,22 +523,25 @@ class SparkContext:
             if isinstance(node, ShuffledRDD) and node._store is None:
                 node._materialize_shuffle()
 
-    def _fill_caches(self, tracer: Any, rdd: RDD) -> None:
-        """Fill the persist/checkpoint caches of ``rdd``'s lineage by
-        process maps before a job's tasks fork (a fill computed inside a
-        worker would die with it), applying each fill's accumulator
-        updates once. On the other backends, and in ``take``, the first
-        task to compute a cached partition fills it and folds the
-        updates into its own sink.
+    def _fill_caches(self, executor: Executor, tracer: Any, rdd: RDD) -> None:
+        """Before a job's tasks run, heal each shuffle in ``rdd``'s
+        lineage (its corrupt resident blocks and damaged spill runs) and
+        fill the lineage's persist/checkpoint caches by maps over the
+        job's ``executor``, applying each fill's accumulator updates
+        once.
 
-        For the same reason each shuffle's corrupt blocks are recovered
-        here, before anything that fetches them forks: every task of a
-        job fetches every block of the shuffles it reads, so the other
-        backends detect the same blocks, and the store is healed once."""
+        Tasks that found a cache empty or a block damaged would each
+        fill or recover it, commit the updates of every copy they
+        computed, and, in a forked worker, lose the fill and the
+        recovery's report with the worker. Only ``take``, which runs no
+        job, fills caches in the partition that reads them."""
         for node in lineage(rdd):
             if isinstance(node, ShuffledRDD):
-                for map_task in range(node._store.num_maps):
-                    node._recover_map_output(node._store, map_task)
+                store = node._store
+                for map_task in range(store.num_maps):
+                    node._recover_map_output(store, map_task)
+                for err in store.damaged_spill_files():
+                    node._recover_spill_file(store, err)
             if splits := node._uncached_splits():
                 def fill(
                     _i: int, split: int, r: RDD = node
@@ -527,7 +550,7 @@ class SparkContext:
                         data = r.compute(split)
                     return data, encode_updates(sink)
 
-                filled = self._map_tasks(self._process_executor(), tracer, fill, splits)
+                filled = self._map_tasks(executor, tracer, fill, splits)
                 for split, (data, pairs) in zip(splits, filled):
                     node._install(split, data)
                     apply_encoded_updates(pairs)

@@ -149,9 +149,7 @@ class RDD:
         """Partitions the persist/checkpoint cache does not hold yet
         (empty when the RDD isn't persisted or checkpointed at all).
 
-        Used by the process backend to find what must be materialized
-        driver-side before forking workers (a fill computed inside a
-        worker would die with it).
+        Used to find what the driver fills before a job's tasks run.
         """
         if not (self._checkpoint or self._persist):
             return []

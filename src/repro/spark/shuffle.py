@@ -121,7 +121,7 @@ class SpillFileInfo:
 class _SpillFile:
     """Bookkeeping for one run file: its block index and liveness."""
 
-    __slots__ = ("slot", "path", "index", "map_tasks", "bytes", "lost", "recovered")
+    __slots__ = ("slot", "path", "index", "map_tasks", "bytes", "lost", "recovered", "checked")
 
     def __init__(self, slot: int, path: Path, map_tasks: tuple[int, ...]) -> None:
         self.slot = slot
@@ -132,6 +132,8 @@ class _SpillFile:
         self.bytes = 0
         self.lost = False
         self.recovered = False
+        #: Read back whole and found intact by :meth:`ShuffleBlockStore.damaged_spill_files`.
+        self.checked = False
 
 
 class ShuffleBlockStore:
@@ -341,6 +343,15 @@ class ShuffleBlockStore:
         """Read + verify one spilled block; escalate any damage to a
         whole-file :class:`LostSpillFileError` (one bad byte poisons the
         run — every map output in it is recomputed)."""
+        payload = self._spill_payload(record, map_task, reduce_part, fh)
+        if self.compress:
+            payload = zlib.decompress(payload)
+        return pickle.loads(payload)
+
+    def _spill_payload(
+        self, record: _SpillFile, map_task: int, reduce_part: int, fh: Any = None
+    ) -> bytes:
+        """One spilled block's stored bytes, checked against its index entry."""
         if record.lost:
             raise LostSpillFileError(
                 record.slot, str(record.path), "previously detected loss", record.map_tasks
@@ -360,9 +371,37 @@ class ShuffleBlockStore:
             raise self._lose_file(record, f"truncated ({offset + len(payload)} bytes)")
         if zlib.crc32(payload) != crc:
             raise self._lose_file(record, "checksum mismatch")
-        if self.compress:
-            payload = zlib.decompress(payload)
-        return pickle.loads(payload)
+        return payload
+
+    def damaged_spill_files(self) -> list[LostSpillFileError]:
+        """Check each spill run that holds some map output's only copy and
+        was not found intact before: every block, in the order the reduce
+        tasks fetch them (partition by partition, map tasks ascending).
+        Each damaged run is marked lost and returned as the error its
+        first failing fetch would raise."""
+        with self._lock:
+            per_file: dict[int, list[int]] = {}
+            for m, slot in self._spilled_slot.items():
+                if self._blocks[m] is None:
+                    per_file.setdefault(slot, []).append(m)
+            unchecked = [
+                (self._files[slot], sorted(tasks))
+                for slot, tasks in sorted(per_file.items())
+                if not (self._files[slot].lost or self._files[slot].checked)
+            ]
+        damaged: list[LostSpillFileError] = []
+        for record, tasks in unchecked:
+            try:
+                with open(record.path, "rb") as fh:
+                    for reduce_part in range(self.num_parts):
+                        for m in tasks:
+                            self._spill_payload(record, m, reduce_part, fh)
+                record.checked = True
+            except FileNotFoundError:
+                damaged.append(self._lose_file(record, "file deleted"))
+            except LostSpillFileError as err:
+                damaged.append(err)
+        return damaged
 
     def _lose_file(self, record: _SpillFile, reason: str) -> LostSpillFileError:
         with self._lock:

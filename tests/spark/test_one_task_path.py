@@ -90,3 +90,24 @@ def test_backend_matches_serial(backend, serial):
     assert got.summary == serial.summary
     assert got.extra == serial.extra
     assert got.partitions_cached == serial.partitions_cached
+
+
+def _calls_through_cache(backend: str) -> int:
+    """Updates committed when four tasks read one uncached persisted
+    partition at once (a 1 x 4 cartesian product)."""
+    with SparkContext(4, backend=backend) as sc:
+        calls = sc.accumulator(0)
+
+        def f(x: int) -> int:
+            calls.add(1)
+            time.sleep(0.01)
+            return x
+
+        cached = sc.parallelize(range(4), 1).map(f).persist()
+        assert cached.cartesian(sc.parallelize(range(4), 4)).count() == 16
+        return calls.value
+
+
+@pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+def test_cached_partition_commits_its_updates_once(backend):
+    assert _calls_through_cache(backend) == 4

@@ -83,11 +83,18 @@ class TestSingleSpillFaults:
         assert extra["spark.spill_recoveries"] == 1
 
     def test_serial_and_thread_agree_under_fault(self):
-        plan = SparkFaultPlan.truncate_spill(0, file=0)
-        serial, serial_extra, _ = run_count(plan, backend="serial")
-        thread, _, _ = run_count(plan, backend="thread")
-        assert serial == thread == BASELINE
-        assert serial_extra["spark.spill_recoveries"] == 1
+        # Lost runs are healed on the driver, so a process backend's
+        # forked workers never recover (and report) one out of its sight.
+        for ctor in ("truncate_spill", "delete_spill"):
+            plan = getattr(SparkFaultPlan, ctor)(0, file=0)
+            serial, serial_extra, serial_report = run_count(plan, backend="serial")
+            assert serial == BASELINE
+            assert serial_extra["spark.spill_recoveries"] == 1
+            for backend in ("thread", "process"):
+                counts, extra, report = run_count(plan, backend=backend)
+                assert counts == BASELINE
+                assert extra == serial_extra, (ctor, backend)
+                assert report.spill_recoveries == serial_report.spill_recoveries == [(0, 0)]
 
 
 class TestUnrecoverablePlans:

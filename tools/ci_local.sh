@@ -119,6 +119,7 @@ if [ "${1:-}" = "--pool" ]; then
         tests/spark/test_stages.py \
         tests/spark/test_map_side_combine.py \
         tests/spark/test_one_task_path.py \
+        tests/spark/test_spill_faults.py \
         tests/mapreduce/test_executor_backend.py \
         tests/mapreduce/test_keymultivalue.py \
         tests/kmeans/test_parallel_kmeans.py \
