@@ -117,3 +117,9 @@ class TestDistributedElimination:
     def test_empty_grid_rejected(self, data):
         with pytest.raises(ValueError, match="empty"):
             run_elimination_mpi(2, [], *data)
+
+    def test_options_checked_like_serial(self, grid, data):
+        with pytest.raises(ValueError, match="keep_fraction"):
+            run_elimination_mpi(2, grid, *data, keep_fraction=1.0)
+        with pytest.raises(ValueError, match="total_epoch_budget"):
+            run_elimination_mpi(2, grid, *data, total_epoch_budget=0)
