@@ -2,8 +2,13 @@
 
 The implementation mirrors mpi4py's lowercase API (pickle-based object
 messaging). Every collective is built on the point-to-point layer using
-reserved negative tags, so the whole stack exercises one well-tested
-matching engine.
+reserved negative tags, so the whole stack exercises one matching
+engine: ``_Mailbox.match``. A receive that finds no match waits on its
+own gate lock, which the next post, an abort or a rank death opens;
+nothing polls. The root-linear collectives (``barrier``, ``bcast``,
+``scatter``, ``gather``, ``reduce``, ``gather_tolerant``, ``split``) are
+built from two legs, ``_fan_in`` to a root and ``_fan_out`` from it,
+where the root's own item makes the same pickle round trip as a message.
 
 Ordering guarantees match MPI: messages between one (sender, receiver,
 communicator) pair are non-overtaking for a given tag pattern, and all
@@ -63,6 +68,16 @@ _TAG_NAMES = {
 }
 
 
+#: What a tolerant collective receive yields for a rank that died silent.
+_DEAD = object()
+
+
+def _copy(obj: Any) -> Any:
+    """The pickle round trip every message makes: a root's own item in a
+    collective gets the same value semantics as the items it sends."""
+    return pickle.loads(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
+
+
 def _tag_label(tag: int) -> str:
     if tag == ANY_TAG:
         return "ANY_TAG"
@@ -88,47 +103,40 @@ class _Envelope:
 
 
 class _Mailbox:
-    """Per-rank message store with condition-variable based matching."""
+    """Per-rank message store; a blocked receiver waits on its own gate.
+
+    One lock guards the queue and the posted gates (the ``TeamBarrier``
+    idiom of :mod:`repro.util.team`). A receiver that finds no match
+    posts a held gate lock and blocks on it for the rest of its
+    deadline; every :meth:`put` and :meth:`wake_all` opens every posted
+    gate, and each woken receiver rescans the queue.
+    """
 
     def __init__(self, world: "World", rank: int) -> None:
         self._world = world
         self._rank = rank
-        self._cond = threading.Condition()
+        self._lock = threading.Lock()
         self._messages: list[_Envelope] = []
+        self._gates: list[threading.Lock] = []
+
+    def _open_gates(self) -> None:
+        gates, self._gates = self._gates, []
+        for gate in gates:
+            gate.release()
 
     def put(self, env: _Envelope) -> None:
-        with self._cond:
+        with self._lock:
             self._messages.append(env)
             depth = len(self._messages)
-            self._cond.notify_all()
+            self._open_gates()
         tracer = self._world.tracer
         if tracer.enabled:
             tracer.metrics.gauge("mailbox.queue_depth", rank=self._rank).set(depth)
 
     def wake_all(self) -> None:
-        """Wake blocked receivers (used when the world aborts)."""
-        with self._cond:
-            self._cond.notify_all()
-
-    def _find(self, comm_id: int, src_world: int | None, tag: int) -> int | None:
-        for i, env in enumerate(self._messages):
-            if env.comm_id != comm_id:
-                continue
-            if src_world is not None and env.src_world != src_world:
-                continue
-            if tag != ANY_TAG and env.tag != tag:
-                continue
-            return i
-        return None
-
-    def try_match(
-        self, comm_id: int, src_world: int | None, tag: int, *, remove: bool
-    ) -> _Envelope | None:
-        with self._cond:
-            i = self._find(comm_id, src_world, tag)
-            if i is None:
-                return None
-            return self._messages.pop(i) if remove else self._messages[i]
+        """Wake blocked receivers (on abort and on a rank's death)."""
+        with self._lock:
+            self._open_gates()
 
     def match(
         self,
@@ -137,67 +145,54 @@ class _Mailbox:
         tag: int,
         *,
         remove: bool,
+        block: bool = True,
+        dead_ok: bool = False,
         op: str = "recv",
         peer: str = "ANY_SOURCE",
-    ) -> _Envelope:
-        """Block until a matching message arrives (or abort / deadlock).
-
-        ``op`` and ``peer`` name the blocked operation and its partner in
-        the :class:`DeadlockError` message, so a hang (organic or
-        fault-injected) is diagnosable from the error alone.
-        """
-        deadline = time.monotonic() + self._world.timeout
-        with self._cond:
-            while True:
-                if self._world.aborted:
-                    raise SpmdAbort("world aborted while waiting for a message")
-                i = self._find(comm_id, src_world, tag)
-                if i is not None:
-                    return self._messages.pop(i) if remove else self._messages[i]
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise DeadlockError(
-                        f"{op}(source={peer}, tag={_tag_label(tag)}) on comm {comm_id} "
-                        f"timed out after {self._world.timeout:.1f}s — likely deadlock "
-                        f"(the peer never sent, died, or is itself blocked)"
-                    )
-                self._cond.wait(timeout=min(remaining, 0.1))
-
-    def match_or_dead(
-        self,
-        comm_id: int,
-        src_world: int,
-        tag: int,
-        *,
-        op: str = "recv_tolerant",
-        peer: str = "?",
     ) -> _Envelope | None:
-        """Like :meth:`match`, but return None once ``src_world`` is dead.
+        """The first queued message matching ``(comm_id, src_world, tag)``.
 
-        The fault-tolerant receive primitive: a pending message always
-        wins (a rank that managed to send before dying still counts),
-        and only a dead peer with nothing in flight yields None.
-        ``World.mark_dead`` wakes all mailboxes, so death is noticed
-        promptly rather than after the timeout.
+        Without ``block``, return None at once if nothing matches (and
+        ignore an abort). With it, wait for a match until the world
+        aborts (:class:`SpmdAbort`) or the timeout passes
+        (:class:`DeadlockError`, naming ``op`` and ``peer`` so a hang is
+        diagnosable from the error alone). With ``dead_ok``, also return
+        None once ``src_world`` is dead with nothing in flight: a
+        message the peer posted before dying still wins.
         """
-        deadline = time.monotonic() + self._world.timeout
-        with self._cond:
-            while True:
-                if self._world.aborted:
+        deadline = time.monotonic() + self._world.timeout if block else 0.0
+        while True:
+            with self._lock:
+                if block and self._world.aborted:
                     raise SpmdAbort("world aborted while waiting for a message")
-                i = self._find(comm_id, src_world, tag)
-                if i is not None:
-                    return self._messages.pop(i)
-                if self._world.is_dead(src_world):
+                for i, env in enumerate(self._messages):
+                    if (
+                        env.comm_id == comm_id
+                        and (src_world is None or env.src_world == src_world)
+                        and (tag == ANY_TAG or env.tag == tag)
+                    ):
+                        return self._messages.pop(i) if remove else env
+                if not block or (dead_ok and self._world.is_dead(src_world)):
                     return None
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
+                    cause = (
+                        "the peer is alive but never sent"
+                        if dead_ok
+                        else "the peer never sent, died, or is itself blocked"
+                    )
                     raise DeadlockError(
                         f"{op}(source={peer}, tag={_tag_label(tag)}) on comm {comm_id} "
                         f"timed out after {self._world.timeout:.1f}s — likely deadlock "
-                        f"(the peer is alive but never sent)"
+                        f"({cause})"
                     )
-                self._cond.wait(timeout=min(remaining, 0.1))
+                gate = threading.Lock()
+                gate.acquire()
+                self._gates.append(gate)
+            if not gate.acquire(timeout=remaining):
+                with self._lock:
+                    if gate in self._gates:
+                        self._gates.remove(gate)
 
 
 class Request:
@@ -390,14 +385,11 @@ class Communicator:
         peer = self._peer_label(source)
 
         def complete(block: bool) -> tuple[bool, Any]:
-            if block:
-                env = mailbox.match(
-                    self._id, src_world, tag, remove=True, op="irecv.wait", peer=peer
-                )
-            else:
-                env = mailbox.try_match(self._id, src_world, tag, remove=True)
-                if env is None:
-                    return False, None
+            env = mailbox.match(
+                self._id, src_world, tag, remove=True, block=block, op="irecv.wait", peer=peer
+            )
+            if env is None:
+                return False, None
             return True, pickle.loads(env.payload)
 
         return Request(complete)
@@ -421,8 +413,8 @@ class Communicator:
     def iprobe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Status | None:
         """Non-blocking probe: matching message's status, or None."""
         self._fault_op("iprobe")
-        env = self._world.mailbox(self.world_rank).try_match(
-            self._id, self._source_world(source), tag, remove=False
+        env = self._world.mailbox(self.world_rank).match(
+            self._id, self._source_world(source), tag, remove=False, block=False
         )
         if env is None:
             return None
@@ -431,37 +423,53 @@ class Communicator:
     # ------------------------------------------------------------------
     # collectives
     # ------------------------------------------------------------------
-    def barrier(self) -> None:
-        """Block until every rank of the communicator has entered."""
-        tracer = self._world.tracer
-        with tracer.span("barrier", category="mpi.collective") as sp:
-            root = 0
-            if self._rank == root:
-                for r in range(self.size):
-                    if r != root:
-                        self._recv_sys(r, _TAG_BARRIER_IN)
-                for r in range(self.size):
-                    if r != root:
-                        self._post(None, self._world_ranks[r], _TAG_BARRIER_OUT)
-            else:
-                self._post(None, self._world_ranks[root], _TAG_BARRIER_IN)
-                self._recv_sys(root, _TAG_BARRIER_OUT)
-        if tracer.enabled:
-            tracer.metrics.histogram(
-                "mpi.barrier_wait_seconds", rank=self.world_rank
-            ).observe(sp.duration)
-
-    def _recv_sys(self, source: int, tag: int) -> Any:
-        self._fault_op(_TAG_NAMES.get(tag, "recv"))
+    def _recv_sys(self, source: int, tag: int, *, dead_ok: bool = False) -> Any:
+        """Receive a collective's message from ``source`` (a local rank);
+        with ``dead_ok``, :data:`_DEAD` once ``source`` died silent."""
+        name = _TAG_NAMES[tag]
+        self._fault_op(name)
         env = self._world.mailbox(self.world_rank).match(
             self._id,
             self._world_ranks[source],
             tag,
             remove=True,
-            op=_TAG_NAMES.get(tag, "recv"),
+            dead_ok=dead_ok,
+            op=name,
             peer=f"rank {source}",
         )
-        return pickle.loads(env.payload)
+        return _DEAD if env is None else pickle.loads(env.payload)
+
+    def _fan_in(self, obj: Any, root: int, tag: int, *, dead_ok: bool = False) -> list[Any] | None:
+        """Every rank sends ``obj`` to ``root``, which returns them all in
+        rank order (its own as a pickled copy); the others return None."""
+        if self._rank != root:
+            self._post(obj, self._world_ranks[root], tag)
+            return None
+        own = _copy(obj)
+        return [
+            own if r == root else self._recv_sys(r, tag, dead_ok=dead_ok) for r in range(self.size)
+        ]
+
+    def _fan_out(self, objs: Sequence[Any] | None, root: int, tag: int) -> Any:
+        """``root`` sends ``objs[r]`` to each rank ``r``; every rank returns
+        its item (the root a pickled copy of its own)."""
+        if self._rank != root:
+            return self._recv_sys(root, tag)
+        for r in range(self.size):
+            if r != root:
+                self._post(objs[r], self._world_ranks[r], tag)
+        return _copy(objs[root])
+
+    def barrier(self) -> None:
+        """Block until every rank of the communicator has entered."""
+        tracer = self._world.tracer
+        with tracer.span("barrier", category="mpi.collective") as sp:
+            self._fan_in(None, 0, _TAG_BARRIER_IN)
+            self._fan_out([None] * self.size, 0, _TAG_BARRIER_OUT)
+        if tracer.enabled:
+            tracer.metrics.histogram(
+                "mpi.barrier_wait_seconds", rank=self.world_rank
+            ).observe(sp.duration)
 
     def _check_root(self, root: int) -> None:
         if not 0 <= root < self.size:
@@ -471,13 +479,7 @@ class Communicator:
         """Broadcast ``obj`` from ``root``; every rank returns its own copy."""
         self._check_root(root)
         with self._world.tracer.span("bcast", category="mpi.collective", root=root):
-            if self._rank == root:
-                for r in range(self.size):
-                    if r != root:
-                        self._post(obj, self._world_ranks[r], _TAG_BCAST)
-                # Root round-trips through pickle too, for uniform value semantics.
-                return pickle.loads(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
-            return self._recv_sys(root, _TAG_BCAST)
+            return self._fan_out([obj] * self.size, root, _TAG_BCAST)
 
     def scatter(self, objs: Sequence[Any] | None, root: int = 0) -> Any:
         """Rank ``i`` returns ``objs[i]`` from the root's sequence.
@@ -486,31 +488,16 @@ class Communicator:
         """
         self._check_root(root)
         with self._world.tracer.span("scatter", category="mpi.collective", root=root):
-            if self._rank == root:
-                if objs is None or len(objs) != self.size:
-                    got = "None" if objs is None else str(len(objs))
-                    raise ValueError(
-                        f"root must pass exactly {self.size} items to scatter, got {got}"
-                    )
-                for r in range(self.size):
-                    if r != root:
-                        self._post(objs[r], self._world_ranks[r], _TAG_SCATTER)
-                return pickle.loads(pickle.dumps(objs[root], protocol=pickle.HIGHEST_PROTOCOL))
-            return self._recv_sys(root, _TAG_SCATTER)
+            if self._rank == root and (objs is None or len(objs) != self.size):
+                got = "None" if objs is None else str(len(objs))
+                raise ValueError(f"root must pass exactly {self.size} items to scatter, got {got}")
+            return self._fan_out(objs, root, _TAG_SCATTER)
 
     def gather(self, obj: Any, root: int = 0) -> list[Any] | None:
         """Root returns ``[rank0_obj, rank1_obj, …]``; other ranks return None."""
         self._check_root(root)
         with self._world.tracer.span("gather", category="mpi.collective", root=root):
-            if self._rank == root:
-                out: list[Any] = [None] * self.size
-                out[root] = pickle.loads(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
-                for r in range(self.size):
-                    if r != root:
-                        out[r] = self._recv_sys(r, _TAG_GATHER)
-                return out
-            self._post(obj, self._world_ranks[root], _TAG_GATHER)
-            return None
+            return self._fan_in(obj, root, _TAG_GATHER)
 
     def allgather(self, obj: Any) -> list[Any]:
         """Every rank returns the full gathered list."""
@@ -529,9 +516,7 @@ class Communicator:
                 if r != self._rank:
                     self._post(objs[r], self._world_ranks[r], _TAG_ALLTOALL)
             out: list[Any] = [None] * self.size
-            out[self._rank] = pickle.loads(
-                pickle.dumps(objs[self._rank], protocol=pickle.HIGHEST_PROTOCOL)
-            )
+            out[self._rank] = _copy(objs[self._rank])
             for r in range(self.size):
                 if r != self._rank:
                     out[r] = self._recv_sys(r, _TAG_ALLTOALL)
@@ -541,18 +526,13 @@ class Communicator:
         """Fold all ranks' values with ``op`` in rank order; result at root only."""
         self._check_root(root)
         with self._world.tracer.span("reduce", category="mpi.collective", root=root):
-            if self._rank == root:
-                parts: list[Any] = [None] * self.size
-                parts[root] = pickle.loads(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
-                for r in range(self.size):
-                    if r != root:
-                        parts[r] = self._recv_sys(r, _TAG_REDUCE)
-                acc = parts[0]
-                for part in parts[1:]:
-                    acc = op(acc, part)
-                return acc
-            self._post(obj, self._world_ranks[root], _TAG_REDUCE)
-            return None
+            parts = self._fan_in(obj, root, _TAG_REDUCE)
+            if parts is None:
+                return None
+            acc = parts[0]
+            for part in parts[1:]:
+                acc = op(acc, part)
+            return acc
 
     def allreduce(self, obj: Any, op: Op = SUM) -> Any:
         """Reduce then broadcast: every rank returns the folded value."""
@@ -561,7 +541,7 @@ class Communicator:
     def scan(self, obj: Any, op: Op = SUM) -> Any:
         """Inclusive prefix reduction: rank ``r`` gets fold of ranks ``0..r``."""
         with self._world.tracer.span("scan", category="mpi.collective"):
-            own = pickle.loads(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
+            own = _copy(obj)
             if self._rank == 0:
                 acc = own
             else:
@@ -577,7 +557,7 @@ class Communicator:
         Rank 0 returns ``None`` (MPI leaves it undefined).
         """
         with self._world.tracer.span("exscan", category="mpi.collective"):
-            own = pickle.loads(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
+            own = _copy(obj)
             prefix = None
             if self._rank > 0:
                 prefix = self._recv_sys(self._rank - 1, _TAG_SCAN)
@@ -598,28 +578,21 @@ class Communicator:
         # Rank 0 coordinates: gathers (color, key), forms groups, assigns
         # fresh communicator ids from the world counter, and scatters each
         # rank's (comm_id, members, new_rank) descriptor back.
-        if self._rank == 0:
-            entries = [(color, key, 0)]
-            for r in range(1, self.size):
-                c, k = self._recv_sys(r, _TAG_SPLIT_UP)
-                entries.append((c, k, r))
+        entries = self._fan_in((color, key), 0, _TAG_SPLIT_UP)
+        descriptors: list[tuple[int, list[int], int] | None] | None = None
+        if entries is not None:
             groups: dict[int, list[tuple[int, int]]] = {}
-            for c, k, r in entries:
+            for r, (c, k) in enumerate(entries):
                 if c is not None:
                     groups.setdefault(c, []).append((k, r))
-            descriptors: list[tuple[int, list[int], int] | None] = [None] * self.size
+            descriptors = [None] * self.size
             for c in sorted(groups):
                 members = sorted(groups[c])
                 comm_id = self._world.allocate_comm_id()
                 world_ranks = [self._world_ranks[r] for _, r in members]
                 for new_rank, (_, parent_rank) in enumerate(members):
                     descriptors[parent_rank] = (comm_id, world_ranks, new_rank)
-            for r in range(1, self.size):
-                self._post(descriptors[r], self._world_ranks[r], _TAG_SPLIT_DOWN)
-            mine = descriptors[0]
-        else:
-            self._post((color, key), self._world_ranks[0], _TAG_SPLIT_UP)
-            mine = self._recv_sys(0, _TAG_SPLIT_DOWN)
+        mine = self._fan_out(descriptors, 0, _TAG_SPLIT_DOWN)
         if mine is None:
             return None
         comm_id, world_ranks, new_rank = mine
@@ -684,10 +657,12 @@ class Communicator:
         with self._world.tracer.span(
             "recv_tolerant", category="mpi.p2p", source=self._peer_label(source), tag=_tag_label(tag)
         ):
-            env = self._world.mailbox(self.world_rank).match_or_dead(
+            env = self._world.mailbox(self.world_rank).match(
                 self._id,
                 self._check_peer("source", source),
                 tag,
+                remove=True,
+                dead_ok=True,
                 op="recv_tolerant",
                 peer=self._peer_label(source),
             )
@@ -706,29 +681,11 @@ class Communicator:
         """
         self._check_root(root)
         with self._world.tracer.span("gather_tolerant", category="mpi.collective", root=root):
-            if self._rank != root:
-                self._post(obj, self._world_ranks[root], _TAG_GATHER_FT)
+            values = self._fan_in(obj, root, _TAG_GATHER_FT, dead_ok=True)
+            if values is None:
                 return None, []
-            values: list[Any] = [None] * self.size
-            values[root] = pickle.loads(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
-            missing: list[int] = []
-            mailbox = self._world.mailbox(self.world_rank)
-            for r in range(self.size):
-                if r == root:
-                    continue
-                self._fault_op("gather_tolerant")
-                env = mailbox.match_or_dead(
-                    self._id,
-                    self._world_ranks[r],
-                    _TAG_GATHER_FT,
-                    op="gather_tolerant",
-                    peer=f"rank {r}",
-                )
-                if env is None:
-                    missing.append(r)
-                else:
-                    values[r] = pickle.loads(env.payload)
-            return values, missing
+            missing = [r for r, v in enumerate(values) if v is _DEAD]
+            return [None if v is _DEAD else v for v in values], missing
 
     def abort(self) -> None:
         """Tear down the whole world (MPI_Abort): all ranks raise SpmdAbort."""

@@ -85,7 +85,7 @@ class OrderedRegion:
                         f"iteration {iteration} waited {timeout}s for iteration "
                         f"{self._next} to commit — a commit was skipped"
                     )
-                self._cond.wait(timeout=min(remaining, 0.1))
+                self._cond.wait(timeout=remaining)
             if self._next > iteration:
                 raise RuntimeError(f"iteration {iteration} committed twice")
             try:

@@ -9,10 +9,11 @@ pipeline assignment's students actually make.
 
 The fault layer adds the third real-world concern: a corrupted shipped
 payload. Each broadcast records a crc32 of its pickle at creation and
-keeps the driver's *master copy*; the first task access verifies the
-shipped payload against the checksum (once — corruption is injected at
-ship time, so one verification covers the broadcast's lifetime, and the
-per-access hot path stays a plain attribute read). On a mismatch the
+keeps the driver's *master copy*; the driver verifies a corrupted
+payload against the checksum before the next job's tasks run (the
+first access does, if no job runs first), once — corruption is
+injected at ship time, so one verification covers the broadcast's
+lifetime, and the per-access hot path stays a plain attribute read. On a mismatch the
 payload is refetched from the master copy, the ``on_refetch`` hook
 notifies the context's metrics/report, and the task sees the correct
 value — bit-identical results, recovery observable.

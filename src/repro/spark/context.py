@@ -220,6 +220,7 @@ class SparkContext:
         self._job_counter = 0
         self._shuffle_counter = 0
         self._broadcast_counter = 0
+        self._corrupt_broadcasts: list[Broadcast] = []
         self._blacklisted: set[int] = set()
         self._blacklist_lock = threading.Lock()
         self._committed: set[tuple[int, int]] = set()
@@ -270,8 +271,9 @@ class SparkContext:
 
         Under a fault plan, broadcasts are numbered in creation order;
         a scheduled ``broadcast`` event corrupts the shipped payload
-        here, and the checksum on first task access refetches the
-        driver's master copy.
+        here. The next job's :meth:`_fill_caches` (or, before any job,
+        the first access) checks it against its checksum on the driver
+        and refetches the master copy.
         """
         self._check_alive()
         if self._fault_plan is None:
@@ -283,6 +285,8 @@ class SparkContext:
         event = self._fault_plan.broadcast_event(index)
         if event is not None:
             bc._corrupt()
+            with self._job_lock:
+                self._corrupt_broadcasts.append(bc)
             assert self.fault_report is not None
             self.fault_report.fire(
                 SparkInjectionRecord("broadcast", index, 0), self.metrics, get_tracer(),
@@ -524,17 +528,21 @@ class SparkContext:
                 node._materialize_shuffle()
 
     def _fill_caches(self, executor: Executor, tracer: Any, rdd: RDD) -> None:
-        """Before a job's tasks run, heal each shuffle in ``rdd``'s
-        lineage (its corrupt resident blocks and damaged spill runs) and
-        fill the lineage's persist/checkpoint caches by maps over the
-        job's ``executor``, applying each fill's accumulator updates
-        once.
+        """Before a job's tasks run, heal the corrupt broadcasts and each
+        shuffle in ``rdd``'s lineage (its corrupt resident blocks and
+        damaged spill runs), and fill the lineage's persist/checkpoint
+        caches by maps over the job's ``executor``, applying each fill's
+        accumulator updates once.
 
         Tasks that found a cache empty or a block damaged would each
         fill or recover it, commit the updates of every copy they
         computed, and, in a forked worker, lose the fill and the
         recovery's report with the worker. Only ``take``, which runs no
         job, fills caches in the partition that reads them."""
+        with self._job_lock:
+            corrupt, self._corrupt_broadcasts = self._corrupt_broadcasts, []
+        for bc in corrupt:
+            bc._verify()
         for node in lineage(rdd):
             if isinstance(node, ShuffledRDD):
                 store = node._store

@@ -111,3 +111,22 @@ def _calls_through_cache(backend: str) -> int:
 @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
 def test_cached_partition_commits_its_updates_once(backend):
     assert _calls_through_cache(backend) == 4
+
+
+def _broadcast_refetches(backend: str) -> tuple[int, int]:
+    """``(fault_report, metrics.extra)`` refetch counts of one corrupt
+    broadcast read by both partitions of one map."""
+    plan = SparkFaultPlan.sample(
+        0, jobs=1, partitions=2, broadcast_corrupt_prob=1.0, broadcasts=1
+    )
+    with SparkContext(2, backend=backend, fault_plan=plan) as sc:
+        table = sc.broadcast({i: i * i for i in range(8)})
+        assert sc.parallelize(range(8), 2).map(lambda x: table.value[x]).collect() == [
+            i * i for i in range(8)
+        ]
+        return sc.fault_report.broadcast_refetches, sc.metrics.extra["spark.broadcast_refetches"]
+
+
+@pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+def test_corrupt_broadcast_is_refetched_once(backend):
+    assert _broadcast_refetches(backend) == (1, 1)

@@ -78,7 +78,9 @@ if [ "${1:-}" = "--perf" ]; then
         benchmarks/test_align.py \
         benchmarks/test_kmeans_models.py \
         benchmarks/test_fig2_nyc_pipeline.py \
-        benchmarks/test_wordcount.py
+        benchmarks/test_wordcount.py \
+        benchmarks/test_spmd_microbench.py
+    python tools/check_bench_schema.py --check
 fi
 
 if [ "${1:-}" = "--sanitizer" ]; then
